@@ -202,50 +202,6 @@ fn old_table_loss(_scale: SimScale) {
     );
 }
 
-/// Ablation 6: shard-count sweep over the locked sharded OLD table. The
-/// same real-thread workload as ablation 5 runs against
-/// `ShardedOldTable` at increasing shard counts: locked counting is
-/// exact at *every* count (zero lost increments, zero histogram
-/// deviation — the contrast with ablation 5's racy counters), while
-/// more shards spread the mutators over independent locks and shrink
-/// the wall time of the contended recording phase.
-fn shard_sweep(_scale: SimScale) {
-    use rolp::concurrent::{
-        compare_to_reference, run_concurrent_sharded, run_reference, ConcurrentConfig,
-    };
-    println!("--- Ablation 6: OLD-table shard count (locked, exact) sweep ---");
-    let mut table = TextTable::new(vec![
-        "shards",
-        "intended increments",
-        "lost (measured)",
-        "histogram deviation",
-        "wall time",
-    ]);
-    let config = ConcurrentConfig { mutator_threads: 4, ..Default::default() };
-    let reference = run_reference(&config);
-    for shards in [1usize, 2, 4, 8, 16] {
-        let start = std::time::Instant::now();
-        let run = run_concurrent_sharded(&config, shards);
-        let wall = start.elapsed();
-        let report = compare_to_reference(&run.histograms, &reference);
-        assert_eq!(run.total_lost, 0, "locked sharded counting must be exact");
-        assert_eq!(report.total_abs_dev, 0, "sharded histograms must match the reference");
-        table.row(vec![
-            shards.to_string(),
-            run.total_intended.to_string(),
-            run.total_lost.to_string(),
-            report.total_abs_dev.to_string(),
-            format!("{wall:.1?}"),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "expect: zero loss and zero deviation at every shard count (the locked plane\n\
-         is exact by construction); wall time falls as shards decouple the mutator\n\
-         threads' lock traffic\n"
-    );
-}
-
 fn main() {
     let scale = scale();
     banner("Ablations: the paper's design choices, isolated", scale);
@@ -254,5 +210,4 @@ fn main() {
     survivor_shutdown(scale);
     site_only_contexts(scale);
     old_table_loss(scale);
-    shard_sweep(scale);
 }

@@ -86,7 +86,8 @@ fn warmup_comparison(scale: rolp_metrics::SimScale) {
 
     // Cold: no prior profile; the run also exports what it learned.
     let mut w = rolp_bench::cassandra(CassandraMix::WriteIntensive, scale);
-    let (cold, wi_profile) = rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4);
+    let (cold, wi_profile, _) =
+        rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4);
 
     // Warm: a restarted service replaying the cold run's profile.
     let mut w = rolp_bench::cassandra(CassandraMix::WriteIntensive, scale);
@@ -99,7 +100,7 @@ fn warmup_comparison(scale: rolp_metrics::SimScale) {
     // confidence-weighted blend must converge instead of replaying stale
     // decisions forever.
     let mut w = rolp_bench::cassandra(CassandraMix::ReadIntensive, scale);
-    let (_, ri_profile) = rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4);
+    let (_, ri_profile, _) = rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4);
     let mut w = rolp_bench::cassandra(CassandraMix::WriteIntensive, scale);
     let drifted = rolp_bench::run_one_warm(&mut w, heap, scale, &budget, 4, ri_profile);
 

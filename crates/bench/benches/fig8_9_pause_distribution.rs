@@ -101,45 +101,36 @@ fn main() {
     );
     if quick {
         println!(
-            "quick mode: first workload, G1 + ROLP (4 mutator threads) + ROLP-seq \
-             (1 thread, sequential profiler backend) + ROLP (governed) \
-             (overhead governor on, no faults) + ROLP (warm) \
-             (warm-started from the plain ROLP run's profile) + ROLP (sharded) \
-             (4-shard locked OLD-table backend) (ROLP_BENCH_QUICK)"
+            "quick mode: first workload, G1 + ROLP (4 guest threads) + ROLP-seq \
+             (1 guest thread) + ROLP (warm) (warm-started from the plain ROLP \
+             run's profile); a governed ROLP run (overhead governor on, no \
+             faults) must equal plain ROLP (ROLP_BENCH_QUICK)"
         );
     }
 
     /// How one gate row is driven.
-    #[derive(Clone, Copy, PartialEq)]
+    #[derive(Clone, Copy)]
     enum Mode {
         Plain,
-        /// Overhead governor engaged.
-        Governed,
         /// Plain ROLP that also exports its learned decision profile.
         Learn,
         /// ROLP warm-started from the profile the `Learn` row exported.
         Warm,
-        /// Sharded OLD-table backend with the given shard count.
-        Sharded(usize),
     }
 
-    // (collector, mutator threads, gate label, mode). The default
-    // 4-thread runs exercise the concurrent profiler data plane; quick
-    // mode adds a 1-thread ROLP run so the gate also covers the
-    // sequential backend, a governed ROLP run so the gate bounds the
-    // governor's own overhead, and a warm-started ROLP run so the gate
-    // covers the profile import/blend path. The governed and warm rows
-    // must come *after* plain ROLP: the shape-check lookup below takes
-    // the first match per CollectorKind, and the warm row consumes the
-    // profile the plain (`Learn`) row exports.
+    // (collector, guest threads, gate label, mode). Quick mode adds a
+    // 1-guest-thread ROLP run (`ROLP-seq`) so the gate also covers a
+    // different allocation interleaving and GC cadence, and a
+    // warm-started ROLP run so the gate covers the profile import/blend
+    // path. The warm row must come *after* plain ROLP: the shape-check
+    // lookup below takes the first match per CollectorKind, and the warm
+    // row consumes the profile the plain (`Learn`) row exports.
     let collectors: Vec<(CollectorKind, u32, &'static str, Mode)> = if quick {
         vec![
             (CollectorKind::G1, 4, CollectorKind::G1.label(), Mode::Plain),
             (CollectorKind::RolpNg2c, 4, CollectorKind::RolpNg2c.label(), Mode::Learn),
             (CollectorKind::RolpNg2c, 1, "ROLP-seq", Mode::Plain),
-            (CollectorKind::RolpNg2c, 4, "ROLP (governed)", Mode::Governed),
             (CollectorKind::RolpNg2c, 4, "ROLP (warm)", Mode::Warm),
-            (CollectorKind::RolpNg2c, 4, "ROLP (sharded)", Mode::Sharded(4)),
         ]
     } else {
         [CollectorKind::Cms, CollectorKind::G1, CollectorKind::Ng2c, CollectorKind::RolpNg2c]
@@ -163,10 +154,9 @@ fn main() {
             std::iter::once("system".to_string()).chain(fig9_labels()).collect::<Vec<_>>(),
         );
         let mut tail_ms: Vec<(CollectorKind, f64)> = Vec::new();
-        let mut governed_tail: Option<f64> = None;
-        let mut sharded_p99: Option<f64> = None;
-        let mut plain_p99: Option<f64> = None;
         let mut learned: Option<rolp::DecisionProfile> = None;
+        // The plain ROLP row's (digest, pauses, GC cycles, ops).
+        let mut plain_run: Option<(u64, usize, u64, u64)> = None;
         let mut warm_info: Vec<(&'static str, f64, u64)> = Vec::new();
 
         for &(kind, threads, label, mode) in &collectors {
@@ -175,11 +165,8 @@ fn main() {
             let w = &mut workloads[wi];
             let start = std::time::Instant::now();
             let out = match mode {
-                Mode::Governed => {
-                    rolp_bench::run_one_governed(w.as_mut(), heap.clone(), scale, &budget, threads)
-                }
                 Mode::Learn => {
-                    let (out, profile) = rolp_bench::run_one_learning(
+                    let (out, profile, digest) = rolp_bench::run_one_learning(
                         w.as_mut(),
                         heap.clone(),
                         scale,
@@ -187,6 +174,8 @@ fn main() {
                         threads,
                     );
                     learned = Some(profile);
+                    plain_run =
+                        Some((digest, out.pauses.count(), out.report.gc_cycles, out.report.ops));
                     out
                 }
                 Mode::Warm => rolp_bench::run_one_warm(
@@ -197,28 +186,11 @@ fn main() {
                     threads,
                     learned.clone().expect("warm row must follow the learning ROLP row"),
                 ),
-                Mode::Sharded(shards) => rolp_bench::run_one_sharded(
-                    w.as_mut(),
-                    heap.clone(),
-                    scale,
-                    &budget,
-                    threads,
-                    shards,
-                ),
                 Mode::Plain => {
                     run_one_threads(w.as_mut(), kind, heap.clone(), scale, &budget, threads)
                 }
             };
             let wall = start.elapsed();
-            if mode == Mode::Governed {
-                governed_tail = Some(out.pauses.percentile_ms(99.9));
-            }
-            if matches!(mode, Mode::Sharded(_)) {
-                sharded_p99 = Some(out.pauses.percentile_ms(99.0));
-            }
-            if mode == Mode::Learn {
-                plain_p99 = Some(out.pauses.percentile_ms(99.0));
-            }
             let (warmup_p99, stable) = match &out.report.rolp {
                 Some(r) => (
                     Some(rolp_bench::warmup_p99_ms(&out, budget.warmup_discard)),
@@ -307,20 +279,27 @@ fn main() {
                 "shape check [{name}]: p99.9 G1 {g1:.1} ms, ROLP {rolp:.1} ms -> \
                  ROLP reduces G1 tail by {reduction:.0}%"
             );
-            if let Some(gov) = governed_tail {
-                let overhead = if rolp > 0.0 { (gov / rolp - 1.0) * 100.0 } else { 0.0 };
-                println!(
-                    "governor overhead [{name}]: p99.9 governed {gov:.1} ms vs plain \
-                     {rolp:.1} ms ({overhead:+.1}%)"
-                );
-            }
-            if let (Some(sh), Some(pl)) = (sharded_p99, plain_p99) {
-                let delta = if pl > 0.0 { (sh / pl - 1.0) * 100.0 } else { 0.0 };
-                println!(
-                    "sharded backend [{name}]: p99 sharded {sh:.1} ms vs plain {pl:.1} ms \
-                     ({delta:+.1}%)"
-                );
-            }
+            // An ungoverned-equivalent governor (default budgets, no
+            // faults) never leaves `Full`, so the governed run must
+            // publish the same decisions on the same schedule as plain
+            // ROLP.
+            let mut workloads = bigdata_workloads(scale);
+            let (gov, gov_digest) = rolp_bench::run_one_governed(
+                workloads[wi].as_mut(),
+                heap.clone(),
+                scale,
+                &budget,
+                4,
+            );
+            let governed = (gov_digest, gov.pauses.count(), gov.report.gc_cycles, gov.report.ops);
+            assert_eq!(
+                Some(governed),
+                plain_run,
+                "[{name}] governed ROLP (digest, pauses, GC cycles, ops) must equal plain ROLP"
+            );
+            println!(
+                "governor [{name}]: governed run equals plain ROLP (digest {gov_digest:#018x})"
+            );
             let find = |l: &str| warm_info.iter().find(|(n, _, _)| *n == l);
             if let (Some(&(_, cold_w, cold_e)), Some(&(_, warm_w, warm_e))) =
                 (find("ROLP"), find("ROLP (warm)"))

@@ -67,7 +67,7 @@ pub fn runtime_config(kind: CollectorKind, heap: HeapConfig, scale: SimScale) ->
 }
 
 /// Runs one workload under one collector with the given budget, at the
-/// default bench thread count (4 — the concurrent profiler backend).
+/// default bench thread count (4 guest threads).
 ///
 /// When `ROLP_TRACE_DIR` is set, the run records a flight-recorder trace
 /// and writes `<dir>/<workload>-<collector>.trace.json` (Chrome
@@ -83,12 +83,10 @@ pub fn run_one(
     run_one_threads(workload, kind, heap, scale, budget, 4)
 }
 
-/// [`run_one`] with an explicit mutator-thread count — the bench-side
-/// analogue of the CLI's `--mutator-threads`. `threads` selects the
-/// profiler's table backend exactly as the runtime does: 1 runs the
-/// sequential/exact `OldTable`, >1 the relaxed-atomic `SharedOldTable`
-/// (and the matching GC worker parallelism), so the pause gate can cover
-/// both data planes.
+/// [`run_one`] with an explicit guest-thread count — the bench-side
+/// analogue of the CLI's `--mutator-threads`. The guest threads share one
+/// OS thread and the profiler's one `OldTable`; the count changes how
+/// allocation interleaves, and with it the GC cadence.
 pub fn run_one_threads(
     workload: &mut dyn Workload,
     kind: CollectorKind,
@@ -116,60 +114,55 @@ pub fn run_one_threads(
     out
 }
 
+/// The digest of the decision table a run published last (0 when the
+/// run has no profiler).
+fn published_digest(rt: &rolp::JvmRuntime) -> u64 {
+    rt.profiler.as_ref().map_or(0, |p| p.borrow().decision_store().snapshot().digest())
+}
+
 /// [`run_one_threads`] for ROLP with the overhead governor engaged
-/// (default budgets, no fault plan) — the `ROLP (governed)` gate row.
-/// With nothing injected the governor should stay in `Full` and cost
-/// only its once-per-epoch evaluation, so this row's pause percentiles
-/// must track plain ROLP's (the ISSUE acceptance bound is 10% on p99).
+/// (default budgets, no fault plan), also returning the final published
+/// [`rolp_vm::DecisionTable`] digest. With nothing injected the governor
+/// stays in `Full`, so the run must equal plain ROLP's bit for bit; the
+/// quick Fig. 8/9 bench asserts it.
 pub fn run_one_governed(
     workload: &mut dyn Workload,
     heap: HeapConfig,
     scale: SimScale,
     budget: &RunBudget,
     threads: u32,
-) -> RunOutcome {
+) -> (RunOutcome, u64) {
     let mut config = runtime_config(CollectorKind::RolpNg2c, heap, scale);
     config.threads = threads;
     config.rolp.governor = Some(rolp::GovernorConfig::default());
-    rolp_workloads::execute(workload, config, budget)
-}
-
-/// [`run_one_threads`] for ROLP with the sharded OLD-table backend —
-/// the `ROLP (sharded)` gate row, the bench-side analogue of the CLI's
-/// `--table-shards`. Per-shard locking makes the counting exact (unlike
-/// the relaxed-atomic concurrent backend) while the deterministic
-/// cross-shard reductions keep published decisions bit-identical to the
-/// sequential reference, so this row's pause percentiles must track
-/// plain ROLP's (the ISSUE acceptance bound is 10% on p99).
-pub fn run_one_sharded(
-    workload: &mut dyn Workload,
-    heap: HeapConfig,
-    scale: SimScale,
-    budget: &RunBudget,
-    threads: u32,
-    shards: usize,
-) -> RunOutcome {
-    let mut config = runtime_config(CollectorKind::RolpNg2c, heap, scale);
-    config.threads = threads;
-    config.rolp.table_shards = Some(shards);
-    rolp_workloads::execute(workload, config, budget)
+    let mut digest = 0;
+    let out = rolp_workloads::execute_hooked(
+        workload,
+        config,
+        budget,
+        |_| {},
+        |rt| digest = published_digest(rt),
+    );
+    (out, digest)
 }
 
 /// [`run_one_threads`] for ROLP, additionally extracting the learned
-/// [`rolp::DecisionProfile`] at the end of the run — the bench-side
-/// analogue of the CLI's `--profile-out`. The outcome is identical to a
-/// plain ROLP run (extraction happens after the final tick, before the
-/// report), so this can substitute for `run_one_threads` in a gate row.
+/// [`rolp::DecisionProfile`] and the final published decision-table
+/// digest at the end of the run — the bench-side analogue of the CLI's
+/// `--profile-out`. The outcome is identical to a plain ROLP run
+/// (extraction happens after the final tick, before the report), so this
+/// can substitute for `run_one_threads` in a gate row.
 pub fn run_one_learning(
     workload: &mut dyn Workload,
     heap: HeapConfig,
     scale: SimScale,
     budget: &RunBudget,
     threads: u32,
-) -> (RunOutcome, rolp::DecisionProfile) {
+) -> (RunOutcome, rolp::DecisionProfile, u64) {
     let mut config = runtime_config(CollectorKind::RolpNg2c, heap, scale);
     config.threads = threads;
     let mut profile = rolp::DecisionProfile::default();
+    let mut digest = 0;
     let out = rolp_workloads::execute_hooked(
         workload,
         config,
@@ -183,9 +176,10 @@ pub fn run_one_learning(
                     &rt.vm.env.jit,
                 );
             }
+            digest = published_digest(rt);
         },
     );
-    (out, profile)
+    (out, profile, digest)
 }
 
 /// [`run_one_threads`] for ROLP warm-started from a previously learned

@@ -31,10 +31,10 @@ pub struct Args {
     pub discard: u64,
     /// Print the profiler report at the end.
     pub report: bool,
-    /// Export learned decisions to this file.
-    pub export_profile: Option<String>,
-    /// Import an offline decision profile from this file.
-    pub import_profile: Option<String>,
+    /// Export learned decisions to this file (`--profile-out`).
+    pub profile_out: Option<String>,
+    /// Import an offline decision profile from this file (`--profile-in`).
+    pub profile_in: Option<String>,
     /// Write a Chrome `trace_event` flight-recorder trace to this file.
     pub trace_out: Option<String>,
     /// Write the machine-readable run summary (JSON) to this file.
@@ -51,11 +51,6 @@ pub struct Args {
     pub mutator_threads: u32,
     /// Parallel GC workers (None keeps the cost model's default).
     pub gc_workers: Option<usize>,
-    /// OLD-table shard count (`None` keeps the unsharded backends:
-    /// relaxed-shared for multi-threaded runs, sequential otherwise).
-    /// `--table-shards auto` resolves to the mutator-thread count
-    /// rounded up to a power of two.
-    pub table_shards: Option<usize>,
     /// Fault-injection plan: a canned name or a `;`-separated spec
     /// (enables the overhead governor). `None` = no injection.
     pub fault_plan: Option<String>,
@@ -80,8 +75,8 @@ impl Default for Args {
             secs: 120,
             discard: 30,
             report: false,
-            export_profile: None,
-            import_profile: None,
+            profile_out: None,
+            profile_in: None,
             trace_out: None,
             stats_json: None,
             metrics_out: None,
@@ -89,7 +84,6 @@ impl Default for Args {
             metrics_prom: None,
             mutator_threads: 4,
             gc_workers: None,
-            table_shards: None,
             fault_plan: None,
             verify_determinism: false,
             tlab_bytes: rolp_heap::DEFAULT_TLAB_BYTES,
@@ -118,13 +112,11 @@ OPTIONS:
                         rolp-profile-v1 file: pretenuring decisions with
                         confidence, frozen distinguishing call sites, the
                         program-shape fingerprint, and epoch count
-                        (alias: --export-profile)
     --profile-in <FILE>   warm-start from an exported profile: decisions
                         apply the moment their site is JIT-compiled, and
                         the profile is validated against the running
                         program's shape — entries that no longer resolve
                         are rejected with a warning, never blindly applied
-                        (alias: --import-profile)
     --trace-out <FILE>  record a flight-recorder trace of GC pauses,
                         profiler inferences, pretenuring decisions, and
                         JIT activity; written in Chrome trace_event format
@@ -148,12 +140,6 @@ OPTIONS:
     --gc-workers <N>    parallel GC workers (marking, remembered-set
                         prescan, one private OLD table each)
                         [default: cost model, 4]
-    --table-shards <N|auto>  partition the OLD table into N independently
-                        locked shards (N a power of two): exact counting
-                        with per-shard contention instead of the relaxed
-                        lossy shared table; merge and inference fan out
-                        across shards. `auto` = mutator threads rounded up
-                        to a power of two  [default: unsharded]
     --fault-plan <SPEC> inject deterministic profiler faults and engage
                         the overhead governor. SPEC is a canned plan
                         (pressure-spike | id-exhaustion | merge-chaos) or
@@ -180,7 +166,6 @@ OPTIONS:
 /// Parses arguments; `Err` carries the message to print.
 pub fn parse(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut table_shards_spec: Option<String> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut take = |name: &str| {
@@ -210,12 +195,8 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
                 args.discard = v.parse::<u64>().map_err(|_| "--discard must be a number")?;
             }
             "--report" => args.report = true,
-            "--profile-out" | "--export-profile" => {
-                args.export_profile = Some(take("--profile-out")?)
-            }
-            "--profile-in" | "--import-profile" => {
-                args.import_profile = Some(take("--profile-in")?)
-            }
+            "--profile-out" => args.profile_out = Some(take("--profile-out")?),
+            "--profile-in" => args.profile_in = Some(take("--profile-in")?),
             "--trace-out" => args.trace_out = Some(take("--trace-out")?),
             "--stats-json" => args.stats_json = Some(take("--stats-json")?),
             "--metrics-out" => args.metrics_out = Some(take("--metrics-out")?),
@@ -245,7 +226,6 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
                         .ok_or("--gc-workers must be positive")?,
                 );
             }
-            "--table-shards" => table_shards_spec = Some(take("--table-shards")?),
             "--fault-plan" => {
                 let v = take("--fault-plan")?;
                 // Validate eagerly so a typo fails before the run starts.
@@ -266,19 +246,6 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
     }
     if args.discard >= args.secs {
         return Err("--discard must be smaller than --secs".to_string());
-    }
-    // `auto` depends on --mutator-threads, which may appear later on the
-    // command line, so shard resolution happens after the parse loop.
-    if let Some(spec) = table_shards_spec {
-        let shards = if spec == "auto" {
-            (args.mutator_threads as usize).next_power_of_two()
-        } else {
-            spec.parse::<usize>()
-                .ok()
-                .filter(|n| n.is_power_of_two())
-                .ok_or("--table-shards must be a power of two or `auto`")?
-        };
-        args.table_shards = Some(shards);
     }
     Ok(args)
 }
@@ -364,17 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn table_shards_flag_parses() {
-        assert_eq!(parse(&argv("--table-shards 8")).unwrap().table_shards, Some(8));
-        assert_eq!(parse(&[]).unwrap().table_shards, None);
-        // `auto` follows the mutator-thread count regardless of flag
-        // order, rounded up to a power of two.
-        let a = parse(&argv("--table-shards auto --mutator-threads 6")).unwrap();
-        assert_eq!(a.table_shards, Some(8));
-        let b = parse(&argv("--mutator-threads 4 --table-shards auto")).unwrap();
-        assert_eq!(b.table_shards, Some(4));
-        assert!(parse(&argv("--table-shards 3")).unwrap_err().contains("power of two"));
-        assert!(parse(&argv("--table-shards 0")).unwrap_err().contains("power of two"));
+    fn removed_flags_are_unknown_options() {
+        for flag in ["--table-shards 4", "--export-profile p", "--import-profile p"] {
+            let err = parse(&argv(flag)).unwrap_err();
+            assert!(err.starts_with("unknown option"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -411,14 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn profile_flags_and_their_legacy_aliases_parse() {
+    fn profile_flags_parse() {
         let a = parse(&argv("--profile-out out.prof --profile-in in.prof")).expect("parses");
-        assert_eq!(a.export_profile.as_deref(), Some("out.prof"));
-        assert_eq!(a.import_profile.as_deref(), Some("in.prof"));
-        let b = parse(&argv("--export-profile out.prof --import-profile in.prof"))
-            .expect("aliases parse");
-        assert_eq!(b.export_profile.as_deref(), Some("out.prof"));
-        assert_eq!(b.import_profile.as_deref(), Some("in.prof"));
+        assert_eq!(a.profile_out.as_deref(), Some("out.prof"));
+        assert_eq!(a.profile_in.as_deref(), Some("in.prof"));
         assert!(parse(&argv("--profile-in")).unwrap_err().contains("needs a value"));
     }
 

@@ -33,8 +33,6 @@ struct FleetArgs {
     drift: bool,
     /// Guest mutator threads per instance.
     mutator_threads: u32,
-    /// OLD-table shard count forwarded to every instance runtime.
-    table_shards: Option<usize>,
     /// Write the consensus profile (rolp-profile-v1) here.
     consensus_out: Option<String>,
     /// Run the late joiner cold (no profile) and write its stats JSON.
@@ -55,7 +53,6 @@ impl Default for FleetArgs {
             scale: 64,
             drift: false,
             mutator_threads: 4,
-            table_shards: None,
             consensus_out: None,
             cold_stats: None,
             warm_stats: None,
@@ -85,7 +82,6 @@ OPTIONS:
     --drift             give the last instance a drifted read/write mix
                         (forces weighted-majority conflict resolution)
     --mutator-threads <N>  guest mutator threads per instance [default: 4]
-    --table-shards <N>  OLD-table shards in every instance (power of two)
     --consensus-out <FILE>  write the consensus profile (rolp-profile-v1)
     --cold-stats <FILE>    run the late joiner WITHOUT a profile and write
                         its stats JSON (for scripts/warmup_gate.py)
@@ -164,15 +160,6 @@ fn parse(argv: &[String]) -> Result<FleetArgs, String> {
                 args.mutator_threads =
                     positive("--mutator-threads", take("--mutator-threads")?)? as u32
             }
-            "--table-shards" => {
-                let v = take("--table-shards")?;
-                let n = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| n.is_power_of_two())
-                    .ok_or("--table-shards must be a power of two")?;
-                args.table_shards = Some(n);
-            }
             "--consensus-out" => args.consensus_out = Some(take("--consensus-out")?),
             "--cold-stats" => args.cold_stats = Some(take("--cold-stats")?),
             "--warm-stats" => args.warm_stats = Some(take("--warm-stats")?),
@@ -203,16 +190,14 @@ fn instance_workload(
 }
 
 fn instance_config(args: &FleetArgs, scale: SimScale) -> RuntimeConfig {
-    let mut config = RuntimeConfig {
+    RuntimeConfig {
         collector: rolp::runtime::CollectorKind::RolpNg2c,
         heap: rolp_workloads::presets::bigdata_heap(scale),
         cost: CostModel::scaled(scale),
         threads: args.mutator_threads,
         side_table_scale: scale.divisor(),
         ..Default::default()
-    };
-    config.rolp.table_shards = args.table_shards;
-    config
+    }
 }
 
 /// Runs one instance for `secs` simulated seconds and exports its
@@ -420,16 +405,15 @@ mod tests {
         assert_eq!((d.instances, d.rounds, d.secs), (3, 2, 45));
         assert!(!d.drift);
         let a = parse(&argv(
-            "--instances 5 --rounds 1 --secs 30 --drift --table-shards 4 \
+            "--instances 5 --rounds 1 --secs 30 --drift \
              --consensus-out c.prof --cold-stats cold.json --warm-stats warm.json",
         ))
         .unwrap();
         assert_eq!(a.instances, 5);
-        assert_eq!(a.table_shards, Some(4));
         assert!(a.drift);
         assert_eq!(a.consensus_out.as_deref(), Some("c.prof"));
         assert!(parse(&argv("--instances 0")).unwrap_err().contains("positive"));
-        assert!(parse(&argv("--table-shards 3")).unwrap_err().contains("power of two"));
+        assert!(parse(&argv("--table-shards 4")).unwrap_err().starts_with("unknown option"));
         assert!(parse(&argv("--frobnicate")).unwrap_err().contains("unknown option"));
     }
 

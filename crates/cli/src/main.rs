@@ -57,8 +57,7 @@ fn run(args: Args) -> Result<(), String> {
         microcache: args.microcache,
         ..Default::default()
     };
-    config.rolp.table_shards = args.table_shards;
-    if let Some(path) = &args.import_profile {
+    if let Some(path) = &args.profile_in {
         // Parse/version/truncation errors fail the run here; shape
         // validation against the program happens in the profiler at first
         // JIT compile and is reported in the end-of-run summary.
@@ -109,7 +108,7 @@ fn run(args: Args) -> Result<(), String> {
 
     // The driver consumes the config; profile export needs the runtime, so
     // re-run through the lower-level pieces when exporting.
-    if args.export_profile.is_some() || args.report {
+    if args.profile_out.is_some() || args.report {
         run_with_runtime(&args, &mut *workload, config, &budget)
     } else {
         let mut guard: Option<CrashGuard> = None;
@@ -149,32 +148,22 @@ fn arm_crash_guard(args: &Args, rt: &rolp::runtime::JvmRuntime) -> Option<CrashG
 /// reference, and the total deviation stays within the *measured* number
 /// of increments lost to the unsynchronized age-0 updates.
 fn verify_determinism(args: &Args) -> Result<(), String> {
-    use rolp::concurrent::{
-        compare_to_reference, run_concurrent, run_concurrent_sharded, run_reference,
-        ConcurrentConfig,
-    };
+    use rolp::concurrent::{compare_to_reference, run_concurrent, run_reference, ConcurrentConfig};
 
     let config = ConcurrentConfig {
         mutator_threads: args.mutator_threads.max(1) as usize,
         gc_workers: args.gc_workers.unwrap_or(4).max(1),
         ..Default::default()
     };
-    let backend = match args.table_shards {
-        Some(shards) => format!("sharded table ({shards} shard(s), exact counting)"),
-        None => "relaxed shared table".to_string(),
-    };
     println!(
-        "determinism check [{backend}]: {} mutator thread(s), {} GC worker(s), {} epoch(s) x {} allocs/thread",
+        "determinism check [relaxed shared table]: {} mutator thread(s), {} GC worker(s), {} epoch(s) x {} allocs/thread",
         config.mutator_threads,
         config.gc_workers,
         config.epochs,
         config.allocs_per_thread_per_epoch
     );
 
-    let run = match args.table_shards {
-        Some(shards) => run_concurrent_sharded(&config, shards),
-        None => run_concurrent(&config),
-    };
+    let run = run_concurrent(&config);
     let reference = run_reference(&config);
     for r in &run.reconciliations {
         println!(
@@ -194,20 +183,8 @@ fn verify_determinism(args: &Args) -> Result<(), String> {
         "deviation vs reference: {} over {} row(s); cells exceeding reference: {}; measured loss: {} of {} increments",
         report.total_abs_dev, report.rows, report.cells_exceeding, run.total_lost, run.total_intended
     );
-    // Sharded counting is locked and exact: zero measured loss, so the
-    // §7.6 bound collapses to bit-identity with the reference.
-    if args.table_shards.is_some() && run.total_lost != 0 {
-        return Err(format!(
-            "determinism check FAILED: sharded backend reported {} lost increment(s); it must be exact",
-            run.total_lost
-        ));
-    }
     if report.within_bound(run.total_lost) {
-        if args.table_shards.is_some() {
-            println!("OK: sharded histograms are bit-identical to the sequential reference");
-        } else {
-            println!("OK: merged histograms are within the measured loss bound");
-        }
+        println!("OK: merged histograms are within the measured loss bound");
         Ok(())
     } else {
         Err(format!(
@@ -310,14 +287,16 @@ fn run_with_runtime(
             println!("{}", rolp::render_summary(&p, &rt.vm.env.program, &rt.vm.env.jit));
             println!("{}", rolp::render_decisions(&p, &rt.vm.env.program));
         }
-        if let Some(path) = &args.export_profile {
+        if let Some(path) = &args.profile_out {
             let profile = DecisionProfile::from_profiler(&p, &rt.vm.env.program, &rt.vm.env.jit);
             std::fs::write(path, profile.to_string())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("exported {} decision(s) to {path}", profile.len());
         }
-    } else if args.report || args.export_profile.is_some() {
-        println!("(no profiler in this configuration — --report/--export need --collector rolp)");
+    } else if args.report || args.profile_out.is_some() {
+        println!(
+            "(no profiler in this configuration — --report/--profile-out need --collector rolp)"
+        );
     }
     Ok(())
 }

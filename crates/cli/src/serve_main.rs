@@ -27,7 +27,6 @@ struct ServeArgs {
     slo_ms: Vec<f64>,
     mutator_threads: u32,
     gc_workers: Option<usize>,
-    table_shards: Option<usize>,
     profile_in: Option<String>,
     profile_out: Option<String>,
     governor: bool,
@@ -53,7 +52,6 @@ impl Default for ServeArgs {
             slo_ms: vec![10.0, 25.0, 50.0],
             mutator_threads: 4,
             gc_workers: None,
-            table_shards: None,
             profile_in: None,
             profile_out: None,
             governor: false,
@@ -97,7 +95,6 @@ OPTIONS:
                         the primary gate                   [default: 10,25,50]
     --mutator-threads <N>  guest threads serving requests  [default: 4]
     --gc-workers <N>    parallel GC workers (default: collector's choice)
-    --table-shards <N|auto>  sharded OLD-table backend (power of two)
     --profile-in <FILE> warm-start from a rolp-profile-v1 (canary blend)
     --profile-out <FILE>  export the decisions this run learned, so the
                         next serving run can warm-start from them
@@ -178,21 +175,6 @@ fn parse(argv: &[String]) -> Result<ServeArgs, String> {
             "--gc-workers" => {
                 args.gc_workers = Some(positive("--gc-workers", take("--gc-workers")?)? as usize)
             }
-            "--table-shards" => {
-                let v = take("--table-shards")?;
-                if v == "auto" {
-                    // Same policy as rolp-sim: one shard per guest thread,
-                    // rounded up to a power of two.
-                    args.table_shards = Some(0); // resolved after the loop
-                } else {
-                    let n = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| n.is_power_of_two())
-                        .ok_or("--table-shards must be a power of two or `auto`")?;
-                    args.table_shards = Some(n);
-                }
-            }
             "--profile-in" => args.profile_in = Some(take("--profile-in")?),
             "--profile-out" => args.profile_out = Some(take("--profile-out")?),
             "--governor" => args.governor = true,
@@ -225,9 +207,6 @@ fn parse(argv: &[String]) -> Result<ServeArgs, String> {
             other => return Err(format!("unknown option {other}\n\n{USAGE}")),
         }
     }
-    if args.table_shards == Some(0) {
-        args.table_shards = Some((args.mutator_threads.max(1) as usize).next_power_of_two());
-    }
     Ok(args)
 }
 
@@ -241,7 +220,6 @@ fn build_config(args: &ServeArgs) -> Result<ServeConfig, String> {
     cfg.slo_ms = args.slo_ms.clone();
     cfg.threads = args.mutator_threads;
     cfg.gc_workers = args.gc_workers;
-    cfg.table_shards = args.table_shards;
     cfg.inference_period = args.inference_period;
     cfg.seed = args.seed;
     cfg.max_requests = args.max_requests;
@@ -435,7 +413,7 @@ mod tests {
 
         let a = parse(&argv(
             "--collector g1 --scale 512 --phases 5s@100;5s@200 --arrivals paced \
-             --slo-ms 5,20 --mutator-threads 2 --table-shards auto --seed 7 \
+             --slo-ms 5,20 --mutator-threads 2 --seed 7 \
              --inference-period 2 --serve-json out.json --governor",
         ))
         .unwrap();
@@ -443,14 +421,14 @@ mod tests {
         assert_eq!(a.scale, 512);
         assert_eq!(a.process, ArrivalProcess::Paced);
         assert_eq!(a.slo_ms, vec![5.0, 20.0]);
-        assert_eq!(a.table_shards, Some(2), "auto = threads rounded up");
+        assert_eq!(a.mutator_threads, 2);
         assert_eq!(a.inference_period, Some(2));
         assert!(a.governor);
         assert_eq!(a.serve_json.as_deref(), Some("out.json"));
 
         assert!(parse(&argv("--slo-ms 0")).unwrap_err().contains("bad SLO"));
         assert!(parse(&argv("--arrivals uniform")).unwrap_err().contains("unknown arrival"));
-        assert!(parse(&argv("--table-shards 3")).unwrap_err().contains("power of two"));
+        assert!(parse(&argv("--table-shards 4")).unwrap_err().starts_with("unknown option"));
         assert!(parse(&argv("--frobnicate")).unwrap_err().contains("unknown option"));
     }
 

@@ -101,7 +101,6 @@ mod harness {
 
     use crate::geometry::{LifetimeTable, TableGeometry};
     use crate::old_table::{merge_worker_tables, MergeSummary, OldTable, WorkerTable, AGE_COLUMNS};
-    use crate::sharded_table::ShardedOldTable;
     use crate::shared_table::SharedOldTable;
 
     use rand::rngs::StdRng;
@@ -225,70 +224,13 @@ mod harness {
         pub merges: Vec<MergeSummary>,
     }
 
-    /// A table backend the concurrent harness can race mutator threads
-    /// on: the epoch-pipeline surface of [`LifetimeTable`] plus a
-    /// shared-reference allocation path callable from many threads at
-    /// once. Implemented by the lossy relaxed-atomic
-    /// [`SharedOldTable`] and the exact [`ShardedOldTable`].
-    pub trait MutatorSharedTable: LifetimeTable + Sync {
-        /// The application-thread allocation fast path (`&self`; racing
-        /// mutators call this concurrently).
-        fn record_allocation_shared(&self, context: u32);
-
-        /// All rows with at least one nonzero cell, keyed by row key.
-        fn nonzero_rows(&self) -> BTreeMap<u32, [u32; AGE_COLUMNS]>;
-    }
-
-    impl MutatorSharedTable for SharedOldTable {
-        fn record_allocation_shared(&self, context: u32) {
-            SharedOldTable::record_allocation(self, context);
-        }
-
-        fn nonzero_rows(&self) -> BTreeMap<u32, [u32; AGE_COLUMNS]> {
-            self.snapshot()
-        }
-    }
-
-    impl MutatorSharedTable for ShardedOldTable {
-        fn record_allocation_shared(&self, context: u32) {
-            ShardedOldTable::record_allocation(self, context);
-        }
-
-        fn nonzero_rows(&self) -> BTreeMap<u32, [u32; AGE_COLUMNS]> {
-            self.snapshot()
-        }
-    }
-
-    /// Runs the full concurrent pipeline on the default
-    /// [`SharedOldTable`] backend: real mutator threads, real GC worker
-    /// threads, safepoint merges, per-epoch reconciliation.
+    /// Runs the full concurrent pipeline on a [`SharedOldTable`]: real
+    /// mutator threads, real GC worker threads, safepoint merges,
+    /// per-epoch reconciliation.
     pub fn run_concurrent(config: &ConcurrentConfig) -> ConcurrentRunResult {
         config.validate();
-        let table =
+        let mut table =
             SharedOldTable::with_geometry(TableGeometry::new(config.site_rows, config.tss_rows));
-        run_concurrent_on(config, table)
-    }
-
-    /// Runs the same pipeline on a [`ShardedOldTable`] with `shards`
-    /// shards. Because shard cells are updated under a lock, the
-    /// reconciliation must measure **zero** loss and the end state is
-    /// bit-identical to [`run_reference`] — the property the CLI's
-    /// `--verify-determinism --table-shards N` arm asserts.
-    pub fn run_concurrent_sharded(config: &ConcurrentConfig, shards: usize) -> ConcurrentRunResult {
-        config.validate();
-        let table = ShardedOldTable::with_geometry(
-            TableGeometry::new(config.site_rows, config.tss_rows),
-            shards,
-        );
-        run_concurrent_on(config, table)
-    }
-
-    /// The backend-generic concurrent pipeline both entry points share.
-    pub fn run_concurrent_on<T: MutatorSharedTable>(
-        config: &ConcurrentConfig,
-        mut table: T,
-    ) -> ConcurrentRunResult {
-        config.validate();
         for &site in &config.expand_sites {
             table.expand_site(site);
         }
@@ -313,7 +255,7 @@ mod harness {
                             let schedule = thread_schedule(config, t, epoch);
                             let mut exact = 0u64;
                             for obj in &schedule {
-                                table.record_allocation_shared(obj.context);
+                                table.record_allocation(obj.context);
                                 exact += 1;
                             }
                             (schedule, exact)
@@ -377,7 +319,7 @@ mod harness {
                     std::thread::yield_now();
                 })
                 .collect();
-            merges.push(table.merge_workers(&mut workers, config.gc_workers.max(1)));
+            merges.push(merge_worker_tables(&mut workers, &mut table));
 
             // Advance survivor ages; drop the dead.
             live.retain_mut(|obj| {
@@ -392,7 +334,7 @@ mod harness {
         }
 
         ConcurrentRunResult {
-            histograms: table.nonzero_rows(),
+            histograms: table.snapshot(),
             reconciliations,
             total_lost,
             total_intended,
@@ -591,23 +533,6 @@ mod tests {
         assert_eq!(result.total_lost, 0);
         let reference = run_reference(&config);
         assert_eq!(result.histograms, reference);
-    }
-
-    #[test]
-    fn sharded_backend_is_exact_and_bit_identical_to_reference() {
-        // The locked sharded backend trades §7.6 loss for lock traffic:
-        // with real racing mutator threads it must measure zero loss and
-        // reproduce the single-threaded reference byte for byte, at any
-        // shard count.
-        let config = small_config();
-        let reference = run_reference(&config);
-        for shards in [1, 8] {
-            let result = run_concurrent_sharded(&config, shards);
-            assert_eq!(result.total_lost, 0, "{shards} shards");
-            assert_eq!(result.histograms, reference, "{shards} shards");
-            let report = compare_to_reference(&result.histograms, &reference);
-            assert!(report.within_bound(0));
-        }
     }
 
     #[test]

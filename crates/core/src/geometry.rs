@@ -2,9 +2,11 @@
 //!
 //! The paper has *one* Object Lifetime Distribution table (§3.3, §7.5);
 //! this repo has two implementations of it — [`crate::OldTable`]
-//! (sequential, exact: the reconciliation reference) and
-//! [`crate::SharedOldTable`] (relaxed-atomic: the real §7.6 fast path).
-//! Everything they share that is *not* about synchronization lives here:
+//! (sequential, exact: the table the runtime profiles into, at every
+//! guest thread count) and [`crate::SharedOldTable`] (relaxed-atomic: the
+//! real §7.6 fast path, raced by OS threads only in the
+//! [`crate::concurrent`] harness). Everything they share that is *not*
+//! about synchronization lives here:
 //!
 //! - [`TableGeometry`] — row counts, masking, row keying, and the §7.5
 //!   memory accounting, written once.
@@ -142,7 +144,7 @@ pub trait LifetimeTable {
     /// behind the safepoint flush of the per-thread delta buffers. Must
     /// be observationally identical to `n` calls of
     /// [`LifetimeTable::record_allocation`]; backends override it to pay
-    /// the row lookup (and any lock) once instead of `n` times.
+    /// the row lookup once instead of `n` times.
     fn record_allocations(&mut self, context: u32, n: u32) {
         for _ in 0..n {
             self.record_allocation(context);
@@ -183,49 +185,6 @@ pub trait LifetimeTable {
     /// Resets all counts per the module-level contract: histograms read
     /// zero, touched rows empty, expansion blocks retained.
     fn clear_counts(&mut self);
-
-    /// Pipeline stage 2: merges (and drains) every GC worker's private
-    /// table into this one at a safepoint. The default is the
-    /// deterministic sorted merge
-    /// ([`crate::old_table::merge_worker_tables`]); backends with internal
-    /// partitioning (the sharded table) may fan the apply out over
-    /// `parallelism` workers, but must produce bit-identical end state.
-    fn merge_workers(
-        &mut self,
-        workers: &mut [crate::old_table::WorkerTable],
-        parallelism: usize,
-    ) -> crate::old_table::MergeSummary {
-        let _ = parallelism;
-        crate::old_table::merge_worker_tables(workers, self)
-    }
-
-    /// Pipeline stage 3: the §4 inference pass over every touched row.
-    /// The default walks the sorted `touched_rows` sequentially
-    /// ([`crate::inference::infer`]); partitioned backends may classify
-    /// shards in parallel, but the outcome must be identical.
-    fn run_inference_pass(&self, parallelism: usize) -> crate::inference::InferenceOutcome {
-        let _ = parallelism;
-        crate::inference::infer(self)
-    }
-
-    /// Shard count when the backend partitions its rows (`None` for the
-    /// unsharded backends).
-    fn table_shards(&self) -> Option<usize> {
-        None
-    }
-
-    /// Cumulative contended shard-lock acquisitions (0 for lock-free
-    /// backends) — the `shard_lock_wait` telemetry counter's source.
-    fn shard_lock_waits(&self) -> u64 {
-        0
-    }
-
-    /// Records the most recent safepoint merge applied per shard, in
-    /// shard-index order (`None` for unsharded backends) — feeds the
-    /// `shard_merge` trace event.
-    fn last_shard_merge_counts(&self) -> Option<Vec<u64>> {
-        None
-    }
 
     /// The row key a context resolves to under the current expansion
     /// state.

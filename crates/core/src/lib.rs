@@ -16,12 +16,11 @@
 //! - [`geometry`] — the shared §7.5 table shape and the [`LifetimeTable`]
 //!   backend trait the profiler data plane is written against.
 //! - [`old_table`] — the Object Lifetime Distribution table (§3.3, §7.5,
-//!   §7.6), sequential/exact backend.
+//!   §7.6): the exact table the runtime profiles into at every guest
+//!   thread count.
 //! - [`shared_table`] — its concurrent twin with relaxed-atomic age-0
-//!   increments (§7.6's unsynchronized fast path, for real).
-//! - [`sharded_table`] — the horizontally partitioned backend: N locked
-//!   shards, parallel merge/inference fan-out, deterministic cross-shard
-//!   reduction.
+//!   increments (§7.6's unsynchronized fast path, for real), raced by OS
+//!   threads in the [`concurrent`] harness.
 //! - [`fleet`] — multi-runtime profile aggregation: confidence-weighted
 //!   consensus over `rolp-profile-v1` exports.
 //! - [`concurrent`] — mutator/GC-worker thread harness, safepoint merge
@@ -87,7 +86,6 @@ pub mod old_table;
 pub mod profiler;
 pub mod report;
 pub mod runtime;
-pub mod sharded_table;
 pub mod shared_table;
 pub mod survivor;
 pub mod sync_compat;
@@ -109,12 +107,8 @@ pub use offline::{
     ProfileValidation, ResolvedProfile, PROFILE_FORMAT_V1,
 };
 pub use old_table::{merge_worker_tables, MergeSummary, OldTable, WorkerTable, AGE_COLUMNS};
-pub use profiler::{
-    backend_for, backend_for_threads, ProfilingLevel, RolpConfig, RolpProfiler, RolpStats,
-    TableBackend,
-};
+pub use profiler::{ProfilingLevel, RolpConfig, RolpProfiler, RolpStats, TableBackend};
 pub use report::{render_decisions, render_summary, render_telemetry, stats_json};
 pub use runtime::{CollectorKind, JvmRuntime, RunReport, RuntimeConfig};
-pub use sharded_table::ShardedOldTable;
 pub use shared_table::SharedOldTable;
 pub use survivor::SurvivorTracking;

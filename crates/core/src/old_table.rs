@@ -1,4 +1,4 @@
-//! The Object Lifetime Distribution (OLD) table — sequential backend.
+//! The Object Lifetime Distribution (OLD) table — the runtime's one table.
 //!
 //! The paper's central data structure (§3.3, §7.5, §7.6): per allocation
 //! context, the number of objects currently known at each age (0..=15).
@@ -15,12 +15,13 @@
 //! conflicts.
 //!
 //! §7.6's unsynchronized application-thread increments can lose counts;
-//! this single-threaded table is the exact *reference*. The concurrent
-//! twin ([`crate::SharedOldTable`]) runs the real racy increments, and the
-//! loss is *measured* against this reference by per-epoch reconciliation
-//! (see [`crate::concurrent`]) instead of being simulated with a
-//! probability knob. Both implement [`LifetimeTable`], so the profiler
-//! pipeline is written once against the trait.
+//! this table is exact. The runtime profiles into it at every guest
+//! thread count: guest mutators share one OS thread and age-0 records are
+//! batched to the safepoint, so nothing races it. The concurrent twin
+//! ([`crate::SharedOldTable`]) runs the real racy increments in the
+//! [`crate::concurrent`] harness, where the loss is *measured* against
+//! this table by per-epoch reconciliation instead of being simulated with
+//! a probability knob. Both implement [`LifetimeTable`].
 
 use std::collections::{HashMap, HashSet};
 

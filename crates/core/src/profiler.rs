@@ -56,7 +56,6 @@ use crate::governor::{EpochCost, Governor, GovernorConfig, GovernorState};
 use crate::inference::InferenceOutcome;
 use crate::offline::ProfileValidation;
 use crate::old_table::{OldTable, WorkerTable};
-use crate::shared_table::SharedOldTable;
 use crate::survivor::SurvivorTracking;
 
 /// Remaining confidence below which an imported row's offline prior is
@@ -132,11 +131,6 @@ pub struct RolpConfig {
     /// Deterministic fault-injection plan (`None` = no injection). See
     /// [`rolp_faults`].
     pub fault_plan: Option<FaultPlan>,
-    /// Partition the OLD table into this many independently locked shards
-    /// (power of two; see [`crate::sharded_table`]). `None` keeps the
-    /// thread-count-selected unsharded backend — bit-compatible with
-    /// every prior release.
-    pub table_shards: Option<usize>,
     /// Batch age-0 recording: [`VmProfiler::on_alloc`] appends the
     /// context to a per-thread delta buffer instead of touching the
     /// shared OLD table, and the buffers are flushed (sorted, run-length
@@ -166,7 +160,6 @@ impl Default for RolpConfig {
             gc_workers: 4,
             governor: None,
             fault_plan: None,
-            table_shards: None,
             batch_age0: true,
         }
     }
@@ -243,102 +236,9 @@ pub struct RolpStats {
     pub last_change_epoch: u64,
 }
 
-/// The OLD-table backend a runtime-assembled profiler runs on: the
-/// sequential/exact table, or the relaxed-atomic one real mutator threads
-/// share. Selected by `rolp::runtime` from the configured thread count.
-pub enum TableBackend {
-    /// [`OldTable`]: exact, single-threaded reference.
-    Sequential(OldTable),
-    /// [`SharedOldTable`]: the §7.6 concurrent table.
-    Concurrent(SharedOldTable),
-    /// [`crate::ShardedOldTable`]: N locked shards, parallel
-    /// merge/inference fan-out, deterministic cross-shard reduction.
-    Sharded(crate::sharded_table::ShardedOldTable),
-}
-
-macro_rules! backend_dispatch {
-    ($self:expr, $t:ident => $body:expr) => {
-        match $self {
-            TableBackend::Sequential($t) => $body,
-            TableBackend::Concurrent($t) => $body,
-            TableBackend::Sharded($t) => $body,
-        }
-    };
-}
-
-impl LifetimeTable for TableBackend {
-    fn geometry(&self) -> &crate::geometry::TableGeometry {
-        backend_dispatch!(self, t => t.geometry())
-    }
-
-    fn record_allocation(&mut self, context: u32) {
-        backend_dispatch!(self, t => LifetimeTable::record_allocation(t, context))
-    }
-
-    fn record_allocations(&mut self, context: u32, n: u32) {
-        backend_dispatch!(self, t => LifetimeTable::record_allocations(t, context, n))
-    }
-
-    fn record_survival(&mut self, context: u32, age: u8) {
-        backend_dispatch!(self, t => LifetimeTable::record_survival(t, context, age))
-    }
-
-    fn expand_site(&mut self, site: u16) {
-        backend_dispatch!(self, t => LifetimeTable::expand_site(t, site))
-    }
-
-    fn is_expanded(&self, site: u16) -> bool {
-        backend_dispatch!(self, t => LifetimeTable::is_expanded(t, site))
-    }
-
-    fn expansions(&self) -> usize {
-        backend_dispatch!(self, t => LifetimeTable::expansions(t))
-    }
-
-    fn expanded_sites(&self) -> Vec<u16> {
-        backend_dispatch!(self, t => t.expanded_sites())
-    }
-
-    fn histogram(&self, context: u32) -> [u32; crate::old_table::AGE_COLUMNS] {
-        backend_dispatch!(self, t => LifetimeTable::histogram(t, context))
-    }
-
-    fn touched_rows(&self) -> Vec<u32> {
-        backend_dispatch!(self, t => t.touched_rows())
-    }
-
-    fn age0_total(&self) -> u64 {
-        backend_dispatch!(self, t => LifetimeTable::age0_total(t))
-    }
-
-    fn clear_counts(&mut self) {
-        backend_dispatch!(self, t => LifetimeTable::clear_counts(t))
-    }
-
-    fn merge_workers(
-        &mut self,
-        workers: &mut [WorkerTable],
-        parallelism: usize,
-    ) -> crate::old_table::MergeSummary {
-        backend_dispatch!(self, t => LifetimeTable::merge_workers(t, workers, parallelism))
-    }
-
-    fn run_inference_pass(&self, parallelism: usize) -> InferenceOutcome {
-        backend_dispatch!(self, t => LifetimeTable::run_inference_pass(t, parallelism))
-    }
-
-    fn table_shards(&self) -> Option<usize> {
-        backend_dispatch!(self, t => LifetimeTable::table_shards(t))
-    }
-
-    fn shard_lock_waits(&self) -> u64 {
-        backend_dispatch!(self, t => LifetimeTable::shard_lock_waits(t))
-    }
-
-    fn last_shard_merge_counts(&self) -> Option<Vec<u64>> {
-        backend_dispatch!(self, t => LifetimeTable::last_shard_merge_counts(t))
-    }
-}
+/// The OLD table a runtime-assembled profiler runs on, at every guest
+/// thread count.
+pub type TableBackend = OldTable;
 
 /// The runtime object lifetime profiler, generic over the OLD-table
 /// backend (see the module-level pipeline description).
@@ -402,9 +302,6 @@ pub struct RolpProfiler<T: LifetimeTable = OldTable> {
     injected_records: u64,
     dropped_merge_records: u64,
     delayed_merges: u64,
-    /// Shard-lock contention total already bumped into telemetry (the
-    /// backend reports a cumulative count; the counter wants deltas).
-    shard_waits_seen: u64,
     // epoch bases for the governor's per-epoch cost deltas
     epoch_record_base: u64,
     epoch_invocation_base: u64,
@@ -434,13 +331,6 @@ impl RolpProfiler<OldTable> {
     /// Creates a profiler on the sequential (exact) table.
     pub fn new(config: RolpConfig) -> Self {
         Self::with_table(config, OldTable::new())
-    }
-}
-
-impl RolpProfiler<TableBackend> {
-    /// Creates a profiler on a runtime-selected backend.
-    pub fn with_backend(config: RolpConfig, backend: TableBackend) -> Self {
-        Self::with_table(config, backend)
     }
 }
 
@@ -488,7 +378,6 @@ impl<T: LifetimeTable> RolpProfiler<T> {
             injected_records: 0,
             dropped_merge_records: 0,
             delayed_merges: 0,
-            shard_waits_seen: 0,
             epoch_record_base: 0,
             epoch_invocation_base: 0,
             epoch_profiling_base: 0,
@@ -646,11 +535,9 @@ impl<T: LifetimeTable> RolpProfiler<T> {
         env.telemetry.registry().set_gauge(rolp_telemetry::GaugeId::GovernorState, encoded);
     }
 
-    /// Pipeline stage 3 (§4): classify every touched row. Partitioned
-    /// backends fan the classification out across shards; the outcome is
-    /// identical to the sequential [`infer`] either way.
+    /// Pipeline stage 3 (§4): classify every touched row.
     fn stage_infer(&self) -> InferenceOutcome {
-        self.old.run_inference_pass(self.config.gc_workers.max(1))
+        crate::inference::infer(&self.old)
     }
 
     /// Pipeline stage 4: grow the table for fresh conflicts (§7.5),
@@ -1008,9 +895,8 @@ impl<T: LifetimeTable> RolpProfiler<T> {
 
     /// Drains every thread's age-0 delta buffer into the OLD table:
     /// contexts are sorted and run-length encoded, then applied through
-    /// [`LifetimeTable::record_allocations`] — one row lookup (and, on
-    /// the sharded backend, one lock acquisition) per distinct context
-    /// instead of one per allocation. Age-0 increments commute, so the
+    /// [`LifetimeTable::record_allocations`] — one row lookup per distinct
+    /// context instead of one per allocation. Age-0 increments commute, so the
     /// table state every safepoint-side reader sees is identical to the
     /// per-allocation path regardless of how threads interleaved since
     /// the last flush. Returns the number of records applied.
@@ -1051,8 +937,8 @@ impl<T: LifetimeTable> VmProfiler for RolpProfiler<T> {
         jit.set_alloc_profiling(!self.profiling_off);
         // Resolve the offline profile against the program once, with full
         // shape validation: entries whose location no longer resolves are
-        // counted and skipped, never blindly applied (both `--profile-in`
-        // and the legacy `--import-profile` alias land here).
+        // counted and skipped, never blindly applied (`--profile-in` lands
+        // here).
         if self.pending_offline.is_none() {
             let resolved = match self.config.offline_profile.as_ref() {
                 Some(p) => {
@@ -1257,29 +1143,8 @@ impl<T: LifetimeTable> GcHooks for RolpProfiler<T> {
             self.delayed_merges += 1;
             None
         } else {
-            let parallelism = self.config.gc_workers.max(1);
-            Some(self.old.merge_workers(&mut self.workers, parallelism))
+            Some(crate::old_table::merge_worker_tables(&mut self.workers, &mut self.old))
         };
-        // `shard_merge_ns` is the *modeled* critical path of the
-        // fanned-out apply — the busiest shard's records at the
-        // survivor-path price. Wall-clocking the fan-out would make
-        // repeat runs byte-different (the repo's determinism contract)
-        // and is unavailable under Miri anyway.
-        let mut shard_merge_ns = 0u64;
-        if self.old.table_shards().is_some() {
-            if merge.is_some() {
-                let critical = self
-                    .old
-                    .last_shard_merge_counts()
-                    .and_then(|per_shard| per_shard.iter().copied().max())
-                    .unwrap_or(0);
-                shard_merge_ns = critical * env.cost.profile_survivor_ns;
-            }
-            env.telemetry.bump(CounterId::ShardMergeNs, shard_merge_ns);
-            let waits = self.old.shard_lock_waits();
-            env.telemetry.bump(CounterId::ShardLockWaits, waits - self.shard_waits_seen);
-            self.shard_waits_seen = waits;
-        }
         if let Some(merge) = &merge {
             // Modeled merge cost: the safepoint-side fold is priced per
             // record like the survivor path that produced them.
@@ -1300,26 +1165,6 @@ impl<T: LifetimeTable> GcHooks for RolpProfiler<T> {
                         total_records: merge.total,
                     },
                 );
-                // Sharded backends additionally report how the apply
-                // fanned out across shards.
-                if let (Some(shards), Some(per_shard)) =
-                    (self.old.table_shards(), self.old.last_shard_merge_counts())
-                {
-                    let mut records = [0u64; 8];
-                    for (s, &n) in per_shard.iter().enumerate() {
-                        records[s.min(7)] += n;
-                    }
-                    env.trace.emit_global(
-                        env.clock.now(),
-                        rolp_trace::EventKind::ShardMerge {
-                            cycle: info.cycle,
-                            shards: shards as u32,
-                            records,
-                            total_records: merge.total,
-                            merge_ns: shard_merge_ns,
-                        },
-                    );
-                }
             }
         }
 
@@ -1357,24 +1202,6 @@ impl<T: LifetimeTable> GcHooks for RolpProfiler<T> {
                 );
             }
         }
-    }
-}
-
-/// Builds the runtime backend for a thread count: one mutator thread gets
-/// the exact sequential table; real parallelism gets the concurrent one.
-pub fn backend_for_threads(threads: u32) -> TableBackend {
-    backend_for(threads, None)
-}
-
-/// Builds the runtime backend from the thread count and an optional
-/// shard-count override. `None` keeps the historical thread-count
-/// selection bit for bit; `Some(n)` selects the sharded table with `n`
-/// shards (`n` must be a power of two — the CLI normalizes user input).
-pub fn backend_for(threads: u32, table_shards: Option<usize>) -> TableBackend {
-    match table_shards {
-        Some(shards) => TableBackend::Sharded(crate::sharded_table::ShardedOldTable::new(shards)),
-        None if threads > 1 => TableBackend::Concurrent(SharedOldTable::new()),
-        None => TableBackend::Sequential(OldTable::new()),
     }
 }
 
@@ -1456,22 +1283,21 @@ mod tests {
     }
 
     #[test]
-    fn the_concurrent_backend_reaches_the_same_decisions() {
+    fn four_guest_threads_reach_the_same_decisions() {
         let (mut env, m, _site) = env_with_program();
         let program = std::rc::Rc::clone(&env.program);
-        let mut p = RolpProfiler::with_backend(RolpConfig::default(), backend_for_threads(4));
-        assert!(matches!(p.old, TableBackend::Concurrent(_)));
+        let mut p = RolpProfiler::new(RolpConfig::default());
         p.on_jit_compile(&program, &mut env.jit, m);
         for cycle in 1..=16u64 {
-            for _ in 0..20 {
-                let ctx = p.on_alloc(1, 0, ThreadId(0));
+            for i in 0..20u32 {
+                let ctx = p.on_alloc(1, 0, ThreadId(i % 4));
                 let h = ObjectHeader::new(1).with_allocation_context(ctx);
                 p.on_survivor(h, RegionKind::Eden, 0);
                 p.on_survivor(h.with_age(1), RegionKind::Eden, 1);
             }
             p.on_gc_end(&mut env, &cycle_info(cycle));
         }
-        assert_eq!(p.advise(pack(1, 0)), Some(2), "same verdict as the sequential backend");
+        assert_eq!(p.advise(pack(1, 0)), Some(2), "same verdict as one guest thread");
     }
 
     #[test]

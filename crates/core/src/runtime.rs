@@ -16,9 +16,7 @@ use rolp_vm::{
 };
 
 use crate::geometry::LifetimeTable;
-use crate::profiler::{
-    backend_for, ProfilingLevel, RolpConfig, RolpProfiler, RolpStats, TableBackend,
-};
+use crate::profiler::{ProfilingLevel, RolpConfig, RolpProfiler, RolpStats};
 
 /// The five evaluated runtime configurations (paper §8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,11 +167,11 @@ pub struct RunReport {
 pub struct JvmRuntime {
     /// The underlying VM (exposed for tests and advanced drivers).
     pub vm: Vm,
-    /// The ROLP profiler instance, when the configuration uses one. The
-    /// table backend follows `threads`: multi-threaded runs profile into
-    /// the relaxed-atomic [`crate::SharedOldTable`], single-threaded runs
-    /// into the exact [`crate::OldTable`].
-    pub profiler: Option<Rc<RefCell<RolpProfiler<TableBackend>>>>,
+    /// The ROLP profiler instance, when the configuration uses one. It
+    /// profiles into the exact [`crate::OldTable`] at every guest thread
+    /// count: guest mutators share one OS thread and age-0 records are
+    /// batched to the safepoint, so nothing races the table.
+    pub profiler: Option<Rc<RefCell<RolpProfiler>>>,
     kind: CollectorKind,
     side_table_scale: u64,
 }
@@ -217,10 +215,7 @@ impl JvmRuntime {
 
         let (profiler_rc, vm) = match config.collector {
             CollectorKind::RolpNg2c => {
-                let mut prof = RolpProfiler::with_backend(
-                    config.rolp.clone(),
-                    backend_for(config.threads, config.rolp.table_shards),
-                );
+                let mut prof = RolpProfiler::new(config.rolp.clone());
                 prof.set_trace_logging(config.trace_enabled);
                 // One decision plane: the same Arc-swapped snapshot store
                 // feeds the mutator allocation fast path (via `env`) and

@@ -2,21 +2,17 @@
 //!
 //! The safepoint merge protocol in [`crate::concurrent`] is written
 //! against this module instead of `std` directly so the `loom` CI job can
-//! explore its interleavings: building with `--features loom` swaps every
-//! atomic, `UnsafeCell`, and `yield_now` for the model checker's
+//! explore its interleavings: building with `--features loom` swaps the
+//! atomics and `UnsafeCell` for the model checker's
 //! instrumented equivalents (the vendored `loom` is an API-compatible
 //! stress-testing subset — see `vendor/loom`). Production builds compile
 //! straight to `std` with zero overhead.
 
 #[cfg(feature = "loom")]
-pub use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-#[cfg(feature = "loom")]
-pub use loom::thread::yield_now;
+pub use loom::sync::atomic::{AtomicBool, Ordering};
 
 #[cfg(not(feature = "loom"))]
-pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-#[cfg(not(feature = "loom"))]
-pub use std::thread::yield_now;
+pub use std::sync::atomic::{AtomicBool, Ordering};
 
 /// An `UnsafeCell` with loom's closure-based access API.
 ///
@@ -35,15 +31,6 @@ impl<T> UnsafeCell<T> {
     /// Wraps `value`.
     pub fn new(value: T) -> Self {
         UnsafeCell(std::cell::UnsafeCell::new(value))
-    }
-
-    /// Immutable access through a raw pointer (loom API shape).
-    ///
-    /// # Safety contract (checked by loom under `--features loom`)
-    ///
-    /// The caller must guarantee no concurrent mutable access.
-    pub fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
-        f(self.0.get())
     }
 
     /// Mutable access through a raw pointer (loom API shape).

@@ -13,10 +13,7 @@
 
 use std::sync::Arc;
 
-use rolp::{
-    merge_worker_tables, LifetimeTable, OldTable, PublishSlot, ShardedOldTable, TableGeometry,
-    WorkerTable,
-};
+use rolp::{merge_worker_tables, LifetimeTable, OldTable, PublishSlot, WorkerTable};
 
 #[test]
 fn loom_safepoint_merge_protocol() {
@@ -69,53 +66,5 @@ fn loom_safepoint_merge_protocol() {
             // Slots must have reset for the next pause.
             assert!(slots.iter().all(|s| !s.is_ready()));
         }
-    });
-}
-
-/// Model check for the sharded table's spinlock: two mutator threads
-/// record into *adjacent* shards while the coordinator applies a
-/// safepoint merge whose records land in both of those shards. Loom's
-/// instrumented `UnsafeCell` proves the per-shard CAS lock really is
-/// mutually exclusive (a missed Acquire/Release pairing or an unlocked
-/// cell access fails the model), and the disjoint-row layout makes the
-/// final state deterministic across every interleaving.
-#[test]
-fn loom_sharded_adjacent_shards_during_merge() {
-    loom::model(|| {
-        // 8 site rows, 2 shards: shard = site_row & 1, so sites 1 and 3
-        // share shard 1 while sites 2 and 4 share shard 0.
-        let table = Arc::new(ShardedOldTable::with_geometry(TableGeometry::new(8, 4), 2));
-
-        let recorders: Vec<_> = (0..2u16)
-            .map(|w| {
-                let table = Arc::clone(&table);
-                loom::thread::spawn(move || {
-                    table.record_allocation(rolp::context::pack(1 + w, 0));
-                })
-            })
-            .collect();
-
-        // The merge races the recorders for the shard locks but touches
-        // different rows (sites 3 and 4), so exactness is checkable.
-        let mut workers = vec![WorkerTable::new()];
-        workers[0].record_survival(rolp::context::pack(3, 0), 0);
-        workers[0].record_survival(rolp::context::pack(4, 0), 0);
-        let (summary, per_shard) = table.merge_workers_sharded(&mut workers, 1);
-        assert_eq!(summary.total, 2);
-        assert_eq!(per_shard, vec![1, 1], "one record per adjacent shard");
-
-        for r in recorders {
-            r.join().unwrap();
-        }
-
-        // Locked counting is exact under every interleaving.
-        assert_eq!(table.age0_total(), 2, "no lost allocation increments");
-        for site in [1u16, 2] {
-            assert_eq!(table.histogram(rolp::context::pack(site, 0))[0], 1);
-        }
-        for site in [3u16, 4] {
-            assert_eq!(table.histogram(rolp::context::pack(site, 0))[1], 1);
-        }
-        assert_eq!(LifetimeTable::touched_rows(&*table).len(), 4);
     });
 }

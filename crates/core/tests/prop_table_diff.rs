@@ -1,12 +1,12 @@
-//! Differential property test for the three [`LifetimeTable`] backends.
+//! Differential property test for the two [`LifetimeTable`] backends.
 //!
 //! The trait's contract (see `rolp::geometry`) is *observational*: any
 //! event stream of allocations, survivals, and site expansions replayed
-//! single-threaded through [`OldTable`] (sequential/exact),
-//! [`SharedOldTable`] (relaxed-atomic), and [`ShardedOldTable`]
-//! (per-shard-locked) must produce identical histograms, touched rows,
-//! row keys, expansion state, and §7.5 memory accounting — and after
-//! `clear_counts`, all must satisfy the documented clear contract. This
+//! single-threaded through [`OldTable`] (sequential/exact) and
+//! [`SharedOldTable`] (relaxed-atomic) must produce identical histograms,
+//! touched rows, row keys, expansion state, and §7.5 memory accounting —
+//! and after `clear_counts`, both must satisfy the documented clear
+//! contract. This
 //! test holds them to it with generated streams, and runs under Miri
 //! (the geometry is small and the vendored proptest RNG is
 //! deterministic).
@@ -19,15 +19,13 @@
 //! new block — while the shared table's safepoint scan still sees the
 //! stranded base cells. So shared-table `age0_total` equality is asserted
 //! only on streams where no expansion strands prior records, plus a
-//! dedicated expansions-first property below. The sharded table stores
-//! rows exactly like the sequential one, so its `age0_total` is held to
-//! the sequential semantics unconditionally.
+//! dedicated expansions-first property below.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 use rolp::context::pack;
-use rolp::{LifetimeTable, OldTable, ShardedOldTable, SharedOldTable, TableGeometry};
+use rolp::{LifetimeTable, OldTable, SharedOldTable, TableGeometry};
 
 /// Small geometry (64 site rows, 16 tss rows) so site ids ≥ 64 and stack
 /// states ≥ 16 exercise the masking/aliasing paths, and Miri stays fast.
@@ -110,9 +108,9 @@ fn strands_counts(events: &[Ev]) -> bool {
     false
 }
 
-/// The full observable surface every backend must agree on with the
+/// The full observable surface the shared table must agree on with the
 /// sequential reference.
-fn assert_same_observable<T: LifetimeTable>(seq: &OldTable, other: &T, contexts: &[u32]) {
+fn assert_same_observable(seq: &OldTable, other: &SharedOldTable, contexts: &[u32]) {
     assert_eq!(seq.expansions(), LifetimeTable::expansions(other));
     assert_eq!(
         LifetimeTable::expanded_sites(seq),
@@ -148,35 +146,25 @@ proptest! {
     ) {
         let mut seq = OldTable::with_geometry(small_geometry());
         let mut shared = SharedOldTable::with_geometry(small_geometry());
-        let mut sharded = ShardedOldTable::with_geometry(small_geometry(), 4);
         let contexts = contexts_of(&events);
         for &ev in &events {
             apply(&mut seq, ev);
             apply(&mut shared, ev);
-            apply(&mut sharded, ev);
         }
         assert_same_observable(&seq, &shared, &contexts);
-        assert_same_observable(&seq, &sharded, &contexts);
         if !strands_counts(&events) {
             prop_assert_eq!(seq.age0_total(), SharedOldTable::age0_total(&shared));
         }
-        // The sharded backend resolves stranded keys through the current
-        // expansion state like the sequential table, so it agrees on
-        // every stream.
-        prop_assert_eq!(seq.age0_total(), ShardedOldTable::age0_total(&sharded));
 
         // Clear contract: histograms read zero, touched rows empty,
         // age-0 total zero, expansions and memory footprint retained.
         let (expansions, memory) = (seq.expansions(), seq.memory_bytes());
         LifetimeTable::clear_counts(&mut seq);
         LifetimeTable::clear_counts(&mut shared);
-        LifetimeTable::clear_counts(&mut sharded);
         assert_same_observable(&seq, &shared, &contexts);
-        assert_same_observable(&seq, &sharded, &contexts);
         prop_assert!(seq.touched_rows().is_empty());
         prop_assert_eq!(seq.age0_total(), 0);
         prop_assert_eq!(SharedOldTable::age0_total(&shared), 0);
-        prop_assert_eq!(ShardedOldTable::age0_total(&sharded), 0);
         for &c in &contexts {
             prop_assert_eq!(seq.histogram(c), [0u32; rolp::AGE_COLUMNS]);
         }
@@ -194,22 +182,17 @@ proptest! {
     ) {
         let mut seq = OldTable::with_geometry(small_geometry());
         let mut shared = SharedOldTable::with_geometry(small_geometry());
-        let mut sharded = ShardedOldTable::with_geometry(small_geometry(), 8);
         for &site in &expand {
             seq.expand_site(site);
             LifetimeTable::expand_site(&mut shared, site);
-            LifetimeTable::expand_site(&mut sharded, site);
         }
         let contexts = contexts_of(&events);
         for &ev in &events {
             apply(&mut seq, ev);
             apply(&mut shared, ev);
-            apply(&mut sharded, ev);
         }
         assert_same_observable(&seq, &shared, &contexts);
-        assert_same_observable(&seq, &sharded, &contexts);
         prop_assert_eq!(seq.age0_total(), SharedOldTable::age0_total(&shared));
-        prop_assert_eq!(seq.age0_total(), ShardedOldTable::age0_total(&sharded));
 
         // The exact age-0 total is also checkable against the stream:
         // allocations add one, survivals at age 0 remove at most one.

@@ -214,9 +214,7 @@ fn mark_worker(
 /// Fans `work` out over the indices of `items` on a shared-cursor worker
 /// pool, returning the results in input order.
 ///
-/// This is the pool idiom the remembered-set prescan uses, extracted so
-/// other embarrassingly parallel index spaces (the sharded OLD table's
-/// per-shard merge and inference fan-outs) share it: workers claim
+/// This is the pool idiom the remembered-set prescan uses: workers claim
 /// indices from one atomic cursor, each result lands in its index's slot,
 /// and the output order matches `items` regardless of how the claim race
 /// resolves. `workers <= 1` (or a single item) runs inline on the caller

@@ -42,8 +42,6 @@ pub struct ServeConfig {
     pub threads: u32,
     /// GC worker override.
     pub gc_workers: Option<usize>,
-    /// Sharded OLD-table backend override.
-    pub table_shards: Option<usize>,
     /// Warm-start profile (`--profile-in`).
     pub offline_profile: Option<DecisionProfile>,
     /// Overhead governor.
@@ -79,7 +77,6 @@ impl ServeConfig {
             scale,
             threads: 4,
             gc_workers: None,
-            table_shards: None,
             offline_profile: None,
             governor: None,
             inference_period: None,
@@ -230,7 +227,6 @@ pub fn serve_with(
         tlab_bytes: cfg.tlab_bytes,
         ..Default::default()
     };
-    config.rolp.table_shards = cfg.table_shards;
     config.rolp.governor = cfg.governor.clone();
     if let Some(period) = cfg.inference_period {
         config.rolp.inference_period = period.max(1);

@@ -133,12 +133,6 @@ pub enum CounterId {
     ProfileEntriesImported,
     /// Imported-row confidence halvings under the blend decay.
     ProfileBlendDecays,
-    /// Wall nanoseconds spent in sharded-backend safepoint merges
-    /// (cumulative; 0 on unsharded backends).
-    ShardMergeNs,
-    /// Contended shard-lock acquisitions in the sharded OLD table
-    /// (cumulative; 0 on unsharded backends).
-    ShardLockWaits,
     /// Requests completed by the open-loop service harness (`rolp-serve`).
     ServeRequests,
     /// Served requests whose coordinated-omission-corrected latency
@@ -161,7 +155,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 13;
 
     /// Every counter, in index order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -172,8 +166,6 @@ impl CounterId {
         CounterId::EpochsInferred,
         CounterId::ProfileEntriesImported,
         CounterId::ProfileBlendDecays,
-        CounterId::ShardMergeNs,
-        CounterId::ShardLockWaits,
         CounterId::ServeRequests,
         CounterId::ServeSloMisses,
         CounterId::TlabRefills,
@@ -198,8 +190,6 @@ impl CounterId {
             CounterId::EpochsInferred => "epochs_inferred",
             CounterId::ProfileEntriesImported => "profile_entries_imported",
             CounterId::ProfileBlendDecays => "profile_blend_decays",
-            CounterId::ShardMergeNs => "shard_merge_ns",
-            CounterId::ShardLockWaits => "shard_lock_wait",
             CounterId::ServeRequests => "serve_requests",
             CounterId::ServeSloMisses => "serve_slo_misses",
             CounterId::TlabRefills => "tlab_refills",

@@ -130,13 +130,6 @@ pub fn event_to_json(event: &TraceEvent) -> String {
                 .u64("released", *released)
                 .u64("remaining", *remaining);
         }
-        EventKind::ShardMerge { cycle, shards, records, total_records, merge_ns } => {
-            obj.u64("cycle", *cycle)
-                .u64("shards", *shards as u64)
-                .u64_array("records", records)
-                .u64("total_records", *total_records)
-                .u64("merge_ns", *merge_ns);
-        }
         EventKind::FleetSubmission { instance, epochs, entries, accepted } => {
             obj.u64("instance", *instance as u64)
                 .u64("epochs", *epochs)
@@ -337,21 +330,6 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceEvent>, String> {
                     released: get_u64(&map, "released")?,
                     remaining: get_u64(&map, "remaining")?,
                 },
-                "shard_merge" => {
-                    let mut records = [0u64; 8];
-                    if let Some(JsonValue::UintArray(xs)) = map.get("records") {
-                        for (i, v) in xs.iter().take(8).enumerate() {
-                            records[i] = *v;
-                        }
-                    }
-                    EventKind::ShardMerge {
-                        cycle: get_u64(&map, "cycle")?,
-                        shards: get_u64(&map, "shards")? as u32,
-                        records,
-                        total_records: get_u64(&map, "total_records")?,
-                        merge_ns: get_u64(&map, "merge_ns")?,
-                    }
-                }
                 "fleet_submission" => EventKind::FleetSubmission {
                     instance: get_u64(&map, "instance")? as u32,
                     epochs: get_u64(&map, "epochs")?,
@@ -446,7 +424,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     EventKind::GovernorTransition { .. } => "governor transition",
                     EventKind::ProfileImport { .. } => "profile import",
                     EventKind::ProfileBlend { .. } => "profile blend",
-                    EventKind::ShardMerge { .. } => "shard merge",
                     EventKind::FleetSubmission { .. } => "fleet submission",
                     EventKind::FleetConsensus { .. } => "fleet consensus",
                     EventKind::ServePhaseShift { .. } => "serve phase shift",
@@ -633,18 +610,6 @@ mod tests {
                 ts: t(14_000),
                 thread: GLOBAL_THREAD,
                 seq: 12,
-                kind: EventKind::ShardMerge {
-                    cycle: 16,
-                    shards: 4,
-                    records: [20, 0, 14, 12, 0, 0, 0, 0],
-                    total_records: 46,
-                    merge_ns: 3_200,
-                },
-            },
-            TraceEvent {
-                ts: t(15_000),
-                thread: GLOBAL_THREAD,
-                seq: 13,
                 kind: EventKind::FleetSubmission {
                     instance: 2,
                     epochs: 6,
@@ -653,15 +618,15 @@ mod tests {
                 },
             },
             TraceEvent {
-                ts: t(16_000),
+                ts: t(15_000),
                 thread: GLOBAL_THREAD,
-                seq: 14,
+                seq: 13,
                 kind: EventKind::FleetConsensus { instances: 3, entries: 12, contested: 1 },
             },
             TraceEvent {
-                ts: t(17_000),
+                ts: t(16_000),
                 thread: GLOBAL_THREAD,
-                seq: 15,
+                seq: 14,
                 kind: EventKind::ServePhaseShift {
                     phase: 1,
                     rate_rps: 12_000,

@@ -208,23 +208,6 @@ pub enum EventKind {
         /// Imported rows still held after this epoch.
         remaining: u64,
     },
-    /// A sharded OLD table applied a safepoint merge across its shards
-    /// (the partitioned twin of [`EventKind::OldTableMerge`]).
-    ShardMerge {
-        /// GC cycle the merge closed.
-        cycle: u64,
-        /// Shards in the table.
-        shards: u32,
-        /// Records applied per shard; shards ≥ 8 fold into the last
-        /// slot (payloads are fixed-size `Copy`).
-        records: [u64; 8],
-        /// Total survival records merged.
-        total_records: u64,
-        /// Modeled critical path of the fanned-out apply: the busiest
-        /// shard's records at cost-model price. Deterministic — wall
-        /// time would break byte-identical repeat runs.
-        merge_ns: u64,
-    },
     /// A fleet instance submitted (or refreshed) its profile to the
     /// aggregator.
     FleetSubmission {
@@ -276,7 +259,6 @@ impl EventKind {
             EventKind::GovernorTransition { .. } => "governor_transition",
             EventKind::ProfileImport { .. } => "profile_import",
             EventKind::ProfileBlend { .. } => "profile_blend",
-            EventKind::ShardMerge { .. } => "shard_merge",
             EventKind::FleetSubmission { .. } => "fleet_submission",
             EventKind::FleetConsensus { .. } => "fleet_consensus",
             EventKind::ServePhaseShift { .. } => "serve_phase_shift",

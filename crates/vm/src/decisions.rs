@@ -303,8 +303,8 @@ impl DecisionTable {
     /// FNV-1a digest of the snapshot's observable decision state: every
     /// `(row key, generation, canary)` triple in row-key order. Two
     /// snapshots advise identically for every context iff their digests
-    /// match, so bit-identity claims across table backends (sequential vs.
-    /// sharded publication) reduce to one `u64` comparison.
+    /// match, so bit-identity claims (fast path vs. reference path, one
+    /// vs. several guest threads) reduce to one `u64` comparison.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |byte: u8| {

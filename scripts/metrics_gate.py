@@ -39,8 +39,7 @@ BUCKETS = [
 COUNTERS = [
     "profiled_allocs", "unprofiled_allocs", "jit_compiles", "gc_pauses",
     "epochs_inferred", "profile_entries_imported", "profile_blend_decays",
-    "shard_merge_ns", "shard_lock_wait", "serve_requests",
-    "serve_slo_misses", "tlab_refills", "microcache_hits",
+    "serve_requests", "serve_slo_misses", "tlab_refills", "microcache_hits",
     "microcache_misses", "age0_flushed",
 ]
 GAUGES = [

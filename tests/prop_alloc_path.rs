@@ -5,8 +5,8 @@
 //! through the fast path must be observationally identical to the
 //! per-allocation reference path (TLABs disabled, micro-cache disabled,
 //! unbatched OLD-table increments). This suite generates arbitrary
-//! streams and holds the fast path to that contract across all three
-//! OLD-table backends:
+//! streams and holds the fast path to that contract at one and at two
+//! guest threads:
 //!
 //! - published `DecisionTable` digests are identical (the micro-cache
 //!   never serves stale advice that changes an outcome),
@@ -63,13 +63,7 @@ struct Observation {
     placement: Vec<(u32, u32, u32, String)>,
 }
 
-fn replay(
-    stream: &[Op],
-    rounds: usize,
-    threads: u32,
-    shards: Option<usize>,
-    fast: bool,
-) -> Observation {
+fn replay(stream: &[Op], rounds: usize, threads: u32, fast: bool) -> Observation {
     let mut b = ProgramBuilder::new();
     let main = b.method("app.Main::run", 100, false);
     let mut calls: Vec<CallSiteId> = Vec::new();
@@ -88,7 +82,6 @@ fn replay(
         seed: 7,
         ..Default::default()
     };
-    config.rolp.table_shards = shards;
     if !fast {
         // The reference path: shared-state lookup and a per-allocation
         // OLD-table increment on every single allocation.
@@ -152,54 +145,45 @@ fn replay(
     }
 }
 
-fn assert_equivalent(stream: &[Op], rounds: usize, threads: u32, shards: Option<usize>) {
-    let fast = replay(stream, rounds, threads, shards, true);
-    let reference = replay(stream, rounds, threads, shards, false);
+fn assert_equivalent(stream: &[Op], rounds: usize, threads: u32) {
+    let fast = replay(stream, rounds, threads, true);
+    let reference = replay(stream, rounds, threads, false);
 
     assert_eq!(
         fast.decision_digest, reference.decision_digest,
-        "published decision digests diverged (threads={threads}, shards={shards:?})"
+        "published decision digests diverged (threads={threads})"
     );
     assert_eq!(
         fast.old_rows, reference.old_rows,
-        "OLD-table contents diverged (threads={threads}, shards={shards:?})"
+        "OLD-table contents diverged (threads={threads})"
     );
     assert_eq!(fast.decisions, reference.decisions);
     assert_eq!(
         fast.gc_cycles, reference.gc_cycles,
-        "the fast path changed the GC schedule (threads={threads}, shards={shards:?})"
+        "the fast path changed the GC schedule (threads={threads})"
     );
     assert_eq!(fast.ops, reference.ops);
     if threads == 1 {
         // Single-threaded, TLAB retirement rolls every buffer back to the
         // exact shared-path frontier: placement is bit-identical.
-        assert_eq!(
-            fast.placement, reference.placement,
-            "heap placement diverged (shards={shards:?})"
-        );
+        assert_eq!(fast.placement, reference.placement, "heap placement diverged");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Arbitrary streams, sequential backend (one thread): full
-    /// observational identity including bit-exact placement.
+    /// Arbitrary streams, one guest thread: full observational identity
+    /// including bit-exact placement.
     #[test]
     fn prop_alloc_path_sequential(stream in prop::collection::vec(op_strategy(), 64..256)) {
-        assert_equivalent(&stream, 24, 1, None);
+        assert_equivalent(&stream, 24, 1);
     }
 
-    /// Arbitrary streams, relaxed shared backend (two threads).
+    /// Arbitrary streams, two guest threads sharing the one OLD table.
     #[test]
     fn prop_alloc_path_shared(stream in prop::collection::vec(op_strategy(), 64..256)) {
-        assert_equivalent(&stream, 24, 2, None);
-    }
-
-    /// Arbitrary streams, sharded backend (exact counting, four shards).
-    #[test]
-    fn prop_alloc_path_sharded(stream in prop::collection::vec(op_strategy(), 64..256)) {
-        assert_equivalent(&stream, 24, 2, Some(4));
+        assert_equivalent(&stream, 24, 2);
     }
 }
 
@@ -220,6 +204,5 @@ fn fast_path_matches_reference_on_default_config() {
             }
         })
         .collect();
-    assert_equivalent(&stream, 40, 1, None);
-    assert_equivalent(&stream, 40, 4, Some(4));
+    assert_equivalent(&stream, 40, 1);
 }
