@@ -31,6 +31,17 @@
 //! or is demoted to gen-0 semantics (no decision published for it). That
 //! invariant is what `tests/prop_governor.rs` checks under arbitrary
 //! fault plans.
+//!
+//! `Policy` is what a profiler carries: the governor with its
+//! per-epoch meter, the fault injector, and the hook-side flags both set.
+
+use rolp_faults::{CycleFaults, FaultInjector, FaultPlan};
+use rolp_telemetry::Bucket;
+use rolp_vm::VmEnv;
+
+use crate::conflicts::ConflictResolver;
+use crate::geometry::LifetimeTable;
+use crate::old_table::{merge_worker_tables, MergeSummary, OldTable, WorkerTable};
 
 /// The degradation states, most to least profiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -79,29 +90,9 @@ impl GovernorState {
     }
 }
 
-/// Where the governor's overhead signal comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostSource {
-    /// Self-observed profiling time from the telemetry plane: the
-    /// fraction of busy mutator time the run actually spent in
-    /// profiling buckets this epoch. Falls back to the estimate when
-    /// no mutator time elapsed in the epoch.
-    #[default]
-    Measured,
-    /// The cost-model estimate (`2 * slow-branch ns * enabled sites *
-    /// invocation delta / total sites`) — the pre-telemetry behavior.
-    Estimated,
-}
-
-impl CostSource {
-    /// Stable label used in reports and `--stats-json`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CostSource::Measured => "measured",
-            CostSource::Estimated => "estimated",
-        }
-    }
-}
+/// Measured profiling overhead allowed per epoch, as a fraction of busy
+/// mutator time (the paper's §8.2 bound).
+pub const MAX_MEASURED_OVERHEAD: f64 = 0.05;
 
 /// Per-epoch budgets and hysteresis.
 #[derive(Debug, Clone)]
@@ -113,15 +104,9 @@ pub struct GovernorConfig {
     pub max_table_bytes: u64,
     /// Estimated call-site-profiling overhead allowed per epoch, in
     /// simulated nanoseconds (`rolp_vm::cost` slow-branch pricing).
-    /// Checked when `cost_source` is [`CostSource::Estimated`], or as
-    /// the measured-mode fallback for epochs with no mutator time.
+    /// Checked only for epochs with no mutator time, where the measured
+    /// overhead ([`MAX_MEASURED_OVERHEAD`]) is undefined.
     pub max_call_overhead_ns_per_epoch: u64,
-    /// Measured profiling overhead allowed per epoch, as a fraction of
-    /// busy mutator time (paper §8.2 targets ~5%). Checked when
-    /// `cost_source` is [`CostSource::Measured`].
-    pub max_measured_overhead: f64,
-    /// Which overhead signal drives the call/overhead budget.
-    pub cost_source: CostSource,
     /// Consecutive under-budget epochs before climbing back one state.
     pub calm_epochs_to_recover: u32,
     /// State to start in (`Full` normally; tests force `Off` to compare
@@ -137,8 +122,6 @@ impl Default for GovernorConfig {
             max_record_events_per_epoch: 2_000_000,
             max_table_bytes: 8 << 20,
             max_call_overhead_ns_per_epoch: 50_000_000,
-            max_measured_overhead: 0.05,
-            cost_source: CostSource::Measured,
             calm_epochs_to_recover: 2,
             start_state: GovernorState::Full,
         }
@@ -221,12 +204,10 @@ impl Governor {
         if cost.table_bytes > self.config.max_table_bytes {
             return Some("table-budget");
         }
-        // Overhead: the measured signal when configured and available,
-        // the cost-model estimate otherwise.
-        if self.config.cost_source == CostSource::Measured {
-            if let Some(overhead) = cost.measured_overhead() {
-                return (overhead > self.config.max_measured_overhead).then_some("overhead-budget");
-            }
+        // Overhead: the measured signal when available, the cost-model
+        // estimate otherwise.
+        if let Some(overhead) = cost.measured_overhead() {
+            return (overhead > MAX_MEASURED_OVERHEAD).then_some("overhead-budget");
         }
         (cost.call_overhead_ns > self.config.max_call_overhead_ns_per_epoch)
             .then_some("call-budget")
@@ -267,6 +248,222 @@ impl Governor {
     }
 }
 
+/// The governor and fault-injection effects on one profiler: the
+/// overhead governor with its per-epoch meter, the seeded fault injector,
+/// and what both of them make the hooks do.
+#[derive(Default)]
+pub(crate) struct Policy {
+    governor: Option<Governor>,
+    faults: Option<FaultInjector>,
+    /// Sticky adversarial TSS forced by a `TssCollision` fault.
+    fault_tss: Option<u16>,
+    /// Synthetic record-path events charged by the fault injector.
+    pub injected_records: u64,
+    /// Survivor records discarded by injected merge drops.
+    pub dropped_merge_records: u64,
+    /// Safepoint merges postponed by injected merge delays.
+    pub delayed_merges: u64,
+    // Meter readings at the last epoch boundary, for per-epoch deltas.
+    epoch_record_base: u64,
+    epoch_invocation_base: u64,
+    /// Telemetry `mutator_profiling` total.
+    epoch_profiling_base: u64,
+    /// Telemetry busy-mutator total.
+    epoch_busy_base: u64,
+}
+
+impl Policy {
+    /// A policy for the optional governor and fault plan. The hook
+    /// effects follow the governor's state, so a forced start state
+    /// (tests, CLI overrides) gates the hooks from the very first
+    /// allocation, not the first transition.
+    pub fn new(governor: Option<GovernorConfig>, fault_plan: Option<FaultPlan>) -> Self {
+        Policy {
+            governor: governor.map(Governor::new),
+            faults: fault_plan.map(FaultInjector::new),
+            ..Default::default()
+        }
+    }
+
+    /// The overhead governor, if configured.
+    pub fn governor(&self) -> Option<&Governor> {
+        self.governor.as_ref()
+    }
+
+    /// The governor's state; `Full` when ungoverned.
+    fn state(&self) -> GovernorState {
+        self.governor.as_ref().map_or(GovernorState::Full, Governor::state)
+    }
+
+    /// Call-site profiling is shed and the resolver frozen (`Reduced` and
+    /// below).
+    pub fn call_shed(&self) -> bool {
+        self.state() != GovernorState::Full
+    }
+
+    /// Profiling is off (`Off`): nothing is recorded, and the store
+    /// publishes the all-gen-0 table.
+    pub fn profiling_off(&self) -> bool {
+        self.state() == GovernorState::Off
+    }
+
+    /// The stack state an allocation context carries: 0 once hashing is
+    /// stripped (`SitesOnly` and below), else a `TssCollision` fault's
+    /// adversarial value, else the thread's own.
+    pub fn context_tss(&self, tss: u16) -> u16 {
+        if self.state() >= GovernorState::SitesOnly {
+            0
+        } else {
+            self.fault_tss.unwrap_or(tss)
+        }
+    }
+
+    /// The safepoint merge of the GC workers' private tables into `old`
+    /// (§7.6), under this cycle's faults (deterministic, seedable). Faults
+    /// that act before the merge — id exhaustion, forced TSS, flood
+    /// records into `old` — land first, so every injected record is part
+    /// of the same epoch a real record of that cycle would; a drop fault
+    /// then discards the workers' records, a delay fault leaves them
+    /// buffered until the next cycle. Returns the merge, if one ran.
+    pub fn safepoint(
+        &mut self,
+        env: &mut VmEnv,
+        cycle: u64,
+        workers: &mut [WorkerTable],
+        old: &mut OldTable,
+    ) -> Option<MergeSummary> {
+        let faults = match self.faults.as_mut() {
+            Some(f) => f.on_cycle(cycle),
+            None => CycleFaults::default(),
+        };
+        if faults.exhaust_site_ids {
+            env.jit.force_profile_id_exhaustion();
+        }
+        if faults.forced_tss.is_some() {
+            self.fault_tss = faults.forced_tss;
+        }
+        if !self.profiling_off() {
+            for &ctx in &faults.flood_contexts {
+                old.record_allocation(ctx);
+            }
+        }
+        // Floods and bursts charge the governor's record budget whether or
+        // not profiling is currently off — sustained pressure must keep a
+        // degraded profiler degraded.
+        let injected = faults.flood_contexts.len() as u64 + faults.burst_events;
+        self.injected_records += injected;
+        // The synthetic records stand in for record-path work the
+        // simulation never executes, so their modeled cost lands in the
+        // profiling bucket — that is what pushes the *measured* overhead
+        // signal over budget under a pressure-spike plan.
+        env.telemetry.add(Bucket::MutatorProfiling, injected * env.cost.profile_alloc_ns);
+
+        if faults.drop_merge {
+            let dropped = merge_worker_tables(workers, &mut OldTable::new());
+            self.dropped_merge_records += dropped.total;
+            None
+        } else if faults.delay_merge {
+            self.delayed_merges += 1;
+            None
+        } else {
+            Some(merge_worker_tables(workers, old))
+        }
+    }
+
+    /// Meters the closing epoch and applies any governor state change, so
+    /// a blown budget degrades this epoch's publication, not the next
+    /// one's. `records` counts the profiler's own record-path events so
+    /// far (profiled allocations + survivor records); injected ones are
+    /// added here.
+    pub fn end_epoch(
+        &mut self,
+        env: &mut VmEnv,
+        records: u64,
+        table_bytes: u64,
+        resolver: &ConflictResolver,
+    ) {
+        let Some(governor) = self.governor.as_mut() else {
+            return;
+        };
+        let record_total = records + self.injected_records;
+        let invocations = env.jit.total_invocations();
+        // Self-observed signal from the telemetry plane: profiling time
+        // and busy mutator time this epoch, as deltas of the live
+        // per-thread cell totals (no snapshot publish needed).
+        let registry = env.telemetry.registry();
+        let prof_now = registry.total_time(Bucket::MutatorProfiling);
+        let busy_now = registry.total_time(Bucket::MutatorApp)
+            + prof_now
+            + registry.total_time(Bucket::JitCompile);
+        let cost = EpochCost {
+            record_events: record_total - self.epoch_record_base,
+            table_bytes,
+            // Estimate: each invocation crosses call sites in proportion
+            // to the enabled fraction; an enabled crossing costs the slow
+            // branch twice (enter + exit).
+            call_overhead_ns: {
+                let delta = invocations - self.epoch_invocation_base;
+                let enabled = env.jit.enabled_call_sites() as u64;
+                let total = env.program.num_call_sites().max(1) as u64;
+                2 * env.cost.profile_call_slow_ns * enabled * delta / total
+            },
+            measured_profiling_ns: prof_now - self.epoch_profiling_base,
+            measured_mutator_ns: busy_now - self.epoch_busy_base,
+        };
+        self.epoch_record_base = record_total;
+        self.epoch_invocation_base = invocations;
+        self.epoch_profiling_base = prof_now;
+        self.epoch_busy_base = busy_now;
+        let Some(tr) = governor.evaluate(&cost) else {
+            return;
+        };
+        self.apply_state(env, tr, resolver);
+        if env.trace.is_enabled() {
+            env.trace.emit_global(
+                env.clock.now(),
+                rolp_trace::EventKind::GovernorTransition {
+                    from: tr.from.label(),
+                    to: tr.to.label(),
+                    reason: tr.reason,
+                    record_events: cost.record_events,
+                    table_bytes: cost.table_bytes,
+                    call_overhead_ns: cost.call_overhead_ns,
+                },
+            );
+        }
+    }
+
+    /// Applies the hook-side effects of a governor transition, in order
+    /// of severity: shed (or restore) call-site profiling, gate the
+    /// allocation fast path. Stack-state stripping follows the state.
+    fn apply_state(&self, env: &mut VmEnv, tr: GovernorTransition, resolver: &ConflictResolver) {
+        let shed = tr.to != GovernorState::Full;
+        if shed && tr.from == GovernorState::Full {
+            // Reduced entry: zero every call-site delta. The resolver's
+            // frozen/probing sets are preserved untouched and re-applied
+            // verbatim on recovery, so conflicted contexts keep their
+            // meaning while shed.
+            let program = std::rc::Rc::clone(&env.program);
+            for cs in program.call_sites() {
+                env.jit.disable_call_profiling(cs);
+            }
+        } else if !shed && tr.from != GovernorState::Full {
+            // Full recovery: restore exactly the deltas the resolver owns.
+            resolver.reapply_to_jit(&mut env.jit);
+        }
+        // In `Off` the JIT patches the profiling instructions out: the
+        // mutator fast path is one branch (`alloc_profiling_enabled`).
+        env.jit.set_alloc_profiling(tr.to != GovernorState::Off);
+        let encoded = match tr.to {
+            GovernorState::Full => 0,
+            GovernorState::Reduced => 1,
+            GovernorState::SitesOnly => 2,
+            GovernorState::Off => 3,
+        };
+        env.telemetry.registry().set_gauge(rolp_telemetry::GaugeId::GovernorState, encoded);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +475,6 @@ mod tests {
             max_call_overhead_ns_per_epoch: 1_000,
             calm_epochs_to_recover: 2,
             start_state: GovernorState::Full,
-            ..Default::default()
         }
     }
 
@@ -373,20 +569,6 @@ mod tests {
         // No measurement (measured_mutator_ns == 0): the estimate rules.
         let t = g.evaluate(&EpochCost { call_overhead_ns: 2_000, ..Default::default() }).unwrap();
         assert_eq!(t.reason, "call-budget");
-    }
-
-    #[test]
-    fn estimated_mode_ignores_the_measurement() {
-        let mut g = Governor::new(GovernorConfig { cost_source: CostSource::Estimated, ..tight() });
-        // Measurement says 50% overhead, but estimated mode only looks
-        // at the cost-model estimate (under budget here).
-        let cost = EpochCost {
-            call_overhead_ns: 500,
-            measured_profiling_ns: 50_000,
-            measured_mutator_ns: 100_000,
-            ..Default::default()
-        };
-        assert_eq!(g.evaluate(&cost), None);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! call paths with different lifetimes — handed to the conflict-resolution
 //! machinery of §5.
 
+use std::collections::BTreeMap;
+
 use crate::geometry::LifetimeTable;
 use crate::old_table::AGE_COLUMNS;
 
@@ -178,6 +180,51 @@ pub fn infer<T: LifetimeTable + ?Sized>(table: &T) -> InferenceOutcome {
     out
 }
 
+/// Tenured fragmentation above which §6 demotion runs, and the garbage
+/// share above which a dynamic generation's estimates are demoted.
+pub const DEMOTION_THRESHOLD: f64 = 0.5;
+
+/// The pure learning step of an inference epoch: folds `outcome` into the
+/// decision working set, then applies §6 fragmentation demotion. Returns
+/// the number of estimates demoted.
+///
+/// Estimates merge *upward*: inference raises them, only demotion lowers
+/// them. A pretenured context produces no young survivals anymore, so its
+/// fresh window degenerates to an age-0 spike — replacing instead of
+/// merging would bounce the context back to the young generation every
+/// other inference. Rows for which `held` is true (imported priors the
+/// warm start still holds) are left to their owner.
+///
+/// Under tenured fragmentation above [`DEMOTION_THRESHOLD`], every
+/// estimate targeting a dynamic generation (1–14) whose garbage share
+/// also exceeds it is lowered by one.
+pub fn learn(
+    outcome: &InferenceOutcome,
+    decisions: &mut BTreeMap<u32, u8>,
+    held: impl Fn(u32) -> bool,
+    tenured_fragmentation: f64,
+    dynamic_gen_garbage: &[f64; 16],
+) -> u64 {
+    for &(key, gen) in &outcome.decisions {
+        if held(key) {
+            continue;
+        }
+        let slot = decisions.entry(key).or_insert(gen);
+        *slot = (*slot).max(gen);
+    }
+    let mut demotions = 0;
+    if tenured_fragmentation > DEMOTION_THRESHOLD {
+        for gen in decisions.values_mut() {
+            let g = *gen as usize;
+            if (1..=14).contains(&g) && dynamic_gen_garbage[g] > DEMOTION_THRESHOLD {
+                *gen -= 1;
+                demotions += 1;
+            }
+        }
+    }
+    demotions
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,6 +310,69 @@ mod tests {
     fn sparse_rows_are_insufficient() {
         let h = hist(&[(0, 3), (5, 2)]);
         assert_eq!(classify_row(&h), RowVerdict::Insufficient);
+    }
+
+    /// A table whose one row, `pack(1, 0)`, infers to generation `age`.
+    fn table_inferring(age: u8) -> OldTable {
+        let mut t = OldTable::new();
+        for _ in 0..100 {
+            t.record_allocation(pack(1, 0));
+        }
+        for _ in 0..90 {
+            for a in 0..age {
+                t.record_survival(pack(1, 0), a);
+            }
+        }
+        t
+    }
+
+    const NO_GARBAGE: [f64; 16] = [0.0; 16];
+
+    #[test]
+    fn learn_only_raises_estimates() {
+        let mut decisions = BTreeMap::new();
+        learn(&infer(&table_inferring(3)), &mut decisions, |_| false, 0.0, &NO_GARBAGE);
+        assert_eq!(decisions, BTreeMap::from([(pack(1, 0), 3)]), "a new row is inserted");
+        learn(&infer(&table_inferring(7)), &mut decisions, |_| false, 0.0, &NO_GARBAGE);
+        assert_eq!(decisions[&pack(1, 0)], 7, "a higher verdict raises the estimate");
+        // A pretenured context's fresh window degenerates to an age-0
+        // spike; it must not pull the estimate back down.
+        learn(&infer(&table_inferring(0)), &mut decisions, |_| false, 0.0, &NO_GARBAGE);
+        assert_eq!(decisions[&pack(1, 0)], 7, "a lower verdict never lowers it");
+    }
+
+    #[test]
+    fn learn_skips_held_rows() {
+        let outcome = infer(&table_inferring(7));
+        let mut decisions = BTreeMap::from([(pack(1, 0), 2)]);
+        learn(&outcome, &mut decisions, |key| key == pack(1, 0), 0.0, &NO_GARBAGE);
+        assert_eq!(decisions[&pack(1, 0)], 2, "the held prior is left alone");
+        let mut decisions = BTreeMap::new();
+        learn(&outcome, &mut decisions, |_| true, 0.0, &NO_GARBAGE);
+        assert!(decisions.is_empty(), "a held row is not inserted either");
+    }
+
+    #[test]
+    fn fragmentation_demotes_estimates() {
+        // The merge runs first: an estimate of 5 learned on a fragmented
+        // cycle whose generation 5 is mostly garbage lands demoted.
+        let mut garbage = NO_GARBAGE;
+        garbage[5] = 0.9;
+        let mut decisions = BTreeMap::new();
+        assert_eq!(learn(&infer(&table_inferring(5)), &mut decisions, |_| false, 0.8, &garbage), 1);
+        assert_eq!(decisions[&pack(1, 0)], 4, "demoted from 5 to 4");
+
+        // Both the tenured fragmentation and the generation's garbage
+        // share must exceed the threshold, and only generations 1-14 move.
+        let demote = |fragmentation: f64, garbage: f64| {
+            let mut d: BTreeMap<u32, u8> =
+                BTreeMap::from([(0, 0), (1, 1), (2, 5), (3, 14), (4, 15)]);
+            learn(&InferenceOutcome::default(), &mut d, |_| false, fragmentation, &[garbage; 16]);
+            d.into_values().collect::<Vec<u8>>()
+        };
+        assert_eq!(demote(0.8, 0.9), [0, 0, 4, 13, 15]);
+        assert_eq!(demote(DEMOTION_THRESHOLD, 0.9), [0, 1, 5, 14, 15]);
+        assert_eq!(demote(0.8, DEMOTION_THRESHOLD), [0, 1, 5, 14, 15]);
     }
 
     #[test]

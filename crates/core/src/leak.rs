@@ -53,8 +53,8 @@ impl LeakReport {
     /// monotonically across all recorded censuses (at least three) are
     /// suspects. Falls back to the immortal-age heuristic when fewer than
     /// three censuses exist.
-    pub fn gather<T: LifetimeTable>(
-        profiler: &RolpProfiler<T>,
+    pub fn gather(
+        profiler: &RolpProfiler,
         program: &Program,
         jit: &JitState,
         min_live: u64,
@@ -104,11 +104,7 @@ impl LeakReport {
         LeakReport { suspects }
     }
 
-    fn locate<T: LifetimeTable>(
-        profiler: &RolpProfiler<T>,
-        program: &Program,
-        context: u32,
-    ) -> String {
+    fn locate(profiler: &RolpProfiler, program: &Program, context: u32) -> String {
         let site_id = site_of(context);
         profiler
             .pid_to_site
@@ -188,7 +184,7 @@ mod tests {
         }
         // Leak reports are gathered at safepoints, after the batched
         // age-0 deltas have landed in the table.
-        p.flush_age0();
+        p.flush_age0(&rolp_telemetry::Telemetry::default());
         for _ in 0..40 {
             for age in 0..15 {
                 p.old.record_survival(pack(3, 0), age);

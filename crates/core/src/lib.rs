@@ -25,13 +25,17 @@
 //!   consensus over `rolp-profile-v1` exports.
 //! - [`concurrent`] — mutator/GC-worker thread harness, safepoint merge
 //!   protocol, measured-loss reconciliation (§5.2, §7.6).
-//! - [`inference`] — lifetime inference and conflict detection (§4).
+//! - [`inference`] — lifetime inference, conflict detection (§4), and the
+//!   pure [`learn`] step (upward merge, §6 demotion).
 //! - [`conflicts`] — the call-site-enabling conflict resolver (§5).
 //! - [`filters`] — package filters (§7.3).
 //! - [`survivor`] — survivor-tracking shutdown (§7.4).
 //! - [`governor`] — the overhead governor: graceful degradation when a
 //!   profiling budget blows (Full → Reduced → SitesOnly → Off).
-//! - [`profiler`] — the assembled profiler (§3, §6, §7).
+//! - [`warm_start`] — the imported offline profile, blended with live
+//!   evidence.
+//! - [`profiler`] — the assembled profiler (§3, §6, §7), a shell over the
+//!   epoch pipeline.
 //! - [`leak`] — the leak-detection use-case (§2.2).
 //! - [`runtime`] — the five evaluated runtime configurations (§8).
 //!
@@ -89,6 +93,7 @@ pub mod runtime;
 pub mod shared_table;
 pub mod survivor;
 pub mod sync_compat;
+pub mod warm_start;
 
 pub use concurrent::PublishSlot;
 pub use conflicts::{
@@ -97,10 +102,8 @@ pub use conflicts::{
 pub use filters::PackageFilters;
 pub use fleet::{FleetAggregator, FleetConsensus, SubmissionOutcome};
 pub use geometry::{LifetimeTable, TableGeometry, FULL_SCALE_ROWS};
-pub use governor::{
-    CostSource, EpochCost, Governor, GovernorConfig, GovernorState, GovernorTransition,
-};
-pub use inference::{classify_row, find_peaks, infer, InferenceOutcome, RowVerdict};
+pub use governor::{EpochCost, Governor, GovernorConfig, GovernorState, GovernorTransition};
+pub use inference::{classify_row, find_peaks, infer, learn, InferenceOutcome, RowVerdict};
 pub use leak::{LeakReport, LeakSuspect};
 pub use offline::{
     program_fingerprint, CallSiteEntry, DecisionProfile, ProfileEntry, ProfileParseError,

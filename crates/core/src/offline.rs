@@ -37,7 +37,7 @@
 //!   instead of silently importing a prefix.
 //! - `decision` — one pretenuring decision with a confidence in
 //!   `0..=100`, the starting weight for the importing run's
-//!   confidence-weighted decay (see `RolpProfiler`).
+//!   confidence-weighted decay (see [`crate::warm_start`]).
 //! - `callsite` — one frozen distinguishing call site (§5), keyed by
 //!   caller and callee method names so the importing run can re-enable
 //!   its conflict separation from epoch 0.
@@ -59,6 +59,7 @@ use std::str::FromStr;
 use rolp_vm::{AllocSiteId, CallSiteId, JitState, Program};
 
 use crate::context::{site_of, tss_of};
+use crate::geometry::LifetimeTable;
 use crate::profiler::RolpProfiler;
 
 /// The current on-disk format version line.
@@ -221,11 +222,7 @@ impl DecisionProfile {
     /// a zero thread-stack-state key are portable (see module docs); the
     /// frozen distinguishing call sites that separate the others are
     /// exported by name instead.
-    pub fn from_profiler<T: crate::geometry::LifetimeTable>(
-        profiler: &RolpProfiler<T>,
-        program: &Program,
-        jit: &JitState,
-    ) -> Self {
+    pub fn from_profiler(profiler: &RolpProfiler, program: &Program, jit: &JitState) -> Self {
         let _ = jit;
         let mut entries = Vec::new();
         for (&ctx, &generation) in profiler.decisions() {
@@ -240,7 +237,7 @@ impl DecisionProfile {
                 method: program.method(decl.method).name.clone(),
                 bci: decl.bci,
                 generation,
-                confidence: profiler.confidence_of(ctx),
+                confidence: profiler.warm.confidence_of(ctx),
             });
         }
         entries.sort_by(|a, b| (&a.method, a.bci).cmp(&(&b.method, b.bci)));

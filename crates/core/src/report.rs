@@ -18,7 +18,7 @@ use crate::runtime::RunReport;
 
 /// Renders the profiler's lifetime decisions with resolved source
 /// locations, sorted by generation (oldest first) then location.
-pub fn render_decisions<T: LifetimeTable>(profiler: &RolpProfiler<T>, program: &Program) -> String {
+pub fn render_decisions(profiler: &RolpProfiler, program: &Program) -> String {
     let mut rows: Vec<(u8, String, u16)> = profiler
         .decisions()
         .iter()
@@ -59,11 +59,7 @@ pub fn render_decisions<T: LifetimeTable>(profiler: &RolpProfiler<T>, program: &
 }
 
 /// Renders a one-screen profiler summary.
-pub fn render_summary<T: LifetimeTable>(
-    profiler: &RolpProfiler<T>,
-    program: &Program,
-    jit: &JitState,
-) -> String {
+pub fn render_summary(profiler: &RolpProfiler, program: &Program, jit: &JitState) -> String {
     let stats = profiler.stats(program, jit);
     let mut out = String::new();
     let _ = writeln!(out, "ROLP profiler summary");
@@ -108,10 +104,9 @@ pub fn render_summary<T: LifetimeTable>(
     );
     let _ = writeln!(out, "  stack repairs:    {}", stats.reconciliations);
     if let Some(state) = stats.governor_state {
-        let source = stats.governor_cost_source.unwrap_or("estimated");
         let _ = writeln!(
             out,
-            "  governor:         state {state} ({} transitions, {source} cost source)",
+            "  governor:         state {state} ({} transitions)",
             stats.governor_transitions
         );
     }
@@ -293,9 +288,6 @@ pub fn stats_json(report: &RunReport, pauses: &PauseRecorder, trace_dropped: u64
         }
         if let Some(state) = s.governor_state {
             rolp.str("governor_state", state);
-        }
-        if let Some(source) = s.governor_cost_source {
-            rolp.str("governor_cost_source", source);
         }
         obj.raw("rolp", &rolp.finish());
     }

@@ -318,10 +318,7 @@ impl JvmRuntime {
         // deltas so the final stats see every record.
         self.vm.env.safepoint_flush_alloc_path();
         if let Some(p) = &self.profiler {
-            let flushed = p.borrow_mut().flush_age0();
-            if flushed > 0 {
-                self.vm.env.telemetry.bump(rolp_telemetry::CounterId::Age0Flushed, flushed);
-            }
+            p.borrow_mut().flush_age0(&self.vm.env.telemetry);
         }
         self.sample_side_tables();
         self.vm.env.sample_memory();

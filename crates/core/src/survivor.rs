@@ -4,15 +4,19 @@
 //! the dominant cost of a young collection. ROLP therefore turns the
 //! survivor-tracking code *off* once the workload is stable — profiling
 //! decisions unchanged over a whole inference round — and turns it back on
-//! if the average pause time grows more than a (configurable) 10% over the
-//! last value recorded while tracking was active.
+//! if the average pause time grows more than 10% over the last value
+//! recorded while tracking was active.
+
+/// Allowed average-pause growth before tracking re-enables (§7.4).
+const REACTIVATION_THRESHOLD: f64 = 0.10;
 
 /// Controller for the survivor-tracking switch.
 #[derive(Debug, Clone)]
 pub struct SurvivorTracking {
     enabled: bool,
-    /// Allowed average-pause growth before tracking re-enables.
-    reactivation_threshold: f64,
+    /// Pause time (ms) and pause count since the last inference round.
+    window_pause_ms: f64,
+    window_pauses: u64,
     /// Mean pause (ms) recorded while tracking was last active.
     baseline_pause_ms: Option<f64>,
     /// Hash of the previous inference round's decisions.
@@ -24,11 +28,12 @@ pub struct SurvivorTracking {
 }
 
 impl SurvivorTracking {
-    /// Creates the controller with the paper's default 10% threshold.
+    /// Creates the controller, tracking on.
     pub fn new() -> Self {
         SurvivorTracking {
             enabled: true,
-            reactivation_threshold: 0.10,
+            window_pause_ms: 0.0,
+            window_pauses: 0,
             baseline_pause_ms: None,
             last_decisions_hash: None,
             shutdowns: 0,
@@ -36,20 +41,28 @@ impl SurvivorTracking {
         }
     }
 
-    /// Overrides the reactivation threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.reactivation_threshold = threshold;
-        self
-    }
-
     /// Whether survivor tracking is currently on.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Feeds one inference round: the (order-independent) hash of current
-    /// decisions and the mean pause over the round.
-    pub fn on_inference(&mut self, decisions_hash: u64, mean_pause_ms: f64) {
+    /// Adds one GC pause to the current round's window.
+    pub fn record_pause(&mut self, pause_ms: f64) {
+        self.window_pause_ms += pause_ms;
+        self.window_pauses += 1;
+    }
+
+    /// Closes one inference round and starts the next pause window.
+    /// `decisions_hash` is the (order-independent) hash of the current
+    /// decisions, or `None` when the round may not move the switch (the
+    /// caller's preconditions for a shutdown do not hold).
+    pub fn on_inference(&mut self, decisions_hash: Option<u64>) {
+        let pauses = std::mem::take(&mut self.window_pauses);
+        let total_ms = std::mem::take(&mut self.window_pause_ms);
+        let mean_pause_ms = if pauses == 0 { 0.0 } else { total_ms / pauses as f64 };
+        let Some(decisions_hash) = decisions_hash else {
+            return;
+        };
         if self.enabled {
             let stable = self.last_decisions_hash == Some(decisions_hash);
             self.baseline_pause_ms = Some(mean_pause_ms);
@@ -58,7 +71,7 @@ impl SurvivorTracking {
                 self.shutdowns += 1;
             }
         } else if let Some(base) = self.baseline_pause_ms {
-            if base > 0.0 && mean_pause_ms > base * (1.0 + self.reactivation_threshold) {
+            if base > 0.0 && mean_pause_ms > base * (1.0 + REACTIVATION_THRESHOLD) {
                 self.enabled = true;
                 self.reactivations += 1;
             }
@@ -92,13 +105,19 @@ impl Default for SurvivorTracking {
 mod tests {
     use super::*;
 
+    /// One inference round with a single pause of `pause_ms`.
+    fn round(s: &mut SurvivorTracking, hash: u64, pause_ms: f64) {
+        s.record_pause(pause_ms);
+        s.on_inference(Some(hash));
+    }
+
     #[test]
     fn stable_decisions_shut_tracking_down() {
         let mut s = SurvivorTracking::new();
         assert!(s.enabled());
-        s.on_inference(42, 5.0);
+        round(&mut s, 42, 5.0);
         assert!(s.enabled(), "first round only records the hash");
-        s.on_inference(42, 5.0);
+        round(&mut s, 42, 5.0);
         assert!(!s.enabled(), "second identical round shuts tracking down");
         assert_eq!(s.shutdowns, 1);
     }
@@ -106,23 +125,23 @@ mod tests {
     #[test]
     fn changing_decisions_keep_tracking_on() {
         let mut s = SurvivorTracking::new();
-        s.on_inference(1, 5.0);
-        s.on_inference(2, 5.0);
-        s.on_inference(3, 5.0);
+        round(&mut s, 1, 5.0);
+        round(&mut s, 2, 5.0);
+        round(&mut s, 3, 5.0);
         assert!(s.enabled());
     }
 
     #[test]
     fn pause_growth_reactivates() {
         let mut s = SurvivorTracking::new();
-        s.on_inference(42, 5.0);
-        s.on_inference(42, 5.0);
+        round(&mut s, 42, 5.0);
+        round(&mut s, 42, 5.0);
         assert!(!s.enabled());
         // Within 10%: stays off.
-        s.on_inference(42, 5.4);
+        round(&mut s, 42, 5.4);
         assert!(!s.enabled());
         // Above 10% growth over the active-tracking baseline: back on.
-        s.on_inference(42, 5.6);
+        round(&mut s, 42, 5.6);
         assert!(s.enabled());
         assert_eq!(s.reactivations, 1);
     }

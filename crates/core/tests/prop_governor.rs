@@ -185,7 +185,6 @@ fn assert_governor_off_is_disabled_profiler(tlab_bytes: usize, microcache: bool)
         max_table_bytes: 0,
         max_call_overhead_ns_per_epoch: 0,
         calm_epochs_to_recover: 2,
-        ..Default::default()
     });
     let governed = run_workload(governed_cfg);
 

@@ -186,6 +186,7 @@ fn intern(s: &str) -> &'static str {
         "freeze",
         "inferred",
         "demoted",
+        "released",
         "offline",
         "reduced",
         "sites-only",

@@ -129,7 +129,8 @@ pub enum EventKind {
         from_gen: u8,
         /// New target generation.
         to_gen: u8,
-        /// `inferred` (§4), `demoted` (§6), or `offline` (warm start).
+        /// `inferred` (§4), `demoted` (§6), `released` (an imported prior
+        /// the blend decay dropped), or `offline` (warm start).
         reason: &'static str,
     },
     /// Survivor tracking was switched on or off (§7.4).
