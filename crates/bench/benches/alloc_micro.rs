@@ -6,12 +6,12 @@
 //! - **ns/alloc** — the full mutator allocation path through the
 //!   runtime. Fast: TLAB bump + decision micro-cache + batched age-0
 //!   recording (the defaults). Reference: shared-frontier allocation, a
-//!   `DecisionStore` Acquire load per allocation, and a per-alloc
+//!   `DecisionStore` table load per allocation, and a per-alloc
 //!   OLD-table increment (`--no-tlab --no-microcache` semantics).
 //! - **ns/decision-lookup** — the decision consult alone. Fast: a
-//!   `DecisionCache` hit (validate against the version hint, decode the
-//!   cached slot byte). Reference: the uncached path (Acquire table
-//!   load + bounds-checked slot resolve) on every lookup.
+//!   `DecisionCache` hit (validate against the store version, decode the
+//!   cached slot byte). Reference: the uncached path (table load +
+//!   bounds-checked slot resolve) on every lookup.
 //!
 //! Absolute ns/op is machine-dependent, so the committed gate value is
 //! the *within-run* `speedup_vs_reference` ratio: `scripts/bench_gate.py`
@@ -102,7 +102,7 @@ fn lookup_ns_per_op(fast: bool) -> f64 {
     // steady-state hit path after a one-miss-per-slot warmup.
     let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(256, 64));
     let rows: BTreeMap<u32, u8> = (1..=64u32).map(|s| (s << 16, (s % 9) as u8 + 1)).collect();
-    let table = DecisionTable::next_from(store.load(), &rows, 1..=64u16);
+    let table = DecisionTable::next_from(&store.load(), &rows, 1..=64u16);
     store.publish(table);
 
     let mut cache = DecisionCache::new();

@@ -117,7 +117,7 @@ pub fn run_one_threads(
 /// The digest of the decision table a run published last (0 when the
 /// run has no profiler).
 fn published_digest(rt: &rolp::JvmRuntime) -> u64 {
-    rt.profiler.as_ref().map_or(0, |p| p.borrow().decision_store().snapshot().digest())
+    rt.profiler.as_ref().map_or(0, |p| p.borrow().decision_store().load().digest())
 }
 
 /// [`run_one_threads`] for ROLP with the overhead governor engaged

@@ -99,7 +99,7 @@ impl Drop for CrashGuard {
         // flush with the last published snapshot's timestamp.
         let at_ns = self.registry.store().load().at_ns();
         self.registry.publish(at_ns);
-        let snapshot = self.registry.store().snapshot();
+        let snapshot = self.registry.store().load();
         if let Some(path) = &self.stats_path {
             let body = format!(
                 "{{\"schema\":\"rolp-stats-partial-v1\",\"panic\":true,\"telemetry\":{}}}",
@@ -230,11 +230,11 @@ mod tests {
     fn metrics_jsonl_downsamples_and_keeps_the_final_row() {
         let registry = Registry::new();
         let cells = registry.register_thread();
-        let mut history = vec![registry.store().snapshot()]; // version 0
+        let mut history = vec![registry.store().load()]; // version 0
         for i in 1..=10u64 {
             cells.add_time(Bucket::MutatorApp, 100);
             registry.publish(i * 1_000_000_000); // one per simulated second
-            history.push(registry.store().snapshot());
+            history.push(registry.store().load());
         }
         let body = metrics_jsonl(&history, 4);
         let rows: Vec<&str> = body.lines().collect();

@@ -16,11 +16,11 @@
 //!    `loss_probability` simulation.
 //! 3. **Parallel GC pause.** `--gc-workers N` worker threads claim chunks
 //!    of the live-object list from a shared cursor, buffer survivor age
-//!    moves into private [`crate::WorkerTable`]s, and hand them to the
-//!    coordinator through a [`PublishSlot`] (the protocol the loom CI job
-//!    model-checks). The coordinator merges all records **sorted by
-//!    `(context, age)`**, so the merged histograms are identical no
-//!    matter how the chunk race distributed work.
+//!    moves into private [`crate::WorkerTable`]s, and return them to the
+//!    coordinator from the scope join, as the mutator phase does. The
+//!    coordinator merges all records **sorted by `(context, age)`**, so
+//!    the merged histograms are identical no matter how the chunk race
+//!    distributed work.
 //! 4. **Loss bound.** [`run_reference`] replays the same schedules on the
 //!    exact single-threaded [`crate::OldTable`]; [`compare_to_reference`] checks
 //!    the §7.6 bound the CLI's `--verify-determinism` mode asserts:
@@ -29,270 +29,201 @@
 //!    age-0 counts, and the survival pipeline's saturating decrements can
 //!    only shrink — never grow — a deficit, so the bound is exact.)
 
-use crate::sync_compat::{AtomicBool, Ordering, UnsafeCell};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A single-producer single-consumer hand-off slot for a GC worker's
-/// private table.
-///
-/// Protocol (per pause): the worker writes its value and `publish`es it
-/// with a release store; the safepoint merger spins on `try_take`, whose
-/// acquire load makes the value's writes visible before it is taken. The
-/// slot then resets to empty for the next pause. Built on
-/// [`crate::sync_compat`] so `--features loom` model-checks exactly this
-/// code.
-#[derive(Debug, Default)]
-pub struct PublishSlot<T> {
-    ready: AtomicBool,
-    value: UnsafeCell<Option<T>>,
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use crate::context::pack;
+use crate::geometry::{LifetimeTable, TableGeometry};
+use crate::old_table::{merge_worker_tables, MergeSummary, OldTable, WorkerTable, AGE_COLUMNS};
+use crate::shared_table::SharedOldTable;
+
+/// Shape of a concurrent profiling run.
+#[derive(Debug, Clone)]
+pub struct ConcurrentConfig {
+    /// Application (mutator) OS threads.
+    pub mutator_threads: usize,
+    /// GC worker OS threads per pause.
+    pub gc_workers: usize,
+    /// Mutator-phase + GC-pause rounds.
+    pub epochs: usize,
+    /// Allocations per mutator thread per epoch.
+    pub allocs_per_thread_per_epoch: usize,
+    /// Allocation-site ids drawn from `1..=sites`.
+    pub sites: u16,
+    /// Thread-stack-state values drawn from `0..tss_values`.
+    pub tss_values: u16,
+    /// Maximum GC pauses an object survives (`dies_after` is drawn
+    /// from `0..=max_survivals`).
+    pub max_survivals: u8,
+    /// Sites given private expansion blocks up front (so the run
+    /// exercises both aliased and expanded rows).
+    pub expand_sites: Vec<u16>,
+    /// Shared-table geometry (power of two; must exceed `sites` so
+    /// masking never aliases distinct sites).
+    pub site_rows: usize,
+    /// Expansion-block rows (power of two; must exceed `tss_values`).
+    pub tss_rows: usize,
+    /// Seed for the deterministic allocation schedules.
+    pub seed: u64,
 }
 
-// SAFETY: the `ready` flag transfers exclusive ownership of `value`:
-// writes happen only while `ready` is false (publisher side), reads only
-// after an acquire load observes true (consumer side).
-unsafe impl<T: Send> Sync for PublishSlot<T> {}
-
-impl<T> PublishSlot<T> {
-    /// An empty slot.
-    pub fn new() -> Self {
-        PublishSlot { ready: AtomicBool::new(false), value: UnsafeCell::new(None) }
-    }
-
-    /// Producer side: stores `value` and makes it visible to `try_take`.
-    /// Must not be called again before the consumer took the value.
-    pub fn publish(&self, value: T) {
-        assert!(!self.ready.load(Ordering::Relaxed), "publish into a full slot");
-        // SAFETY: `ready` is false, so the consumer will not touch the
-        // cell until the release store below.
-        self.value.with_mut(|p| unsafe { *p = Some(value) });
-        self.ready.store(true, Ordering::Release);
-    }
-
-    /// Consumer side: takes the published value if there is one, and
-    /// resets the slot.
-    pub fn try_take(&self) -> Option<T> {
-        if !self.ready.load(Ordering::Acquire) {
-            return None;
+impl Default for ConcurrentConfig {
+    fn default() -> Self {
+        ConcurrentConfig {
+            mutator_threads: 4,
+            gc_workers: 4,
+            epochs: 8,
+            allocs_per_thread_per_epoch: 5_000,
+            sites: 200,
+            tss_values: 48,
+            max_survivals: 4,
+            expand_sites: vec![3, 7, 11],
+            site_rows: 1 << 10,
+            tss_rows: 64,
+            seed: 0xEC0_5E19,
         }
-        // SAFETY: the acquire load above synchronizes with the publisher's
-        // release store; the publisher will not write again until the
-        // relaxed reset below is visible to it.
-        let value = self.value.with_mut(|p| unsafe { (*p).take() });
-        self.ready.store(false, Ordering::Relaxed);
-        value
-    }
-
-    /// Whether a value is currently published.
-    pub fn is_ready(&self) -> bool {
-        self.ready.load(Ordering::Acquire)
     }
 }
 
-#[cfg(not(feature = "loom"))]
-pub use harness::*;
+impl ConcurrentConfig {
+    fn validate(&self) {
+        assert!(self.mutator_threads >= 1 && self.gc_workers >= 1);
+        assert!(
+            (self.sites as usize) < self.site_rows,
+            "sites must fit the table geometry without aliasing"
+        );
+        assert!((self.tss_values as usize) <= self.tss_rows);
+    }
+}
 
-/// The std-thread harness. Compiled out under `--features loom`, whose
-/// instrumented atomics only run inside `loom::model` (the loom job
-/// checks [`PublishSlot`] in isolation instead).
-#[cfg(not(feature = "loom"))]
-mod harness {
-    use super::*;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::AtomicUsize;
+/// One scheduled allocation: the context it goes through and how many
+/// GC pauses it survives.
+#[derive(Debug, Clone, Copy)]
+struct LiveObj {
+    context: u32,
+    age: u8,
+    dies_after: u8,
+}
 
-    use crate::geometry::{LifetimeTable, TableGeometry};
-    use crate::old_table::{merge_worker_tables, MergeSummary, OldTable, WorkerTable, AGE_COLUMNS};
-    use crate::shared_table::SharedOldTable;
+/// A mutator thread's allocation schedule for one epoch — a pure
+/// function of `(seed, thread, epoch)`, so the concurrent run and the
+/// single-threaded reference replay byte-identical workloads.
+fn thread_schedule(config: &ConcurrentConfig, thread: usize, epoch: usize) -> Vec<LiveObj> {
+    let mix = config
+        .seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((thread as u64) << 32)
+        .wrapping_add(epoch as u64);
+    let mut rng = StdRng::seed_from_u64(mix);
+    (0..config.allocs_per_thread_per_epoch)
+        .map(|_| LiveObj {
+            context: pack(rng.gen_range(1..=config.sites), rng.gen_range(0..config.tss_values)),
+            age: 0,
+            dies_after: rng.gen_range(0..=config.max_survivals),
+        })
+        .collect()
+}
 
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+/// The safepoint ledger for one epoch: what the mutators meant to
+/// record vs. what survived the unsynchronized increments (§7.6).
+#[derive(Debug, Clone, Copy)]
+pub struct EpochReconciliation {
+    /// Epoch index.
+    pub epoch: usize,
+    /// Σ of exact per-thread allocation counters.
+    pub intended: u64,
+    /// Age-0 counts that actually landed in the shared table.
+    pub recorded: u64,
+    /// `intended - recorded`: increments lost to the race.
+    pub lost: u64,
+}
 
-    use crate::context::pack;
+/// Everything a concurrent run produced.
+#[derive(Debug)]
+pub struct ConcurrentRunResult {
+    /// Final merged histograms, keyed by row key.
+    pub histograms: BTreeMap<u32, [u32; AGE_COLUMNS]>,
+    /// Per-epoch measured increment loss.
+    pub reconciliations: Vec<EpochReconciliation>,
+    /// Σ lost across epochs — the §7.6 deviation bound.
+    pub total_lost: u64,
+    /// Σ intended across epochs.
+    pub total_intended: u64,
+    /// Per-pause merge summaries (worker record counts).
+    pub merges: Vec<MergeSummary>,
+}
 
-    /// Shape of a concurrent profiling run.
-    #[derive(Debug, Clone)]
-    pub struct ConcurrentConfig {
-        /// Application (mutator) OS threads.
-        pub mutator_threads: usize,
-        /// GC worker OS threads per pause.
-        pub gc_workers: usize,
-        /// Mutator-phase + GC-pause rounds.
-        pub epochs: usize,
-        /// Allocations per mutator thread per epoch.
-        pub allocs_per_thread_per_epoch: usize,
-        /// Allocation-site ids drawn from `1..=sites`.
-        pub sites: u16,
-        /// Thread-stack-state values drawn from `0..tss_values`.
-        pub tss_values: u16,
-        /// Maximum GC pauses an object survives (`dies_after` is drawn
-        /// from `0..=max_survivals`).
-        pub max_survivals: u8,
-        /// Sites given private expansion blocks up front (so the run
-        /// exercises both aliased and expanded rows).
-        pub expand_sites: Vec<u16>,
-        /// Shared-table geometry (power of two; must exceed `sites` so
-        /// masking never aliases distinct sites).
-        pub site_rows: usize,
-        /// Expansion-block rows (power of two; must exceed `tss_values`).
-        pub tss_rows: usize,
-        /// Seed for the deterministic allocation schedules.
-        pub seed: u64,
+/// Runs the full concurrent pipeline on a [`SharedOldTable`]: real
+/// mutator threads, real GC worker threads, safepoint merges,
+/// per-epoch reconciliation.
+pub fn run_concurrent(config: &ConcurrentConfig) -> ConcurrentRunResult {
+    config.validate();
+    let mut table =
+        SharedOldTable::with_geometry(TableGeometry::new(config.site_rows, config.tss_rows));
+    for &site in &config.expand_sites {
+        table.expand_site(site);
     }
 
-    impl Default for ConcurrentConfig {
-        fn default() -> Self {
-            ConcurrentConfig {
-                mutator_threads: 4,
-                gc_workers: 4,
-                epochs: 8,
-                allocs_per_thread_per_epoch: 5_000,
-                sites: 200,
-                tss_values: 48,
-                max_survivals: 4,
-                expand_sites: vec![3, 7, 11],
-                site_rows: 1 << 10,
-                tss_rows: 64,
-                seed: 0xEC0_5E19,
-            }
-        }
-    }
+    let mut live: Vec<LiveObj> = Vec::new();
+    let mut reconciliations = Vec::new();
+    let mut merges = Vec::new();
+    let mut total_lost = 0u64;
+    let mut total_intended = 0u64;
+    let mut age0_baseline = 0u64;
 
-    impl ConcurrentConfig {
-        fn validate(&self) {
-            assert!(self.mutator_threads >= 1 && self.gc_workers >= 1);
-            assert!(
-                (self.sites as usize) < self.site_rows,
-                "sites must fit the table geometry without aliasing"
-            );
-            assert!((self.tss_values as usize) <= self.tss_rows);
-        }
-    }
-
-    /// One scheduled allocation: the context it goes through and how many
-    /// GC pauses it survives.
-    #[derive(Debug, Clone, Copy)]
-    struct LiveObj {
-        context: u32,
-        age: u8,
-        dies_after: u8,
-    }
-
-    /// A mutator thread's allocation schedule for one epoch — a pure
-    /// function of `(seed, thread, epoch)`, so the concurrent run and the
-    /// single-threaded reference replay byte-identical workloads.
-    fn thread_schedule(config: &ConcurrentConfig, thread: usize, epoch: usize) -> Vec<LiveObj> {
-        let mix = config
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((thread as u64) << 32)
-            .wrapping_add(epoch as u64);
-        let mut rng = StdRng::seed_from_u64(mix);
-        (0..config.allocs_per_thread_per_epoch)
-            .map(|_| LiveObj {
-                context: pack(rng.gen_range(1..=config.sites), rng.gen_range(0..config.tss_values)),
-                age: 0,
-                dies_after: rng.gen_range(0..=config.max_survivals),
-            })
-            .collect()
-    }
-
-    /// The safepoint ledger for one epoch: what the mutators meant to
-    /// record vs. what survived the unsynchronized increments (§7.6).
-    #[derive(Debug, Clone, Copy)]
-    pub struct EpochReconciliation {
-        /// Epoch index.
-        pub epoch: usize,
-        /// Σ of exact per-thread allocation counters.
-        pub intended: u64,
-        /// Age-0 counts that actually landed in the shared table.
-        pub recorded: u64,
-        /// `intended - recorded`: increments lost to the race.
-        pub lost: u64,
-    }
-
-    /// Everything a concurrent run produced.
-    #[derive(Debug)]
-    pub struct ConcurrentRunResult {
-        /// Final merged histograms, keyed by row key.
-        pub histograms: BTreeMap<u32, [u32; AGE_COLUMNS]>,
-        /// Per-epoch measured increment loss.
-        pub reconciliations: Vec<EpochReconciliation>,
-        /// Σ lost across epochs — the §7.6 deviation bound.
-        pub total_lost: u64,
-        /// Σ intended across epochs.
-        pub total_intended: u64,
-        /// Per-pause merge summaries (worker record counts).
-        pub merges: Vec<MergeSummary>,
-    }
-
-    /// Runs the full concurrent pipeline on a [`SharedOldTable`]: real
-    /// mutator threads, real GC worker threads, safepoint merges,
-    /// per-epoch reconciliation.
-    pub fn run_concurrent(config: &ConcurrentConfig) -> ConcurrentRunResult {
-        config.validate();
-        let mut table =
-            SharedOldTable::with_geometry(TableGeometry::new(config.site_rows, config.tss_rows));
-        for &site in &config.expand_sites {
-            table.expand_site(site);
-        }
-
-        let mut live: Vec<LiveObj> = Vec::new();
-        let mut reconciliations = Vec::new();
-        let mut merges = Vec::new();
-        let mut total_lost = 0u64;
-        let mut total_intended = 0u64;
-        let mut age0_baseline = 0u64;
-
-        for epoch in 0..config.epochs {
-            // Mutator phase: each thread replays its schedule with the
-            // racy age-0 increment and returns (allocations, exact tally).
-            // The scope join is the safepoint: it gives the coordinator a
-            // happens-before edge over every mutator store.
-            let per_thread: Vec<(Vec<LiveObj>, u64)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..config.mutator_threads)
-                    .map(|t| {
-                        let table = &table;
-                        s.spawn(move || {
-                            let schedule = thread_schedule(config, t, epoch);
-                            let mut exact = 0u64;
-                            for obj in &schedule {
-                                table.record_allocation(obj.context);
-                                exact += 1;
-                            }
-                            (schedule, exact)
-                        })
+    for epoch in 0..config.epochs {
+        // Mutator phase: each thread replays its schedule with the
+        // racy age-0 increment and returns (allocations, exact tally).
+        // The scope join is the safepoint: it gives the coordinator a
+        // happens-before edge over every mutator store.
+        let per_thread: Vec<(Vec<LiveObj>, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..config.mutator_threads)
+                .map(|t| {
+                    let table = &table;
+                    s.spawn(move || {
+                        let schedule = thread_schedule(config, t, epoch);
+                        let mut exact = 0u64;
+                        for obj in &schedule {
+                            table.record_allocation(obj.context);
+                            exact += 1;
+                        }
+                        (schedule, exact)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("mutator panicked")).collect()
-            });
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("mutator panicked")).collect()
+        });
 
-            // Reconciliation: exact tallies vs. what landed in age 0.
-            let intended: u64 = per_thread.iter().map(|(_, exact)| exact).sum();
-            let recorded = table.age0_total().saturating_sub(age0_baseline);
-            let lost = intended.saturating_sub(recorded);
-            reconciliations.push(EpochReconciliation { epoch, intended, recorded, lost });
-            total_lost += lost;
-            total_intended += intended;
+        // Reconciliation: exact tallies vs. what landed in age 0.
+        let intended: u64 = per_thread.iter().map(|(_, exact)| exact).sum();
+        let recorded = table.age0_total().saturating_sub(age0_baseline);
+        let lost = intended.saturating_sub(recorded);
+        reconciliations.push(EpochReconciliation { epoch, intended, recorded, lost });
+        total_lost += lost;
+        total_intended += intended;
 
-            // Deterministic live-list order: thread-index order.
-            for (schedule, _) in per_thread {
-                live.extend(schedule);
-            }
+        // Deterministic live-list order: thread-index order.
+        for (schedule, _) in per_thread {
+            live.extend(schedule);
+        }
 
-            // GC pause: workers claim chunks of the live list from a
-            // shared cursor, buffer survivals privately, and publish.
-            const CHUNK: usize = 256;
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<PublishSlot<WorkerTable>> =
-                (0..config.gc_workers).map(|_| PublishSlot::new()).collect();
-            std::thread::scope(|s| {
-                for slot in &slots {
+        // GC pause: workers claim chunks of the live list from a
+        // shared cursor and buffer survivals privately. The scope join
+        // hands every worker's table back to the coordinator.
+        const CHUNK: usize = 256;
+        let cursor = AtomicUsize::new(0);
+        let mut workers: Vec<WorkerTable> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..config.gc_workers)
+                .map(|_| {
                     let cursor = &cursor;
                     let live = &live;
                     s.spawn(move || {
                         let mut private = WorkerTable::new();
                         loop {
-                            let start =
-                                cursor.fetch_add(CHUNK, std::sync::atomic::Ordering::Relaxed);
+                            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
                             if start >= live.len() {
                                 break;
                             }
@@ -303,138 +234,128 @@ mod harness {
                                 }
                             }
                         }
-                        slot.publish(private);
-                    });
-                }
-            });
-
-            // Safepoint merge: take every worker's table through its
-            // publish slot, then apply all records sorted.
-            let mut workers: Vec<WorkerTable> = slots
-                .iter()
-                .map(|slot| loop {
-                    if let Some(table) = slot.try_take() {
-                        break table;
-                    }
-                    std::thread::yield_now();
+                        private
+                    })
                 })
                 .collect();
-            merges.push(merge_worker_tables(&mut workers, &mut table));
+            handles.into_iter().map(|h| h.join().expect("gc worker panicked")).collect()
+        });
 
-            // Advance survivor ages; drop the dead.
-            live.retain_mut(|obj| {
-                if obj.age < obj.dies_after {
-                    obj.age += 1;
-                    true
-                } else {
-                    false
-                }
-            });
-            age0_baseline = table.age0_total();
-        }
+        // Safepoint merge: apply all worker records sorted.
+        merges.push(merge_worker_tables(&mut workers, &mut table));
 
-        ConcurrentRunResult {
-            histograms: table.snapshot(),
-            reconciliations,
-            total_lost,
-            total_intended,
-            merges,
-        }
+        // Advance survivor ages; drop the dead.
+        live.retain_mut(|obj| {
+            if obj.age < obj.dies_after {
+                obj.age += 1;
+                true
+            } else {
+                false
+            }
+        });
+        age0_baseline = table.age0_total();
     }
 
-    /// Replays the identical schedules single-threaded on the exact
-    /// [`OldTable`] — the deterministic reference the §7.6 bound is
-    /// checked against. Survivor records still round-robin through
-    /// `gc_workers` private tables and go through the sorted merge, so
-    /// the only difference from [`run_concurrent`] is the absence of
-    /// races.
-    pub fn run_reference(config: &ConcurrentConfig) -> BTreeMap<u32, [u32; AGE_COLUMNS]> {
-        config.validate();
-        let mut table =
-            OldTable::with_geometry(TableGeometry::new(config.site_rows, config.tss_rows));
-        for &site in &config.expand_sites {
-            table.expand_site(site);
-        }
-        let mut live: Vec<LiveObj> = Vec::new();
-        for epoch in 0..config.epochs {
-            for t in 0..config.mutator_threads {
-                let schedule = thread_schedule(config, t, epoch);
-                for obj in &schedule {
-                    table.record_allocation(obj.context);
-                }
-                live.extend(schedule);
-            }
-            let mut workers = vec![WorkerTable::new(); config.gc_workers];
-            for (i, obj) in live.iter().enumerate() {
-                if obj.age < obj.dies_after {
-                    workers[i % config.gc_workers].record_survival(obj.context, obj.age);
-                }
-            }
-            merge_worker_tables(&mut workers, &mut table);
-            live.retain_mut(|obj| {
-                if obj.age < obj.dies_after {
-                    obj.age += 1;
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-        let mut out = BTreeMap::new();
-        for key in table.touched_rows() {
-            let h = table.histogram(key);
-            if h.iter().any(|&c| c != 0) {
-                out.insert(key, h);
-            }
-        }
-        out
-    }
-
-    /// How far a concurrent end-state drifted from the reference.
-    #[derive(Debug, Clone, Copy)]
-    pub struct DeviationReport {
-        /// Σ |reference − parallel| over all cells.
-        pub total_abs_dev: u64,
-        /// Cells where the parallel count *exceeds* the reference (must
-        /// be 0: lost increments can only remove counts).
-        pub cells_exceeding: u64,
-        /// Rows compared.
-        pub rows: usize,
-    }
-
-    impl DeviationReport {
-        /// The §7.6 acceptance check: parallel ≤ reference cellwise, and
-        /// total deviation within the measured increment loss.
-        pub fn within_bound(&self, lost: u64) -> bool {
-            self.cells_exceeding == 0 && self.total_abs_dev <= lost
-        }
-    }
-
-    /// Compares merged histograms cell by cell against the reference.
-    pub fn compare_to_reference(
-        parallel: &BTreeMap<u32, [u32; AGE_COLUMNS]>,
-        reference: &BTreeMap<u32, [u32; AGE_COLUMNS]>,
-    ) -> DeviationReport {
-        let mut keys: Vec<u32> = parallel.keys().chain(reference.keys()).copied().collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let zero = [0u32; AGE_COLUMNS];
-        let mut report = DeviationReport { total_abs_dev: 0, cells_exceeding: 0, rows: keys.len() };
-        for key in keys {
-            let p = parallel.get(&key).unwrap_or(&zero);
-            let r = reference.get(&key).unwrap_or(&zero);
-            for age in 0..AGE_COLUMNS {
-                report.total_abs_dev += u64::from(p[age].abs_diff(r[age]));
-                if p[age] > r[age] {
-                    report.cells_exceeding += 1;
-                }
-            }
-        }
-        report
+    ConcurrentRunResult {
+        histograms: table.snapshot(),
+        reconciliations,
+        total_lost,
+        total_intended,
+        merges,
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+/// Replays the identical schedules single-threaded on the exact
+/// [`OldTable`] — the deterministic reference the §7.6 bound is
+/// checked against. Survivor records still round-robin through
+/// `gc_workers` private tables and go through the sorted merge, so
+/// the only difference from [`run_concurrent`] is the absence of
+/// races.
+pub fn run_reference(config: &ConcurrentConfig) -> BTreeMap<u32, [u32; AGE_COLUMNS]> {
+    config.validate();
+    let mut table = OldTable::with_geometry(TableGeometry::new(config.site_rows, config.tss_rows));
+    for &site in &config.expand_sites {
+        table.expand_site(site);
+    }
+    let mut live: Vec<LiveObj> = Vec::new();
+    for epoch in 0..config.epochs {
+        for t in 0..config.mutator_threads {
+            let schedule = thread_schedule(config, t, epoch);
+            for obj in &schedule {
+                table.record_allocation(obj.context);
+            }
+            live.extend(schedule);
+        }
+        let mut workers = vec![WorkerTable::new(); config.gc_workers];
+        for (i, obj) in live.iter().enumerate() {
+            if obj.age < obj.dies_after {
+                workers[i % config.gc_workers].record_survival(obj.context, obj.age);
+            }
+        }
+        merge_worker_tables(&mut workers, &mut table);
+        live.retain_mut(|obj| {
+            if obj.age < obj.dies_after {
+                obj.age += 1;
+                true
+            } else {
+                false
+            }
+        });
+    }
+    let mut out = BTreeMap::new();
+    for key in table.touched_rows() {
+        let h = table.histogram(key);
+        if h.iter().any(|&c| c != 0) {
+            out.insert(key, h);
+        }
+    }
+    out
+}
+
+/// How far a concurrent end-state drifted from the reference.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviationReport {
+    /// Σ |reference − parallel| over all cells.
+    pub total_abs_dev: u64,
+    /// Cells where the parallel count *exceeds* the reference (must
+    /// be 0: lost increments can only remove counts).
+    pub cells_exceeding: u64,
+    /// Rows compared.
+    pub rows: usize,
+}
+
+impl DeviationReport {
+    /// The §7.6 acceptance check: parallel ≤ reference cellwise, and
+    /// total deviation within the measured increment loss.
+    pub fn within_bound(&self, lost: u64) -> bool {
+        self.cells_exceeding == 0 && self.total_abs_dev <= lost
+    }
+}
+
+/// Compares merged histograms cell by cell against the reference.
+pub fn compare_to_reference(
+    parallel: &BTreeMap<u32, [u32; AGE_COLUMNS]>,
+    reference: &BTreeMap<u32, [u32; AGE_COLUMNS]>,
+) -> DeviationReport {
+    let mut keys: Vec<u32> = parallel.keys().chain(reference.keys()).copied().collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let zero = [0u32; AGE_COLUMNS];
+    let mut report = DeviationReport { total_abs_dev: 0, cells_exceeding: 0, rows: keys.len() };
+    for key in keys {
+        let p = parallel.get(&key).unwrap_or(&zero);
+        let r = reference.get(&key).unwrap_or(&zero);
+        for age in 0..AGE_COLUMNS {
+            report.total_abs_dev += u64::from(p[age].abs_diff(r[age]));
+            if p[age] > r[age] {
+                report.cells_exceeding += 1;
+            }
+        }
+    }
+    report
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -446,36 +367,6 @@ mod tests {
             allocs_per_thread_per_epoch: 2_000,
             ..ConcurrentConfig::default()
         }
-    }
-
-    #[test]
-    fn publish_slot_hands_off_and_resets() {
-        let slot = PublishSlot::new();
-        assert!(slot.try_take().is_none());
-        slot.publish(41u32);
-        assert!(slot.is_ready());
-        assert_eq!(slot.try_take(), Some(41));
-        assert!(!slot.is_ready());
-        assert!(slot.try_take().is_none());
-        slot.publish(42);
-        assert_eq!(slot.try_take(), Some(42));
-    }
-
-    #[test]
-    fn publish_slot_transfers_across_threads() {
-        let slot = std::sync::Arc::new(PublishSlot::new());
-        let producer = {
-            let slot = std::sync::Arc::clone(&slot);
-            std::thread::spawn(move || slot.publish(vec![1u32, 2, 3]))
-        };
-        let got = loop {
-            if let Some(v) = slot.try_take() {
-                break v;
-            }
-            std::thread::yield_now();
-        };
-        producer.join().unwrap();
-        assert_eq!(got, vec![1, 2, 3]);
     }
 
     #[test]

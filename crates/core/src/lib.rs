@@ -23,8 +23,9 @@
 //!   threads in the [`concurrent`] harness.
 //! - [`fleet`] — multi-runtime profile aggregation: confidence-weighted
 //!   consensus over `rolp-profile-v1` exports.
-//! - [`concurrent`] — mutator/GC-worker thread harness, safepoint merge
-//!   protocol, measured-loss reconciliation (§5.2, §7.6).
+//! - [`concurrent`] — mutator/GC-worker OS-thread harness: worker tables
+//!   handed back at the scope join, sorted safepoint merge,
+//!   measured-loss reconciliation (§5.2, §7.6).
 //! - [`inference`] — lifetime inference, conflict detection (§4), and the
 //!   pure [`learn`] step (upward merge, §6 demotion).
 //! - [`conflicts`] — the call-site-enabling conflict resolver (§5).
@@ -92,10 +93,8 @@ pub mod report;
 pub mod runtime;
 pub mod shared_table;
 pub mod survivor;
-pub mod sync_compat;
 pub mod warm_start;
 
-pub use concurrent::PublishSlot;
 pub use conflicts::{
     worst_case_resolution_time_ms, ConflictConfig, ConflictResolver, ConflictStats,
 };

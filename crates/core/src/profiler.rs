@@ -27,9 +27,9 @@
 //!    the verdicts into the decision working set and applies §6 demotion,
 //!    and [`crate::warm_start`] decays imported priors on live evidence.
 //! 5. **publish** — compile the working set into an immutable, versioned
-//!    `DecisionTable` snapshot and atomically swap it into the shared
-//!    [`DecisionStore`], where the mutator allocation path and the GC's
-//!    pretenuring placement read it lock-free.
+//!    `DecisionTable` snapshot and replace the current table of the
+//!    shared [`DecisionStore`], where the mutator allocation path and the
+//!    GC's pretenuring placement read it.
 //!
 //! The overhead governor and fault injection (`governor::Policy`) meter
 //! each epoch before stage 3 and gate the hooks in between.
@@ -39,7 +39,7 @@
 //! never observe a half-updated epoch.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rolp_gc::{GcCycleInfo, GcHooks};
 use rolp_heap::{ObjectHeader, RegionKind};
@@ -233,8 +233,8 @@ pub struct RolpProfiler<T: LifetimeTable = OldTable> {
     /// generation). Safepoint-side only; readers use the published
     /// snapshot in [`RolpProfiler::decision_store`].
     decisions: BTreeMap<u32, u8>,
-    /// The lock-free publication point for decision snapshots.
-    store: Arc<DecisionStore>,
+    /// The publication point for decision snapshots.
+    store: Rc<DecisionStore>,
     survivor: SurvivorTracking,
     /// Profile id → allocation site (for leak reports and diagnostics).
     pub(crate) pid_to_site: HashMap<u16, AllocSiteId>,
@@ -275,7 +275,7 @@ impl RolpProfiler {
             workers: (0..config.gc_workers.max(1)).map(|_| WorkerTable::new()).collect(),
             resolver: ConflictResolver::new(config.conflict.clone(), config.seed),
             decisions: BTreeMap::new(),
-            store: Arc::new(store),
+            store: Rc::new(store),
             survivor: SurvivorTracking::new(),
             pid_to_site: HashMap::new(),
             liveness_history: VecDeque::new(),
@@ -322,11 +322,11 @@ impl RolpProfiler {
     }
 
     /// The shared publication point for decision snapshots: the mutator
-    /// allocation path and the GC's pretenuring placement read it
-    /// lock-free; this profiler publishes a new version at the end of
-    /// each inference epoch (and on offline warm starts).
-    pub fn decision_store(&self) -> Arc<DecisionStore> {
-        Arc::clone(&self.store)
+    /// allocation path and the GC's pretenuring placement read it; this
+    /// profiler publishes a new version at the end of each inference
+    /// epoch (and on offline warm starts).
+    pub fn decision_store(&self) -> Rc<DecisionStore> {
+        Rc::clone(&self.store)
     }
 
     /// Counter snapshot; `jit`/`program` provide the site denominators.
@@ -393,7 +393,7 @@ impl RolpProfiler {
     }
 
     /// Pipeline stage 5: compile the working set into the next immutable
-    /// snapshot and atomically publish it. Returns `(version,
+    /// snapshot and publish it. Returns `(version,
     /// changed_rows)`. Probationary imported rows are published
     /// canary-flagged (unless blending is off), so the allocation fast
     /// path keeps a small young-generation sample flowing for the blend
@@ -410,7 +410,7 @@ impl RolpProfiler {
         };
         let blend = self.config.blend;
         let warm = &self.warm;
-        let next = DecisionTable::next_from_blended(self.store.load(), rows, expanded, |key| {
+        let next = DecisionTable::next_from_blended(&self.store.load(), rows, expanded, |key| {
             blend && warm.is_probationary(key, rows)
         });
         let changed = next.changed_rows();
@@ -684,8 +684,8 @@ impl VmProfiler for RolpProfiler {
 
 impl GcHooks for RolpProfiler {
     fn advise(&self, context: u32) -> Option<u8> {
-        // One lock-free read of the published snapshot — the same data
-        // plane the mutator fast path uses.
+        // One read of the published snapshot — the same data plane the
+        // mutator fast path uses.
         self.store.load().advise(context)
     }
 
@@ -937,7 +937,7 @@ mod tests {
         assert_eq!(store.load().advise(pack(1, 0)), None);
 
         // A mutator pins the pre-epoch snapshot...
-        let held = store.snapshot();
+        let held = store.load();
         drive_hot(&mut p, &mut env, 1..=16, 1);
 
         // ...the epoch published version 1 with the new decision...

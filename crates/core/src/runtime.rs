@@ -217,9 +217,9 @@ impl JvmRuntime {
             CollectorKind::RolpNg2c => {
                 let mut prof = RolpProfiler::new(config.rolp.clone());
                 prof.set_trace_logging(config.trace_enabled);
-                // One decision plane: the same Arc-swapped snapshot store
-                // feeds the mutator allocation fast path (via `env`) and
-                // the GC's promotion placement (via the collector).
+                // One decision plane: the same snapshot store feeds the
+                // mutator allocation fast path (via `env`) and the GC's
+                // promotion placement (via the collector).
                 let store = prof.decision_store();
                 env.decisions = Some(store.clone());
                 let rolp = Rc::new(RefCell::new(prof));
@@ -299,14 +299,14 @@ impl JvmRuntime {
 
     /// Aggregates every thread's metric cells at the current simulated
     /// time and publishes the result as the next immutable
-    /// [`rolp_telemetry::MetricsSnapshot`] (lock-free for readers).
+    /// [`rolp_telemetry::MetricsSnapshot`].
     /// Returns the published snapshot. Drivers call this at their
     /// reporting cadence; [`JvmRuntime::report`] publishes a final one.
     pub fn publish_metrics(&mut self) -> std::sync::Arc<rolp_telemetry::MetricsSnapshot> {
         let env = &self.vm.env;
         let registry = env.telemetry.registry();
         registry.publish(env.clock.now().as_nanos());
-        registry.store().snapshot()
+        registry.store().load()
     }
 
     /// Builds the end-of-run report (publishes a final metrics

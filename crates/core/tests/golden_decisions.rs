@@ -68,7 +68,7 @@ fn run(threads: u32) -> Published {
 
     let profiler = rt.profiler.as_ref().expect("rolp collector has a profiler");
     let p = profiler.borrow();
-    let snapshot = p.decision_store().snapshot();
+    let snapshot = p.decision_store().load();
     (snapshot.version(), snapshot.digest(), snapshot.iter().collect(), p.inferences())
 }
 

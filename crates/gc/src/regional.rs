@@ -20,7 +20,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use rolp_heap::{AllocFailure, ObjectRef, RegionId, RegionKind, SpaceKind, TlabAlloc};
 use rolp_metrics::{PauseKind, SimTime};
@@ -94,7 +93,7 @@ pub struct RegionalStats {
 pub struct RegionalCollector {
     config: RegionalConfig,
     hooks: Rc<RefCell<dyn GcHooks>>,
-    decisions: Option<Arc<DecisionStore>>,
+    decisions: Option<Rc<DecisionStore>>,
     cycles: u64,
     mixed_remaining: usize,
     liveness_fresh: bool,
@@ -140,9 +139,9 @@ impl RegionalCollector {
 
     /// Attaches the profiler's published [`DecisionStore`]. Evacuation
     /// then routes promoted survivors straight to their advised dynamic
-    /// generation by reading the current snapshot lock-free (the same
-    /// table the allocation fast path indexes).
-    pub fn set_decision_store(&mut self, store: Arc<DecisionStore>) {
+    /// generation by reading the current snapshot (the same table the
+    /// allocation fast path indexes).
+    pub fn set_decision_store(&mut self, store: Rc<DecisionStore>) {
         self.decisions = Some(store);
     }
 

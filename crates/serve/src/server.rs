@@ -313,7 +313,7 @@ pub fn serve_with(
             tel.bump(CounterId::ServeSloMisses, 1);
         }
 
-        // Decision timeline: one atomic load per request.
+        // Decision timeline: one store load per request.
         if let Some(store) = rt.vm.env.decisions.as_ref() {
             let table = store.load();
             let version = table.version();

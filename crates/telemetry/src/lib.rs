@@ -9,7 +9,7 @@
 //! self-observed profiler overhead is a first-class live metric the
 //! overhead governor can act on.
 //!
-//! The design mirrors the decision-table plane:
+//! The design:
 //!
 //! - **Per-thread cells** ([`ThreadCells`]): plain relaxed atomics —
 //!   time-per-bucket counters, event counters, and log-bucketed latency
@@ -18,10 +18,10 @@
 //! - **Safepoint aggregation**: [`Registry::publish`] sums the cells
 //!   into an immutable, versioned [`MetricsSnapshot`] (histogram cells
 //!   convert losslessly via `Histogram::from_bucket_counts`).
-//! - **Atomic-pointer publication** ([`SnapshotStore`]): the same
-//!   publish/load discipline as `rolp_vm::DecisionStore` — readers take
-//!   one `Acquire` load; every published snapshot is retained so a
-//!   pointer from any epoch stays dereferenceable.
+//! - **Publication** ([`SnapshotStore`]): every published snapshot is
+//!   kept in order behind one mutex (the `--metrics-out` stream and the
+//!   crash guard read the whole history); the current snapshot is the
+//!   last, handed out as an `Arc` a reader may hold across publishes.
 //! - **RAII attribution spans** ([`Telemetry::span`]): a guard swaps the
 //!   thread's *current bucket*; whatever the run charges while the guard
 //!   lives lands in that bucket. Guards nest, restore on drop, and cost

@@ -103,7 +103,7 @@ impl Registry {
         self.store.publish(snapshot)
     }
 
-    /// The snapshot store (lock-free read side).
+    /// The snapshot store.
     pub fn store(&self) -> &SnapshotStore {
         &self.store
     }
@@ -115,7 +115,7 @@ impl Default for Registry {
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,19 +1,11 @@
 //! Immutable, versioned metric snapshots and their publication point.
 //!
 //! [`MetricsSnapshot`] is the aggregation of every registered thread's
-//! cells at one safepoint. [`SnapshotStore`] publishes snapshots with
-//! the same discipline as `rolp_vm::DecisionStore`: an atomic pointer
-//! swap with `Release` ordering, every published snapshot retained in an
-//! epoch history so a reader holding a pointer from any epoch still
-//! dereferences valid memory, and a lock-free `Acquire`-load read side.
+//! cells at one safepoint. [`SnapshotStore`] keeps every published
+//! snapshot in order; the current one is the last.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
-
-#[cfg(feature = "loom")]
-use loom::sync::atomic::{AtomicPtr, Ordering};
-#[cfg(not(feature = "loom"))]
-use std::sync::atomic::{AtomicPtr, Ordering};
 
 use rolp_metrics::Histogram;
 use rolp_trace::json::JsonObject;
@@ -198,61 +190,31 @@ impl MetricsSnapshot {
     }
 }
 
-/// The publication point for [`MetricsSnapshot`]s.
-///
-/// `load` is lock-free: one `Acquire` pointer load. `publish`
-/// (safepoint-side, window cadence) swaps the pointer and retains the
-/// snapshot in the history so earlier pointers stay dereferenceable for
-/// the store's lifetime — the same protocol as the decision store.
+/// The publication point for [`MetricsSnapshot`]s: every published
+/// snapshot, oldest first. The history is what `--metrics-out` and the
+/// crash guard export, so it is kept whole; the current snapshot is its
+/// last entry.
 pub struct SnapshotStore {
-    current: AtomicPtr<MetricsSnapshot>,
-    /// Every published snapshot, oldest first. One entry per publication
-    /// window — bounded by run length, and what makes `load`'s borrowed
-    /// return sound.
     history: Mutex<Vec<Arc<MetricsSnapshot>>>,
 }
 
 impl SnapshotStore {
     /// A store holding the empty version-0 snapshot.
     pub fn new() -> Self {
-        let initial = Arc::new(MetricsSnapshot::empty());
-        let ptr = Arc::as_ptr(&initial) as *mut MetricsSnapshot;
-        SnapshotStore { current: AtomicPtr::new(ptr), history: Mutex::new(vec![initial]) }
+        SnapshotStore { history: Mutex::new(vec![Arc::new(MetricsSnapshot::empty())]) }
     }
 
-    /// The current snapshot — the lock-free read side.
-    #[inline]
-    pub fn load(&self) -> &MetricsSnapshot {
-        let ptr = self.current.load(Ordering::Acquire);
-        // SAFETY: `ptr` was derived from an `Arc<MetricsSnapshot>` that
-        // is retained in `history` until the store itself drops, so it
-        // is valid for `&self`'s lifetime; the pointee is immutable
-        // after publication.
-        unsafe { &*ptr }
-    }
-
-    /// An owned handle to the current snapshot. May be held across
-    /// publishes; keeps reading a consistent (old) version.
-    pub fn snapshot(&self) -> Arc<MetricsSnapshot> {
-        let ptr = self.current.load(Ordering::Acquire);
+    /// The current snapshot. May be held across publishes; keeps reading
+    /// a consistent (old) version.
+    pub fn load(&self) -> Arc<MetricsSnapshot> {
         let history = self.history.lock().expect("snapshot history poisoned");
-        history
-            .iter()
-            .rev()
-            .find(|s| std::ptr::eq(Arc::as_ptr(s), ptr))
-            .cloned()
-            .unwrap_or_else(|| history.last().expect("history never empty").clone())
+        Arc::clone(history.last().expect("history never empty"))
     }
 
     /// Publishes `snapshot` as the new current one. Returns its version.
     pub fn publish(&self, snapshot: MetricsSnapshot) -> u64 {
         let version = snapshot.version();
-        let arc = Arc::new(snapshot);
-        let ptr = Arc::as_ptr(&arc) as *mut MetricsSnapshot;
-        // Retain before the swap so no reader can observe a pointer
-        // whose backing allocation is not yet anchored in the history.
-        self.history.lock().expect("snapshot history poisoned").push(arc);
-        self.current.store(ptr, Ordering::Release);
+        self.history.lock().expect("snapshot history poisoned").push(Arc::new(snapshot));
         version
     }
 
@@ -280,12 +242,7 @@ impl fmt::Debug for SnapshotStore {
     }
 }
 
-// SAFETY: published snapshots are immutable; `current` and the history
-// mutex guard all shared mutation.
-unsafe impl Send for SnapshotStore {}
-unsafe impl Sync for SnapshotStore {}
-
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use rolp_trace::json::parse_flat_object;
@@ -373,7 +330,7 @@ mod tests {
         let mut v1 = sample();
         v1.version = 1;
         store.publish(v1);
-        let held = store.snapshot();
+        let held = store.load();
         assert_eq!(held.version(), 1);
 
         let mut v2 = MetricsSnapshot::empty();

@@ -1,37 +1,30 @@
-//! Lock-free pretenuring-decision snapshots.
+//! Pretenuring-decision snapshots.
 //!
 //! ROLP's inference runs at safepoints, but its *decisions* are consumed
 //! on the allocation fast path — the one place the paper insists must
 //! stay at "negligible overhead" (§3.2, §8.3). This module gives the
 //! decisions the same shape HotSpot would: an immutable, versioned
 //! [`DecisionTable`] (a flat byte array indexed by the decision row key)
-//! published once per inference epoch via an atomic pointer swap on a
-//! [`DecisionStore`], and read with a single `Acquire` load plus one
-//! bounds-checked array index. No hashing, no locks, no reference-count
-//! traffic on the hot path.
+//! published once per inference epoch on a [`DecisionStore`], and read
+//! with one bounds-checked array index. No hashing and no locks on the
+//! hot path.
 //!
-//! Publication protocol:
+//! Every guest thread runs on the runtime's one OS thread, so the store
+//! is plain single-threaded ownership:
 //!
 //! 1. The profiler builds a fresh `DecisionTable` from its working
-//!    estimates (safepoint-side, no readers racing the build).
-//! 2. [`DecisionStore::publish`] swaps the current-table pointer with
-//!    `Release` ordering. Every table ever published is retained in an
-//!    epoch history (bounded: one entry per inference epoch), so a
-//!    reader holding a pointer from *any* epoch still dereferences valid
-//!    memory — the immutable-snapshot analogue of an RCU grace period.
-//! 3. Readers ([`DecisionStore::load`]) take one `Acquire` load and
-//!    index the snapshot. A mutator holding an older [`Arc`] snapshot
-//!    (via [`DecisionStore::snapshot`]) across a publish keeps reading
-//!    its consistent old version; the next load observes the new one.
+//!    estimates at a safepoint.
+//! 2. [`DecisionStore::publish`] replaces the current table and bumps the
+//!    store's version. The previous table is freed as soon as its last
+//!    holder lets go; nothing keeps a history.
+//! 3. [`DecisionStore::load`] hands out an [`Rc`] to the current table.
+//!    A holder keeps reading its consistent old version across a
+//!    publish; the next load observes the new one.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
-
-#[cfg(feature = "loom")]
-use loom::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-#[cfg(not(feature = "loom"))]
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::rc::Rc;
 
 /// Slot value meaning "no decision for this site".
 const NO_DECISION: u8 = 0;
@@ -206,8 +199,8 @@ impl DecisionTable {
         Self::decode_slot(self.resolve_slot(context), tick)
     }
 
-    /// The raw encoded slot byte for `context` ([`NO_DECISION`] when the
-    /// table holds nothing for it) — the context-dependent, cacheable
+    /// The raw encoded slot byte for `context` (`0` when the table holds
+    /// nothing for it) — the context-dependent, cacheable
     /// half of [`advise_for_alloc`](Self::advise_for_alloc). The byte is
     /// what a [`DecisionCache`] stores, so canary rows keep their flag
     /// and sample per allocation even when served from the cache.
@@ -324,24 +317,12 @@ impl DecisionTable {
 
 /// The publication point for [`DecisionTable`] snapshots.
 ///
-/// `load` is the allocation fast path: one `Acquire` pointer load, no
-/// locks, no reference-count traffic. `publish` (safepoint-side, rare)
-/// swaps the pointer and retains the new table in the epoch history so
-/// earlier pointers stay dereferenceable for the store's lifetime.
+/// `load` hands out the current table; `publish` (safepoint-side, once
+/// per inference epoch) replaces it. The version is kept beside the
+/// table so [`DecisionCache`] validates an entry without touching it.
 pub struct DecisionStore {
-    current: AtomicPtr<DecisionTable>,
-    /// The latest published version, stored *after* the pointer swap.
-    /// Per-thread [`DecisionCache`]s validate entries against this one
-    /// word instead of dereferencing the table: because the hint trails
-    /// the pointer, a hint equal to a cached entry's version proves the
-    /// entry came from the current table or its immediate predecessor
-    /// mid-publish — never anything older (the micro-cache's staleness
-    /// bound, model-checked in `tests/loom_microcache.rs`).
-    version_hint: AtomicU64,
-    /// Every published snapshot, oldest first. One entry per inference
-    /// epoch — bounded by run length, and what makes `load`'s borrowed
-    /// return sound.
-    history: Mutex<Vec<Arc<DecisionTable>>>,
+    current: RefCell<Rc<DecisionTable>>,
+    version: Cell<u64>,
 }
 
 impl DecisionStore {
@@ -352,73 +333,29 @@ impl DecisionStore {
 
     /// A store seeded with a specific initial table (scaled geometries).
     pub fn with_initial(table: DecisionTable) -> Self {
-        let version = table.version();
-        let initial = Arc::new(table);
-        let ptr = Arc::as_ptr(&initial) as *mut DecisionTable;
-        DecisionStore {
-            current: AtomicPtr::new(ptr),
-            version_hint: AtomicU64::new(version),
-            history: Mutex::new(vec![initial]),
-        }
+        DecisionStore { version: Cell::new(table.version()), current: RefCell::new(Rc::new(table)) }
     }
 
-    /// The current snapshot — the lock-free read side.
+    /// The current snapshot. A holder may keep it across publishes and
+    /// keep reading a consistent (old) version.
     #[inline]
-    pub fn load(&self) -> &DecisionTable {
-        let ptr = self.current.load(Ordering::Acquire);
-        // SAFETY: `ptr` was derived from an `Arc<DecisionTable>` that is
-        // retained in `history` until the store itself drops, so it is
-        // valid for `&self`'s lifetime; the pointee is immutable after
-        // publication.
-        unsafe { &*ptr }
-    }
-
-    /// An owned handle to the current snapshot. A mutator may hold this
-    /// across publishes and keep reading a consistent (old) version.
-    pub fn snapshot(&self) -> Arc<DecisionTable> {
-        let ptr = self.current.load(Ordering::Acquire);
-        let history = self.history.lock().expect("decision history poisoned");
-        history
-            .iter()
-            .rev()
-            .find(|t| std::ptr::eq(Arc::as_ptr(t), ptr))
-            .cloned()
-            .unwrap_or_else(|| history.last().expect("history never empty").clone())
+    pub fn load(&self) -> Rc<DecisionTable> {
+        Rc::clone(&self.current.borrow())
     }
 
     /// Publishes `table` as the new current snapshot (safepoint-side).
     /// Returns its version.
     pub fn publish(&self, table: DecisionTable) -> u64 {
         let version = table.version();
-        let arc = Arc::new(table);
-        let ptr = Arc::as_ptr(&arc) as *mut DecisionTable;
-        // Retain before the swap so no reader can observe a pointer whose
-        // backing allocation is not yet anchored in the history.
-        self.history.lock().expect("decision history poisoned").push(arc);
-        self.current.store(ptr, Ordering::Release);
-        // The hint trails the pointer: a cache hit validated against it
-        // can therefore never be newer than the current table, and never
-        // older than its immediate predecessor.
-        self.version_hint.store(version, Ordering::Release);
+        *self.current.borrow_mut() = Rc::new(table);
+        self.version.set(version);
         version
     }
 
-    /// The micro-cache validation word (see the field docs). Cheaper than
-    /// `load().version()`: no pointer dereference, so the common repeat-
-    /// site allocation touches exactly one shared cache line.
-    #[inline]
-    pub fn version_hint(&self) -> u64 {
-        self.version_hint.load(Ordering::Acquire)
-    }
-
     /// The current snapshot's version.
+    #[inline]
     pub fn version(&self) -> u64 {
-        self.load().version()
-    }
-
-    /// Snapshots published so far (including the initial empty table).
-    pub fn epochs(&self) -> usize {
-        self.history.lock().expect("decision history poisoned").len()
+        self.version.get()
     }
 }
 
@@ -437,11 +374,6 @@ impl fmt::Debug for DecisionStore {
     }
 }
 
-// SAFETY: published tables are immutable; `current` and the history
-// mutex guard all shared mutation.
-unsafe impl Send for DecisionStore {}
-unsafe impl Sync for DecisionStore {}
-
 /// Slots in a [`DecisionCache`] (direct-mapped, power of two).
 const MICRO_CACHE_SLOTS: usize = 64;
 
@@ -456,12 +388,12 @@ struct CacheEntry {
 }
 
 /// A per-thread decision micro-cache: the repeat-site allocation fast
-/// path. A hit costs one `Acquire` load of the store's version hint and
-/// one private array index — it skips the table-pointer dereference and
-/// the site/expanded-block walk entirely. Entries are validated against
-/// the hint, so a snapshot publish invalidates the whole cache implicitly
-/// (the hint moves) without the publisher knowing any thread's cache
-/// exists.
+/// path. A hit costs one read of the store's version and one private
+/// array index — it skips the table dereference and the
+/// site/expanded-block walk entirely. An entry is valid only while its
+/// version equals the store's, so a snapshot publish invalidates the
+/// whole cache implicitly without the publisher knowing any thread's
+/// cache exists.
 ///
 /// The cached byte is the *encoded* slot ([`DecisionTable::resolve_slot`]);
 /// decoding (canary sampling included) runs per allocation through the
@@ -494,7 +426,7 @@ impl DecisionCache {
     }
 
     /// [`DecisionTable::advise_for_alloc`] through the cache: identical
-    /// answers, one shared `Acquire` load instead of two on a hit.
+    /// answers, and a hit never touches the table.
     #[inline]
     pub fn advise_for_alloc(
         &mut self,
@@ -502,21 +434,15 @@ impl DecisionCache {
         context: u32,
         tick: u32,
     ) -> Option<u8> {
-        let hint = store.version_hint();
+        let version = store.version();
         let entry = &mut self.entries[Self::slot_of(context)];
-        if entry.context == context && entry.version == hint {
+        if entry.context == context && entry.version == version {
             self.hits += 1;
             return DecisionTable::decode_slot(entry.encoded, tick);
         }
         self.misses += 1;
-        let table = store.load();
-        let encoded = table.resolve_slot(context);
-        // Tag with the version the byte actually came from. If a publish
-        // raced between the hint read and the load, this is newer than
-        // `hint` and the entry stays dormant until the hint catches up —
-        // it can never validate against an *older* hint, because the hint
-        // never goes backwards.
-        *entry = CacheEntry { context, version: table.version(), encoded };
+        let encoded = store.current.borrow().resolve_slot(context);
+        *entry = CacheEntry { context, version, encoded };
         DecisionTable::decode_slot(encoded, tick)
     }
 
@@ -535,7 +461,7 @@ impl Default for DecisionCache {
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -681,7 +607,7 @@ mod tests {
     fn micro_cache_answers_match_the_direct_path() {
         let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(64, 16));
         let v1 = DecisionTable::next_from_blended(
-            store.load(),
+            &store.load(),
             &rows(&[(5 << 16, 3), (9 << 16, 1)]),
             [],
             |key| key == 5 << 16,
@@ -711,9 +637,9 @@ mod tests {
         let mut cache = DecisionCache::new();
         let context = 4 << 16;
         assert_eq!(cache.advise_for_alloc(&store, context, 1), None);
-        let v1 = DecisionTable::next_from(store.load(), &rows(&[(context, 11)]), []);
+        let v1 = DecisionTable::next_from(&store.load(), &rows(&[(context, 11)]), []);
         store.publish(v1);
-        // The stale entry must not answer: the hint moved.
+        // The stale entry must not answer: the store version moved.
         assert_eq!(cache.advise_for_alloc(&store, context, 1), Some(11));
         let (hits, misses) = cache.take_counters();
         assert_eq!((hits, misses), (0, 2), "both reads crossed a version");
@@ -726,25 +652,24 @@ mod tests {
     fn store_publish_bumps_version_and_load_sees_it() {
         let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(64, 16));
         assert_eq!(store.version(), 0);
-        let next = DecisionTable::next_from(store.load(), &rows(&[(9 << 16, 4)]), []);
+        let next = DecisionTable::next_from(&store.load(), &rows(&[(9 << 16, 4)]), []);
         assert_eq!(store.publish(next), 1);
         assert_eq!(store.version(), 1);
         assert_eq!(store.load().advise(9 << 16), Some(4));
-        assert_eq!(store.epochs(), 2);
     }
 
     #[test]
     fn old_snapshot_stays_consistent_across_a_publish() {
         let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(64, 16));
-        let v1 = DecisionTable::next_from(store.load(), &rows(&[(1 << 16, 2)]), []);
+        let v1 = DecisionTable::next_from(&store.load(), &rows(&[(1 << 16, 2)]), []);
         store.publish(v1);
 
         // The mutator grabs its epoch snapshot...
-        let held = store.snapshot();
+        let held = store.load();
         assert_eq!(held.version(), 1);
 
         // ...a publish lands while it is held...
-        let v2 = DecisionTable::next_from(store.load(), &rows(&[(1 << 16, 9)]), []);
+        let v2 = DecisionTable::next_from(&store.load(), &rows(&[(1 << 16, 9)]), []);
         store.publish(v2);
 
         // ...the held snapshot still reads version-1 decisions, while the
@@ -756,30 +681,12 @@ mod tests {
     }
 
     #[test]
-    fn loads_across_threads_see_published_tables() {
-        let store = std::sync::Arc::new(DecisionStore::with_initial(
-            DecisionTable::empty_with_geometry(64, 16),
-        ));
-        let reader = {
-            let store = std::sync::Arc::clone(&store);
-            std::thread::spawn(move || {
-                // Spin until the publish is visible; every observed table
-                // must be internally consistent (version matches payload).
-                loop {
-                    let t = store.load();
-                    match t.version() {
-                        0 => assert_eq!(t.advise(4 << 16), None),
-                        v => {
-                            assert_eq!(t.advise(4 << 16), Some(11));
-                            break v;
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-            })
-        };
-        let next = DecisionTable::next_from(store.load(), &rows(&[(4 << 16, 11)]), []);
-        store.publish(next);
-        assert_eq!(reader.join().expect("reader"), 1);
+    fn store_retains_only_the_current_table() {
+        let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(64, 16));
+        let v0 = Rc::downgrade(&store.load());
+        let v1 = DecisionTable::next_from(&store.load(), &rows(&[(2 << 16, 5)]), []);
+        store.publish(v1);
+        assert!(v0.upgrade().is_none(), "a replaced table is freed once no holder remains");
+        assert_eq!(store.load().version(), 1);
     }
 }

@@ -7,7 +7,6 @@
 //! walks).
 
 use std::rc::Rc;
-use std::sync::Arc;
 
 use rolp_heap::Heap;
 use rolp_metrics::{MemoryTracker, PauseRecorder, SimClock, Throughput};
@@ -51,9 +50,9 @@ pub struct VmEnv {
     pub telemetry: Telemetry,
     /// Published pretenuring decisions. When set, the allocation fast
     /// path resolves each profiled allocation's target generation with a
-    /// single lock-free read of the current [`crate::DecisionTable`]
-    /// snapshot (no profiler borrow, no hash lookup).
-    pub decisions: Option<Arc<DecisionStore>>,
+    /// single index into the current [`crate::DecisionTable`] snapshot
+    /// (no profiler borrow, no hash lookup).
+    pub decisions: Option<Rc<DecisionStore>>,
     /// Routes decision reads through each thread's
     /// [`crate::DecisionCache`] (on by default). Off, every profiled
     /// allocation loads the table — the reference path the differential

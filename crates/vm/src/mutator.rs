@@ -49,7 +49,7 @@ pub struct AllocRequest {
     /// NG2C-style hand annotation: the target dynamic generation
     /// (`Some(0)` forces young; paper §7.1). `None` = no annotation.
     pub manual_gen: Option<u8>,
-    /// ROLP's published advice for `context`, resolved lock-free by the
+    /// ROLP's published advice for `context`, resolved by the
     /// allocation fast path from the current
     /// [`crate::DecisionTable`] snapshot. Lower priority than
     /// `manual_gen`.
@@ -493,11 +493,10 @@ impl MutatorCtx<'_> {
         }
 
         // Pretenuring fast path. With the micro-cache on (the default), a
-        // repeat site costs one `Acquire` load of the store's version
-        // hint plus a private array index; a miss — first touch or a
-        // fresh snapshot — falls back to the reference path: one atomic
-        // snapshot load plus one bounds-checked table index, never a
-        // profiler borrow. The identity-hash draw doubles as the
+        // repeat site costs one read of the store's version plus a
+        // private array index; a miss — first touch or a fresh snapshot
+        // — falls back to the reference path: one bounds-checked index
+        // into the current table, never a profiler borrow. The identity-hash draw doubles as the
         // canary-sampling tick for imported-profile rows (deterministic,
         // uniform, and identical on both paths).
         let VmEnv { decisions, threads, microcache_enabled, .. } = &mut self.vm.env;

@@ -116,7 +116,7 @@ fn replay(stream: &[Op], rounds: usize, threads: u32, fast: bool) -> Observation
     let p = rt.profiler.as_ref().expect("profiler").borrow();
     let old_rows: Vec<(u32, [u32; 16])> =
         p.old.touched_rows().into_iter().map(|r| (r, p.old.histogram(r))).collect();
-    let decision_digest = p.decision_store().snapshot().digest();
+    let decision_digest = p.decision_store().load().digest();
     drop(p);
 
     let heap = &rt.vm.env.heap;
