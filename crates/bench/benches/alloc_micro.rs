@@ -7,7 +7,7 @@
 //!   runtime. Fast: TLAB bump + decision micro-cache + batched age-0
 //!   recording (the defaults). Reference: shared-frontier allocation, a
 //!   `DecisionStore` table load per allocation, and a per-alloc
-//!   OLD-table increment (`--no-tlab --no-microcache` semantics).
+//!   OLD-table increment (`--tlab-size 0 --no-microcache` semantics).
 //! - **ns/decision-lookup** — the decision consult alone. Fast: a
 //!   `DecisionCache` hit (validate against the store version, decode the
 //!   cached slot byte). Reference: the uncached path (table load +

@@ -49,7 +49,8 @@ pub struct Args {
     pub metrics_prom: Option<String>,
     /// Guest mutator threads.
     pub mutator_threads: u32,
-    /// Parallel GC workers (None keeps the cost model's default).
+    /// Modeled GC workers for the pause cost model (None keeps its
+    /// default); also the `--verify-determinism` harness's GC threads.
     pub gc_workers: Option<usize>,
     /// Fault-injection plan: a canned name or a `;`-separated spec
     /// (enables the overhead governor). `None` = no injection.
@@ -60,7 +61,7 @@ pub struct Args {
     /// within the measured §7.6 loss bound.
     pub verify_determinism: bool,
     /// TLAB chunk size in bytes; 0 disables the per-thread allocation
-    /// fast path (`--no-tlab`).
+    /// fast path.
     pub tlab_bytes: usize,
     /// Per-thread decision micro-cache (disabled with `--no-microcache`).
     pub microcache: bool,
@@ -137,8 +138,8 @@ OPTIONS:
     --metrics-prom <FILE>  dump the final telemetry snapshot in
                         Prometheus text exposition format at exit
     --mutator-threads <N>  guest mutator threads           [default: 4]
-    --gc-workers <N>    parallel GC workers (marking, remembered-set
-                        prescan, one private OLD table each)
+    --gc-workers <N>    modeled GC workers (pause cost model); with
+                        --verify-determinism, the harness's GC threads
                         [default: cost model, 4]
     --fault-plan <SPEC> inject deterministic profiler faults and engage
                         the overhead governor. SPEC is a canned plan
@@ -153,10 +154,9 @@ OPTIONS:
     --tlab-size <BYTES> per-thread allocation buffer (TLAB) chunk size;
                         each mutator bump-allocates privately from a
                         chunk of this size per space and refills under
-                        the shared lock only on exhaustion
-                        [default: 8192]
-    --no-tlab           disable TLABs: every allocation takes the shared
-                        slow path (equivalent to --tlab-size 0)
+                        the shared lock only on exhaustion; 0 disables
+                        TLABs (every allocation takes the shared slow
+                        path)                           [default: 8192]
     --no-microcache     disable the per-thread pretenuring-decision
                         micro-cache; every allocation re-reads the
                         shared decision table
@@ -238,7 +238,6 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
                 args.tlab_bytes =
                     v.parse::<usize>().map_err(|_| "--tlab-size must be a byte count")?;
             }
-            "--no-tlab" => args.tlab_bytes = 0,
             "--no-microcache" => args.microcache = false,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown option {other}\n\n{USAGE}")),
@@ -386,7 +385,7 @@ mod tests {
         assert!(d.microcache);
         let a = parse(&argv("--tlab-size 4096")).expect("parses");
         assert_eq!(a.tlab_bytes, 4096);
-        let b = parse(&argv("--no-tlab --no-microcache")).expect("parses");
+        let b = parse(&argv("--tlab-size 0 --no-microcache")).expect("parses");
         assert_eq!(b.tlab_bytes, 0);
         assert!(!b.microcache);
         assert!(parse(&argv("--tlab-size lots")).unwrap_err().contains("byte count"));

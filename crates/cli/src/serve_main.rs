@@ -94,7 +94,8 @@ OPTIONS:
     --slo-ms <LIST>     comma-separated SLO thresholds, ms; the first is
                         the primary gate                   [default: 10,25,50]
     --mutator-threads <N>  guest threads serving requests  [default: 4]
-    --gc-workers <N>    parallel GC workers (default: collector's choice)
+    --gc-workers <N>    modeled GC workers (pause cost model)
+                                                           [default: 4]
     --profile-in <FILE> warm-start from a rolp-profile-v1 (canary blend)
     --profile-out <FILE>  export the decisions this run learned, so the
                         next serving run can warm-start from them
@@ -113,9 +114,8 @@ OPTIONS:
                         otherwise Chrome trace_event)
     --tlab-size <BYTES> per-thread allocation buffer chunk size; refill
                         stalls are charged to the GC bucket in the
-                        per-request decomposition       [default: 8192]
-    --no-tlab           disable TLABs (every allocation takes the
-                        shared slow path)
+                        per-request decomposition; 0 disables TLABs
+                                                        [default: 8192]
     --help              show this text
 ";
 
@@ -202,7 +202,6 @@ fn parse(argv: &[String]) -> Result<ServeArgs, String> {
                     .parse::<usize>()
                     .map_err(|_| "--tlab-size must be a byte count")?
             }
-            "--no-tlab" => args.tlab_bytes = 0,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown option {other}\n\n{USAGE}")),
         }

@@ -318,18 +318,18 @@ impl Policy {
         }
     }
 
-    /// The safepoint merge of the GC workers' private tables into `old`
-    /// (§7.6), under this cycle's faults (deterministic, seedable). Faults
-    /// that act before the merge — id exhaustion, forced TSS, flood
+    /// The safepoint merge of the pause's buffered survival records into
+    /// `old` (§7.6), under this cycle's faults (deterministic, seedable).
+    /// Faults that act before the merge — id exhaustion, forced TSS, flood
     /// records into `old` — land first, so every injected record is part
     /// of the same epoch a real record of that cycle would; a drop fault
-    /// then discards the workers' records, a delay fault leaves them
+    /// then discards the buffered records, a delay fault leaves them
     /// buffered until the next cycle. Returns the merge, if one ran.
     pub fn safepoint(
         &mut self,
         env: &mut VmEnv,
         cycle: u64,
-        workers: &mut [WorkerTable],
+        survivors: &mut WorkerTable,
         old: &mut OldTable,
     ) -> Option<MergeSummary> {
         let faults = match self.faults.as_mut() {
@@ -359,14 +359,13 @@ impl Policy {
         env.telemetry.add(Bucket::MutatorProfiling, injected * env.cost.profile_alloc_ns);
 
         if faults.drop_merge {
-            let dropped = merge_worker_tables(workers, &mut OldTable::new());
-            self.dropped_merge_records += dropped.total;
+            self.dropped_merge_records += survivors.drain_entries().len() as u64;
             None
         } else if faults.delay_merge {
             self.delayed_merges += 1;
             None
         } else {
-            Some(merge_worker_tables(workers, old))
+            Some(merge_worker_tables(std::slice::from_mut(survivors), old))
         }
     }
 

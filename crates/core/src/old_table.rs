@@ -2,9 +2,10 @@
 //!
 //! The paper's central data structure (§3.3, §7.5, §7.6): per allocation
 //! context, the number of objects currently known at each age (0..=15).
-//! Application threads bump the age-0 cell at allocation; GC workers move
-//! survivors from age `a` to `a+1` through *private per-worker tables*
-//! merged at the end of each collection.
+//! Application threads bump the age-0 cell at allocation; the collector
+//! moves survivors from age `a` to `a+1` through a [`WorkerTable`] buffer
+//! merged at the end of each collection (one per GC worker thread in the
+//! §7.6 harness).
 //!
 //! Sizing follows §7.5 exactly via the shared [`TableGeometry`]: the
 //! table starts with 2^16 rows — one per possible allocation-site

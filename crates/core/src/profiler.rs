@@ -15,10 +15,10 @@
 //! The profiler is a thin shell around one explicit pipeline:
 //!
 //! 1. **record** — mutators bump age-0 cells ([`VmProfiler::on_alloc`]);
-//!    GC workers buffer survivals into private [`WorkerTable`]s
+//!    the collector buffers survivals into one [`WorkerTable`]
 //!    ([`GcHooks::on_survivor`]).
-//! 2. **safepoint merge** — every pause ends with the deterministic
-//!    worker-table merge and the §7.2.3 stack-state reconciliation
+//! 2. **safepoint merge** — every pause ends with the sorted merge of
+//!    that buffer and the §7.2.3 stack-state reconciliation
 //!    ([`GcHooks::on_gc_end`]).
 //! 3. **infer** — every [`RolpConfig::inference_period`] cycles, classify
 //!    the touched rows ([`crate::inference::infer`], §4).
@@ -108,9 +108,6 @@ pub struct RolpConfig {
     pub blend: bool,
     /// Seed for the conflict resolver's random batches.
     pub seed: u64,
-    /// GC worker count — one private [`WorkerTable`] each (§5.2, §7.6),
-    /// merged deterministically at the safepoint ending every pause.
-    pub gc_workers: usize,
     /// Overhead governor (`None` = ungoverned: the pre-governor behavior,
     /// bit for bit). See [`crate::governor`].
     pub governor: Option<GovernorConfig>,
@@ -141,7 +138,6 @@ impl Default for RolpConfig {
             offline_profile: None,
             blend: true,
             seed: 0x0517,
-            gc_workers: 4,
             governor: None,
             fault_plan: None,
             batch_age0: true,
@@ -227,7 +223,9 @@ pub struct RolpProfiler<T: LifetimeTable = OldTable> {
     config: RolpConfig,
     /// The global OLD table.
     pub old: T,
-    workers: Vec<WorkerTable>,
+    /// Survival records buffered during a pause, merged into `old` at
+    /// the safepoint ending it (§5.2).
+    survivors: WorkerTable,
     resolver: ConflictResolver,
     /// Decision working set: row key → estimated lifetime (target
     /// generation). Safepoint-side only; readers use the published
@@ -272,7 +270,7 @@ impl RolpProfiler {
         ));
         RolpProfiler {
             old,
-            workers: (0..config.gc_workers.max(1)).map(|_| WorkerTable::new()).collect(),
+            survivors: WorkerTable::new(),
             resolver: ConflictResolver::new(config.conflict.clone(), config.seed),
             decisions: BTreeMap::new(),
             store: Rc::new(store),
@@ -292,11 +290,6 @@ impl RolpProfiler {
             last_change_epoch: 0,
             config,
         }
-    }
-
-    /// Number of per-GC-worker private tables (paper §5.2).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Turns flight-recorder logging of conflict-batch transitions on or
@@ -693,7 +686,7 @@ impl GcHooks for RolpProfiler {
         self.survivor.enabled()
     }
 
-    fn on_survivor(&mut self, header: ObjectHeader, from: RegionKind, worker: u32) {
+    fn on_survivor(&mut self, header: ObjectHeader, from: RegionKind, _worker: u32) {
         // Only young-generation survivals carry age information (see
         // `GcHooks::on_survivor`); tenured/dynamic copies are skipped.
         if !from.is_young() {
@@ -712,8 +705,7 @@ impl GcHooks for RolpProfiler {
         if !self.old.context_known(context, self.max_profile_id) {
             return;
         }
-        let idx = (worker as usize) % self.workers.len();
-        self.workers[idx].record_survival(context, header.age());
+        self.survivors.record_survival(context, header.age());
         self.survivor_records += 1;
     }
 
@@ -746,28 +738,19 @@ impl GcHooks for RolpProfiler {
                 );
             }
         }
-        // Pipeline stage 2 (§7.6): merge the GC workers' private tables at
-        // the safepoint, sorted by (context, age) so the end-state is
-        // independent of how survivor work was split across workers.
+        // Pipeline stage 2 (§7.6): merge the pause's survival records at
+        // the safepoint, sorted by (context, age).
         if let Some(merge) =
-            self.policy.safepoint(env, info.cycle, &mut self.workers, &mut self.old)
+            self.policy.safepoint(env, info.cycle, &mut self.survivors, &mut self.old)
         {
             // Modeled merge cost: the safepoint-side fold is priced per
             // record like the survivor path that produced them.
             env.telemetry.add(Bucket::ProfilerMerge, merge.total * env.cost.profile_survivor_ns);
             if env.trace.is_enabled() && merge.total > 0 {
-                // Per-worker record counts, workers ≥ 8 folded into the
-                // last slot (the event payload is fixed-size).
-                let mut records = [0u64; 8];
-                for (w, &n) in merge.per_worker.iter().enumerate() {
-                    records[w.min(7)] += n;
-                }
                 env.trace.emit_global(
                     env.clock.now(),
                     rolp_trace::EventKind::OldTableMerge {
                         cycle: info.cycle,
-                        workers: merge.per_worker.len() as u32,
-                        records,
                         total_records: merge.total,
                     },
                 );

@@ -78,11 +78,9 @@ pub struct RuntimeConfig {
     pub regional: rolp_gc::RegionalConfig,
     /// Guest threads.
     pub threads: u32,
-    /// Parallel GC workers. `Some(n)` overrides both the cost model's
-    /// worker count and the profiler's private-table count in one place
-    /// (the two must agree — each worker owns one
-    /// [`rolp::WorkerTable`](crate::WorkerTable)); `None` keeps their
-    /// individual defaults.
+    /// Modeled GC workers: `Some(n)` overrides the cost model's worker
+    /// count, which divides the parallelizable pause work; `None` keeps
+    /// its default. The collector itself runs on the runtime's thread.
     pub gc_workers: Option<usize>,
     /// Seed for JIT identifier randomness.
     pub seed: u64,
@@ -182,9 +180,7 @@ impl JvmRuntime {
         let heap = Heap::new(config.heap.clone());
 
         if let Some(workers) = config.gc_workers {
-            let workers = workers.max(1);
-            config.cost.gc_workers = workers as u64;
-            config.rolp.gc_workers = workers;
+            config.cost.gc_workers = workers.max(1) as u64;
         }
 
         // Call-profiling code exists only under ROLP (and not at its
@@ -396,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_workers_knob_reaches_cost_model_and_profiler() {
+    fn gc_workers_knob_reaches_cost_model() {
         let cfg = RuntimeConfig {
             collector: CollectorKind::RolpNg2c,
             heap: HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 },
@@ -405,7 +401,6 @@ mod tests {
         };
         let rt = JvmRuntime::new(cfg, tiny_program());
         assert_eq!(rt.vm.env.cost.gc_workers, 8);
-        assert_eq!(rt.profiler.as_ref().unwrap().borrow().worker_count(), 8);
 
         // None keeps the individual defaults.
         let cfg = RuntimeConfig {

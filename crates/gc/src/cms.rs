@@ -17,8 +17,8 @@ use rolp_metrics::{PauseKind, SimTime};
 use rolp_vm::{AllocRequest, CollectorApi, VmEnv};
 
 use crate::evac::{charge_refill, evacuate, full_compact, trace_pause, EvacStats};
+use crate::mark::mark_liveness;
 use crate::observer::{GcCycleInfo, GcHooks};
-use crate::parallel::mark_liveness_parallel;
 
 /// Tunables of the CMS-like collector.
 #[derive(Debug, Clone)]
@@ -169,7 +169,7 @@ impl CmsCollector {
         env.trace.set_gc_cause("initial-mark");
         trace_pause(env, t0, initial, PauseKind::ConcurrentHandshake, &EvacStats::default());
 
-        let mark = mark_liveness_parallel(&mut env.heap, env.cost.gc_workers.max(1) as usize);
+        let mark = mark_liveness(&mut env.heap);
         self.hooks.borrow_mut().on_liveness(&mark.context_live);
         let trace_ns = env.cost.copy_ns(mark.live_bytes) / 2;
         env.clock.advance(trace_ns);

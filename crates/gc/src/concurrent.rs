@@ -15,8 +15,8 @@ use rolp_heap::{AllocFailure, ObjectRef, RegionId, RegionKind, SpaceKind, TlabAl
 use rolp_vm::{AllocRequest, CollectorApi, VmEnv};
 
 use crate::evac::{charge_refill, evacuate_concurrent};
+use crate::mark::mark_liveness;
 use crate::observer::GcHooks;
-use crate::parallel::mark_liveness_parallel;
 
 /// Tunables of the concurrent collector.
 #[derive(Debug, Clone)]
@@ -93,7 +93,7 @@ impl ConcurrentCollector {
 
     fn cycle(&mut self, env: &mut VmEnv) {
         env.safepoint_flush_alloc_path();
-        let mark = mark_liveness_parallel(&mut env.heap, env.cost.gc_workers.max(1) as usize);
+        let mark = mark_liveness(&mut env.heap);
         // Concurrent marking steals mutator cycles.
         let mark_ns = env.cost.copy_ns(mark.live_bytes) / 2;
         env.clock.advance(mark_ns);

@@ -20,13 +20,14 @@
 
 use std::collections::HashMap;
 
+use rolp_heap::remset::SlotAddr;
 use rolp_heap::{Heap, ObjectRef, RegionId, RegionKind, SpaceKind};
 use rolp_metrics::{PauseKind, SimTime};
 use rolp_telemetry::{Bucket, CounterId, HistId};
 use rolp_vm::{CostModel, VmEnv};
 
+use crate::mark::mark_liveness;
 use crate::observer::GcHooks;
-use crate::parallel::{mark_liveness_parallel, prescan_remsets, RemsetPrescan};
 
 /// Statistics of one evacuation (or compaction) pause.
 #[derive(Debug, Clone, Copy, Default)]
@@ -165,13 +166,67 @@ pub(crate) fn charge_refill(env: &mut VmEnv) {
     env.telemetry.bump(CounterId::TlabRefills, 1);
 }
 
+/// A remembered-set slot that passed validation: it still holds a
+/// reference into the collection set and must be forwarded.
+#[derive(Debug, Clone, Copy)]
+struct ValidSlot {
+    slot: SlotAddr,
+    /// The collection-set reference the slot held at validation time.
+    value: ObjectRef,
+}
+
+/// Result of [`prescan_remsets`].
+#[derive(Debug, Default)]
+struct RemsetPrescan {
+    /// Valid slots per collection-set region, in `cset` order, each list
+    /// sorted by `(region, offset, epoch)`.
+    valid: Vec<Vec<ValidSlot>>,
+    /// Total slots examined (valid or stale) — the pause-accounting
+    /// figure the cost model charges.
+    slots_examined: u64,
+}
+
+/// Validates the collection set's remembered-set slots against the heap
+/// before any object is forwarded. Skipped: slots whose holder is itself
+/// in the collection set (transitive scanning covers them), stale slots
+/// (recycled holder region, or an offset past its top), and slots since
+/// overwritten with a reference outside the collection set.
+fn prescan_remsets(heap: &Heap, cset: &[RegionId], in_cset: &[bool]) -> RemsetPrescan {
+    let mut prescan = RemsetPrescan::default();
+    for &r in cset {
+        let mut valid: Vec<ValidSlot> = Vec::new();
+        for slot in heap.region(r).rset.iter() {
+            prescan.slots_examined += 1;
+            if in_cset[slot.region.0 as usize] {
+                continue;
+            }
+            let holder = heap.region(slot.region);
+            if holder.assigned_epoch != slot.epoch
+                || matches!(holder.kind, RegionKind::Free)
+                || (slot.offset as usize) >= holder.top()
+            {
+                continue;
+            }
+            let value = ObjectRef::from_raw(holder.word(slot.offset));
+            if value.is_null() || !in_cset[value.region().0 as usize] {
+                continue;
+            }
+            valid.push(ValidSlot { slot: *slot, value });
+        }
+        // The remembered set hashes its slots; sort so the hasher does
+        // not leak into evacuation order.
+        valid.sort_unstable_by_key(|v| (v.slot.region.0, v.slot.offset, v.slot.epoch));
+        prescan.valid.push(valid);
+    }
+    prescan
+}
+
 struct Evacuator<'a> {
     heap: &'a mut Heap,
     dest: &'a mut dyn FnMut(RegionKind, u8, u32, Option<u32>) -> SpaceKind,
     hooks: &'a mut dyn GcHooks,
     tracking: bool,
     in_cset: Vec<bool>,
-    gc_workers: u32,
     stats: EvacStats,
     scan: Vec<ObjectRef>,
     failed: bool,
@@ -207,11 +262,7 @@ impl Evacuator<'_> {
                 self.stats.bytes_copied += size_bytes;
                 self.stats.gen_bytes[gen_index(space)] += size_bytes;
                 if self.tracking {
-                    // Per-worker private tables (§5.2): a worker owns the
-                    // source regions it claims, so attribute by source
-                    // region — deterministic under any claim order.
-                    let worker = obj.region().0 % self.gc_workers;
-                    self.hooks.on_survivor(header, from_kind, worker);
+                    self.hooks.on_survivor(header, from_kind, 0);
                 }
                 self.scan.push(new);
                 Some(new)
@@ -237,11 +288,8 @@ impl Evacuator<'_> {
         }
     }
 
-    /// Applies the verdicts of a [`prescan_remsets`] pass: the workers
-    /// already validated every slot (read-only, in parallel); the
-    /// coordinator performs the order-sensitive forwarding writes here,
-    /// in the prescan's sorted order, which keeps the result identical to
-    /// the single-threaded reference.
+    /// Forwards the slots a [`prescan_remsets`] pass validated, in its
+    /// sorted order.
     fn process_remsets(&mut self, cset: &[RegionId], prescan: RemsetPrescan) {
         self.stats.remset_slots += prescan.slots_examined;
         for (&r, valid) in cset.iter().zip(&prescan.valid) {
@@ -258,11 +306,7 @@ impl Evacuator<'_> {
                         // re-record it against the new target region.
                         if new.region() != slot.region {
                             let epoch = self.heap.region(slot.region).assigned_epoch;
-                            let addr = rolp_heap::remset::SlotAddr {
-                                region: slot.region,
-                                offset: slot.offset,
-                                epoch,
-                            };
+                            let addr = SlotAddr { region: slot.region, offset: slot.offset, epoch };
                             self.heap.region_mut(new.region()).rset.record(addr);
                         }
                     }
@@ -342,11 +386,10 @@ fn evacuate_mode(
     for id in cset {
         in_cset[id.0 as usize] = true;
     }
-    // Fan the remembered-set validation out to the GC workers while the
-    // heap is still quiescent (nothing has been forwarded yet); the
-    // verdicts are applied sequentially below.
-    let gc_workers = env.cost.gc_workers.max(1);
-    let prescan = prescan_remsets(&env.heap, cset, &in_cset, gc_workers as usize);
+    // Validate every remembered-set slot before anything is forwarded:
+    // a slot aliased into several collection-set remembered sets must
+    // get the same verdict whichever region's rewrite comes first.
+    let prescan = prescan_remsets(&env.heap, cset, &in_cset);
     let tracking = hooks.survivor_tracking_enabled();
     let mut ev = Evacuator {
         heap: &mut env.heap,
@@ -354,7 +397,6 @@ fn evacuate_mode(
         hooks,
         tracking,
         in_cset,
-        gc_workers: gc_workers as u32,
         stats: EvacStats { regions_in_cset: cset.len() as u64, ..Default::default() },
         scan: Vec::new(),
         failed: false,
@@ -470,7 +512,7 @@ pub fn rebuild_remsets(heap: &mut Heap) {
                 let v = heap.get_ref(obj, i);
                 if !v.is_null() && v.region() != id {
                     let epoch = heap.region(id).assigned_epoch;
-                    let slot = rolp_heap::remset::SlotAddr {
+                    let slot = SlotAddr {
                         region: id,
                         offset: obj.offset() + rolp_heap::heap::OBJECT_HEADER_WORDS + i as u32,
                         epoch,
@@ -505,9 +547,8 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
     // Phase 0: a failed evacuation may have left forwarding pointers.
     resolve_all_forwarding(&mut env.heap);
 
-    // Phase 1: mark, on the worker pool when one is configured.
-    let gc_workers = env.cost.gc_workers.max(1) as u32;
-    let mark = mark_liveness_parallel(&mut env.heap, gc_workers as usize);
+    // Phase 1: mark.
+    let mark = mark_liveness(&mut env.heap);
 
     // Phase 2: compact, most-garbage regions first (releases fastest).
     env.heap.retire_all_current();
@@ -557,9 +598,7 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
             stats.bytes_copied += size_bytes;
             stats.gen_bytes[gen_index(to_space)] += size_bytes;
             if tracking {
-                // Source-region attribution, as in `Evacuator::forward`.
-                let worker = src.0 % gc_workers;
-                hooks.on_survivor(header, from_kind, worker);
+                hooks.on_survivor(header, from_kind, 0);
             }
         }
         if !had_live && env.heap.region(src).used_bytes() > 0 {
@@ -625,4 +664,79 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
     env.sample_memory();
 
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rolp_heap::heap::OBJECT_HEADER_WORDS;
+    use rolp_heap::{ClassId, HeapConfig, ObjectHeader};
+
+    fn alloc(h: &mut Heap, space: SpaceKind, refs: u16, data: u32) -> ObjectRef {
+        let hash = h.next_identity_hash();
+        h.alloc_in(space, ClassId(0), refs, data, ObjectHeader::new(hash)).unwrap()
+    }
+
+    fn slot_of(h: &Heap, holder: ObjectRef) -> SlotAddr {
+        let region = holder.region();
+        SlotAddr {
+            region,
+            offset: holder.offset() + OBJECT_HEADER_WORDS,
+            epoch: h.region(region).assigned_epoch,
+        }
+    }
+
+    #[test]
+    fn prescan_keeps_only_live_slots_into_the_cset_in_sorted_order() {
+        let mut h = Heap::new(HeapConfig { region_bytes: 1024, max_heap_bytes: 64 * 1024 });
+        h.classes.register("t.A");
+        // Six 43-word eden objects span three eden regions: the cset.
+        let eden: Vec<ObjectRef> = (0..6).map(|_| alloc(&mut h, SpaceKind::Eden, 1, 40)).collect();
+        let cset = h.regions_of_kind(RegionKind::Eden);
+        assert!(cset.len() >= 2 && eden[0].region() != eden[5].region());
+        let mut in_cset = vec![false; h.num_regions()];
+        for r in &cset {
+            in_cset[r.0 as usize] = true;
+        }
+
+        // Valid: old holders (over several old regions) pointing into eden.
+        let mut expected: Vec<(SlotAddr, ObjectRef)> = Vec::new();
+        for i in 0..60 {
+            let holder = alloc(&mut h, SpaceKind::Old, 1, 0);
+            let target = eden[i % eden.len()];
+            h.set_ref(holder, 0, target);
+            expected.push((slot_of(&h, holder), target));
+        }
+        // Overwritten since recording: with null, and with an old object.
+        let tenured = alloc(&mut h, SpaceKind::Old, 0, 0);
+        for replacement in [ObjectRef::NULL, tenured] {
+            let holder = alloc(&mut h, SpaceKind::Old, 1, 0);
+            h.set_ref(holder, 0, eden[0]);
+            h.set_ref(holder, 0, replacement);
+        }
+        // Holder in the cset (transitive scanning covers it).
+        h.set_ref(eden[0], 0, eden[5]);
+        // Stale holder epoch, and a slot past the holder's top.
+        let (valid_slot, _) = expected[0];
+        let holder_top = h.region(valid_slot.region).top() as u32;
+        let stale = SlotAddr { epoch: valid_slot.epoch + 1, ..valid_slot };
+        let past_top = SlotAddr { offset: holder_top + 1, ..valid_slot };
+        for slot in [stale, past_top] {
+            h.region_mut(eden[0].region()).rset.record(slot);
+        }
+
+        let recorded: u64 = cset.iter().map(|&r| h.region(r).rset.len() as u64).sum();
+        assert_eq!(recorded, 60 + 2 + 1 + 2);
+        let prescan = prescan_remsets(&h, &cset, &in_cset);
+        assert_eq!(prescan.slots_examined, recorded, "every slot is counted");
+        assert_eq!(prescan.valid.len(), cset.len());
+        let key = |s: &SlotAddr| (s.region.0, s.offset, s.epoch);
+        for (&r, valid) in cset.iter().zip(&prescan.valid) {
+            let mut want: Vec<_> = expected.iter().filter(|(_, v)| v.region() == r).collect();
+            want.sort_by_key(|(s, _)| key(s));
+            let got: Vec<_> = valid.iter().map(|v| (key(&v.slot), v.value)).collect();
+            let want: Vec<_> = want.iter().map(|(s, v)| (key(s), *v)).collect();
+            assert_eq!(got, want, "region {r:?}");
+        }
+    }
 }

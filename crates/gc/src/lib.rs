@@ -14,17 +14,19 @@
 //! - [`concurrent::ConcurrentCollector`] — the ZGC/C4 class: everything
 //!   concurrent, tiny pauses, barrier and memory taxes.
 //!
-//! Shared machinery: [`mark`] (tracing), [`evac`] (evacuation, full
-//! compaction, remembered-set maintenance, pause accounting), and
-//! [`parallel`] (the GC worker pool: atomic mark bitmap, work-stealing
-//! marking, read-only remembered-set prescan).
+//! Shared machinery: [`mark`] (tracing) and [`evac`] (evacuation, full
+//! compaction, remembered-set validation and maintenance, pause
+//! accounting).
+//!
+//! Every collector runs on the runtime's one OS thread. The GC worker
+//! count (`CostModel::gc_workers`) only divides the modeled pause work,
+//! as HotSpot's parallel workers would.
 
 pub mod cms;
 pub mod concurrent;
 pub mod evac;
 pub mod mark;
 pub mod observer;
-pub mod parallel;
 pub mod regional;
 
 pub use cms::{CmsCollector, CmsConfig, CmsStats};
@@ -32,7 +34,4 @@ pub use concurrent::{ConcurrentCollector, ConcurrentConfig, ConcurrentStats};
 pub use evac::{evacuate, full_compact, rebuild_remsets, EvacOutcome, EvacStats};
 pub use mark::{mark_liveness, MarkResult};
 pub use observer::{GcCycleInfo, GcHooks, NullHooks};
-pub use parallel::{
-    fan_out_indexed, mark_liveness_parallel, prescan_remsets, MarkBitmap, RemsetPrescan,
-};
 pub use regional::{RegionalCollector, RegionalConfig, RegionalStats};

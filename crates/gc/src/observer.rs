@@ -57,8 +57,9 @@ pub trait GcHooks {
 
     /// One object survived a collection; `header` is its pre-copy header
     /// (context + age before the increment), `from` the kind of region it
-    /// was copied out of, and `worker` the GC worker thread (mirroring the
-    /// per-worker private tables of §7.6). Note that, as in HotSpot, only
+    /// was copied out of. `worker` is always 0: the collector runs on the
+    /// runtime's one OS thread (the parameter is kept for implementors
+    /// outside this workspace). Note that, as in HotSpot, only
     /// young-generation copies advance an object's age — once promoted or
     /// pretenured, an object's recorded age freezes, which is why the
     /// paper corrects shrinking lifetimes through fragmentation (§6)

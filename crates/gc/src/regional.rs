@@ -26,8 +26,8 @@ use rolp_metrics::{PauseKind, SimTime};
 use rolp_vm::{AllocRequest, CollectorApi, DecisionStore, VmEnv};
 
 use crate::evac::{charge_refill, evacuate, full_compact, EvacStats};
+use crate::mark::mark_liveness;
 use crate::observer::{GcCycleInfo, GcHooks};
-use crate::parallel::mark_liveness_parallel;
 
 /// Tunables of the regional collector.
 #[derive(Debug, Clone)]
@@ -203,7 +203,7 @@ impl RegionalCollector {
     /// concurrent cycle shape.
     fn run_marking(&mut self, env: &mut VmEnv) {
         env.safepoint_flush_alloc_path();
-        let mark = mark_liveness_parallel(&mut env.heap, env.cost.gc_workers.max(1) as usize);
+        let mark = mark_liveness(&mut env.heap);
         self.hooks.borrow_mut().on_liveness(&mark.context_live);
         // Tracing is roughly bandwidth-bound like copying, but runs
         // concurrently with the application.

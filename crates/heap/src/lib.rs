@@ -20,7 +20,6 @@
 //! [`HandleTable`] so collectors can move objects without the guest program
 //! holding stale pointers.
 
-pub mod claim;
 pub mod class;
 pub mod handles;
 pub mod header;
@@ -31,7 +30,6 @@ pub mod remset;
 pub mod stats;
 pub mod verify;
 
-pub use claim::{ChunkClaimer, RegionClaimer};
 pub use class::{ClassId, ClassTable};
 pub use handles::{Handle, HandleTable};
 pub use header::ObjectHeader;

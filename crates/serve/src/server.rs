@@ -40,7 +40,7 @@ pub struct ServeConfig {
     pub scale: SimScale,
     /// Guest threads to rotate requests across.
     pub threads: u32,
-    /// GC worker override.
+    /// Modeled GC worker override (pause cost model).
     pub gc_workers: Option<usize>,
     /// Warm-start profile (`--profile-in`).
     pub offline_profile: Option<DecisionProfile>,

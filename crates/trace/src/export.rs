@@ -83,11 +83,8 @@ pub fn event_to_json(event: &TraceEvent) -> String {
         EventKind::SurvivorTracking { enabled } => {
             obj.bool("enabled", *enabled);
         }
-        EventKind::OldTableMerge { cycle, workers, records, total_records } => {
-            obj.u64("cycle", *cycle)
-                .u64("workers", *workers as u64)
-                .u64_array("records", records)
-                .u64("total_records", *total_records);
+        EventKind::OldTableMerge { cycle, total_records } => {
+            obj.u64("cycle", *cycle).u64("total_records", *total_records);
         }
         EventKind::DecisionPublish { version, changed_rows, decisions } => {
             obj.u64("version", *version)
@@ -290,20 +287,10 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceEvent>, String> {
                 "survivor_tracking" => {
                     EventKind::SurvivorTracking { enabled: get_bool(&map, "enabled")? }
                 }
-                "old_table_merge" => {
-                    let mut records = [0u64; 8];
-                    if let Some(JsonValue::UintArray(xs)) = map.get("records") {
-                        for (i, v) in xs.iter().take(8).enumerate() {
-                            records[i] = *v;
-                        }
-                    }
-                    EventKind::OldTableMerge {
-                        cycle: get_u64(&map, "cycle")?,
-                        workers: get_u64(&map, "workers")? as u32,
-                        records,
-                        total_records: get_u64(&map, "total_records")?,
-                    }
-                }
+                "old_table_merge" => EventKind::OldTableMerge {
+                    cycle: get_u64(&map, "cycle")?,
+                    total_records: get_u64(&map, "total_records")?,
+                },
                 "decision_publish" => EventKind::DecisionPublish {
                     version: get_u64(&map, "version")?,
                     changed_rows: get_u64(&map, "changed_rows")?,
@@ -562,12 +549,7 @@ mod tests {
                 ts: t(9_000),
                 thread: GLOBAL_THREAD,
                 seq: 7,
-                kind: EventKind::OldTableMerge {
-                    cycle: 12,
-                    workers: 4,
-                    records: [10, 11, 12, 13, 0, 0, 0, 0],
-                    total_records: 46,
-                },
+                kind: EventKind::OldTableMerge { cycle: 12, total_records: 46 },
             },
             TraceEvent {
                 ts: t(10_000),

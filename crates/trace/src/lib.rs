@@ -138,16 +138,11 @@ pub enum EventKind {
         /// New state.
         enabled: bool,
     },
-    /// Per-worker OLD tables merged into the global table at the
-    /// safepoint ending a pause (§5.2, §7.6).
+    /// A pause's buffered survival records merged into the global OLD
+    /// table at the safepoint ending it (§5.2, §7.6).
     OldTableMerge {
         /// GC cycle the merge closed.
         cycle: u64,
-        /// GC workers whose private tables were merged.
-        workers: u32,
-        /// Records contributed per worker; workers ≥ 8 fold into the
-        /// last slot (payloads are fixed-size `Copy`).
-        records: [u64; 8],
         /// Total survival records merged.
         total_records: u64,
     },

@@ -68,7 +68,8 @@ pub struct CostModel {
     /// Effective object-copy bandwidth in bytes per second, *per GC
     /// worker* (memory-bandwidth-bound, paper §2.1).
     pub copy_bandwidth_bytes_per_sec: u64,
-    /// Number of parallel GC workers.
+    /// Number of modeled parallel GC workers: divides the parallelizable
+    /// pause work (roots, remembered sets, copying, survivors).
     pub gc_workers: u64,
     /// Fixed safepoint synchronization cost per pause.
     pub safepoint_ns: u64,
