@@ -242,7 +242,7 @@ fn run_joiner(
         max_ops: u64::MAX,
     };
     let out = rolp_workloads::execute_with(&mut workload, config, &budget, |_| {});
-    let body = rolp::stats_json(&out.report, &out.pauses, out.trace_dropped);
+    let body = rolp::stats_json(&out.report, &out.pauses);
     output::write_atomic(stats_path, &body)?;
     let rolp_stats = out.report.rolp.as_ref();
     let last_change = rolp_stats.map(|r| r.last_change_epoch).unwrap_or(u64::MAX);

@@ -116,14 +116,7 @@ fn run(args: Args) -> Result<(), String> {
             guard = arm_crash_guard(&args, rt);
         });
         print_outcome(&out);
-        let result = write_outputs(
-            &args,
-            &out.report,
-            &out.pauses,
-            &out.trace,
-            out.trace_dropped,
-            &out.metrics,
-        );
+        let result = write_outputs(&args, &out.report, &out.pauses, &out.trace, &out.metrics);
         if let Some(g) = &mut guard {
             g.disarm();
         }
@@ -138,7 +131,7 @@ fn arm_crash_guard(args: &Args, rt: &rolp::runtime::JvmRuntime) -> Option<CrashG
         args.stats_json.as_ref(),
         args.metrics_out.as_ref(),
         args.metrics_interval,
-        rt.vm.env.telemetry.registry(),
+        &rt.vm.env.telemetry,
     )
 }
 
@@ -201,8 +194,7 @@ fn write_outputs(
     report: &rolp::runtime::RunReport,
     pauses: &rolp_metrics::PauseRecorder,
     trace: &[rolp_trace::TraceEvent],
-    dropped: u64,
-    metrics: &[std::sync::Arc<rolp_telemetry::MetricsSnapshot>],
+    metrics: &[std::rc::Rc<rolp_telemetry::MetricsSnapshot>],
 ) -> Result<(), String> {
     if let Some(path) = &args.trace_out {
         let rendered = if path.ends_with(".jsonl") {
@@ -211,12 +203,10 @@ fn write_outputs(
             rolp_trace::export::to_chrome_trace(trace)
         };
         std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-        let dropped_note =
-            if dropped > 0 { format!(" ({dropped} dropped in-ring)") } else { String::new() };
-        println!("trace: {} event(s) written to {path}{dropped_note}", trace.len());
+        println!("trace: {} event(s) written to {path}", trace.len());
     }
     if let Some(path) = &args.stats_json {
-        write_atomic(path, &rolp::stats_json(report, pauses, dropped))?;
+        write_atomic(path, &rolp::stats_json(report, pauses))?;
         println!("stats: run summary written to {path}");
     }
     if let Some(path) = &args.metrics_out {
@@ -261,7 +251,7 @@ fn run_with_runtime(
         ctx.complete_ops(ops);
         let now = rt.vm.env.clock.now();
         if now >= next_publish {
-            rt.vm.env.telemetry.registry().publish(now.as_nanos());
+            rt.vm.env.telemetry.publish(now.as_nanos());
             next_publish = now + publish_every;
         }
     }
@@ -270,10 +260,9 @@ fn run_with_runtime(
     let mut pauses = rt.vm.env.pauses.clone();
     pauses.discard_before(budget.warmup_discard);
     print_report(&report, &pauses);
-    let dropped = rt.vm.env.trace.dropped();
-    let metrics = rt.vm.env.telemetry.registry().store().history();
+    let metrics = rt.vm.env.telemetry.history();
     let trace = rt.take_trace();
-    write_outputs(args, &report, &pauses, &trace, dropped, &metrics)?;
+    write_outputs(args, &report, &pauses, &trace, &metrics)?;
     if let Some(g) = &mut guard {
         g.disarm();
     }

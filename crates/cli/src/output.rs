@@ -14,9 +14,9 @@
 //! one binary are expected.
 #![allow(dead_code)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use rolp_telemetry::{MetricsSnapshot, Registry};
+use rolp_telemetry::{MetricsSnapshot, Telemetry};
 
 /// Writes `contents` to `path` via a temp file + atomic rename, so
 /// readers never observe a half-written file.
@@ -30,7 +30,7 @@ pub fn write_atomic(path: &str, contents: &str) -> Result<(), String> {
 /// consecutive rows are at least `interval_secs` of simulated time
 /// apart. The empty version-0 snapshot is skipped and the final one is
 /// always kept.
-pub fn metrics_jsonl(metrics: &[Arc<MetricsSnapshot>], interval_secs: u64) -> String {
+pub fn metrics_jsonl(metrics: &[Rc<MetricsSnapshot>], interval_secs: u64) -> String {
     let interval_ns = interval_secs.saturating_mul(1_000_000_000);
     let mut out = String::new();
     let mut next_at = 0u64;
@@ -60,7 +60,7 @@ pub struct CrashGuard {
     stats_path: Option<String>,
     metrics_path: Option<String>,
     metrics_interval: u64,
-    registry: Arc<Registry>,
+    telemetry: Telemetry,
     armed: bool,
 }
 
@@ -70,7 +70,7 @@ impl CrashGuard {
         stats_path: Option<&String>,
         metrics_path: Option<&String>,
         metrics_interval: u64,
-        registry: &Arc<Registry>,
+        telemetry: &Telemetry,
     ) -> Option<CrashGuard> {
         if stats_path.is_none() && metrics_path.is_none() {
             return None;
@@ -79,7 +79,7 @@ impl CrashGuard {
             stats_path: stats_path.cloned(),
             metrics_path: metrics_path.cloned(),
             metrics_interval,
-            registry: registry.clone(),
+            telemetry: telemetry.clone(),
             armed: true,
         })
     }
@@ -97,9 +97,8 @@ impl Drop for CrashGuard {
         }
         // The simulated clock is out of reach mid-unwind; stamp the
         // flush with the last published snapshot's timestamp.
-        let at_ns = self.registry.store().load().at_ns();
-        self.registry.publish(at_ns);
-        let snapshot = self.registry.store().load();
+        let at_ns = self.telemetry.load().at_ns();
+        let snapshot = self.telemetry.publish(at_ns);
         if let Some(path) = &self.stats_path {
             let body = format!(
                 "{{\"schema\":\"rolp-stats-partial-v1\",\"panic\":true,\"telemetry\":{}}}",
@@ -111,7 +110,7 @@ impl Drop for CrashGuard {
         if let Some(path) = &self.metrics_path {
             // The whole downsampled history, ending with the crash-flush
             // snapshot published above: every row is a complete record.
-            let history = self.registry.store().history();
+            let history = self.telemetry.history();
             let body = metrics_jsonl(&history, self.metrics_interval);
             let rows = body.lines().count();
             let _ = write_atomic(path, &body);
@@ -123,6 +122,8 @@ impl Drop for CrashGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+
     use rolp_telemetry::Bucket;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -146,15 +147,13 @@ mod tests {
     fn panic_guard_flushes_a_valid_partial_snapshot() {
         let path = temp_path("partial.json");
         let path_str = path.to_str().unwrap().to_string();
-        let registry = std::sync::Arc::new(Registry::new());
-        let cells = registry.register_thread();
-        cells.add_time(Bucket::MutatorApp, 1_000);
+        let telemetry = Telemetry::new();
+        telemetry.add(Bucket::MutatorApp, 1_000);
 
-        let reg = registry.clone();
-        let result = std::panic::catch_unwind(move || {
-            let _guard = CrashGuard::arm(Some(&path_str), None, 1, &reg);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _guard = CrashGuard::arm(Some(&path_str), None, 1, &telemetry);
             panic!("boom");
-        });
+        }));
         assert!(result.is_err());
 
         let body = std::fs::read_to_string(&path).expect("partial snapshot written");
@@ -169,21 +168,19 @@ mod tests {
     fn panic_guard_flushes_the_metrics_stream_with_a_final_partial_row() {
         let path = temp_path("crash-metrics.jsonl");
         let path_str = path.to_str().unwrap().to_string();
-        let registry = std::sync::Arc::new(Registry::new());
-        let cells = registry.register_thread();
+        let telemetry = Telemetry::new();
         // Two published windows before the crash...
-        cells.add_time(Bucket::MutatorApp, 500);
-        registry.publish(1_000_000_000);
-        cells.add_time(Bucket::MutatorApp, 500);
-        registry.publish(2_000_000_000);
+        telemetry.add(Bucket::MutatorApp, 500);
+        telemetry.publish(1_000_000_000);
+        telemetry.add(Bucket::MutatorApp, 500);
+        telemetry.publish(2_000_000_000);
         // ...plus unpublished progress the crash flush must capture.
-        cells.add_time(Bucket::GcMark, 42);
+        telemetry.add(Bucket::GcMark, 42);
 
-        let reg = registry.clone();
-        let result = std::panic::catch_unwind(move || {
-            let _guard = CrashGuard::arm(None, Some(&path_str), 1, &reg);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _guard = CrashGuard::arm(None, Some(&path_str), 1, &telemetry);
             panic!("boom");
-        });
+        }));
         assert!(result.is_err());
 
         let body = std::fs::read_to_string(&path).expect("metrics stream written");
@@ -208,13 +205,13 @@ mod tests {
         let metrics = temp_path("disarmed.jsonl");
         let stats_str = stats.to_str().unwrap().to_string();
         let metrics_str = metrics.to_str().unwrap().to_string();
-        let registry = std::sync::Arc::new(Registry::new());
-        let result = std::panic::catch_unwind(move || {
+        let telemetry = Telemetry::new();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut guard =
-                CrashGuard::arm(Some(&stats_str), Some(&metrics_str), 1, &registry).unwrap();
+                CrashGuard::arm(Some(&stats_str), Some(&metrics_str), 1, &telemetry).unwrap();
             guard.disarm();
             panic!("boom");
-        });
+        }));
         assert!(result.is_err());
         assert!(!stats.exists());
         assert!(!metrics.exists());
@@ -222,21 +219,17 @@ mod tests {
 
     #[test]
     fn guard_is_not_armed_without_sinks() {
-        let registry = std::sync::Arc::new(Registry::new());
-        assert!(CrashGuard::arm(None, None, 1, &registry).is_none());
+        assert!(CrashGuard::arm(None, None, 1, &Telemetry::new()).is_none());
     }
 
     #[test]
     fn metrics_jsonl_downsamples_and_keeps_the_final_row() {
-        let registry = Registry::new();
-        let cells = registry.register_thread();
-        let mut history = vec![registry.store().load()]; // version 0
+        let telemetry = Telemetry::new();
         for i in 1..=10u64 {
-            cells.add_time(Bucket::MutatorApp, 100);
-            registry.publish(i * 1_000_000_000); // one per simulated second
-            history.push(registry.store().load());
+            telemetry.add(Bucket::MutatorApp, 100);
+            telemetry.publish(i * 1_000_000_000); // one per simulated second
         }
-        let body = metrics_jsonl(&history, 4);
+        let body = metrics_jsonl(&telemetry.history(), 4);
         let rows: Vec<&str> = body.lines().collect();
         // t=1s, t=5s, t=9s, plus the forced final row at t=10s.
         assert_eq!(rows.len(), 4, "{body}");

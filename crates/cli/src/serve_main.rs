@@ -263,7 +263,7 @@ fn run(args: ServeArgs) -> Result<(), String> {
             args.stats_json.as_ref(),
             args.metrics_out.as_ref(),
             args.metrics_interval,
-            rt.vm.env.telemetry.registry(),
+            &rt.vm.env.telemetry,
         );
     });
 
@@ -339,7 +339,7 @@ fn write_outputs(args: &ServeArgs, cfg: &ServeConfig, out: &ServeOutcome) -> Res
         println!("serve: rolp-serve-v1 summary written to {path}");
     }
     if let Some(path) = &args.stats_json {
-        write_atomic(path, &rolp::stats_json(&out.report, &out.pauses, 0))?;
+        write_atomic(path, &rolp::stats_json(&out.report, &out.pauses))?;
         println!("stats: run summary written to {path}");
     }
     if let Some(path) = &args.metrics_out {

@@ -387,13 +387,11 @@ impl Policy {
         let record_total = records + self.injected_records;
         let invocations = env.jit.total_invocations();
         // Self-observed signal from the telemetry plane: profiling time
-        // and busy mutator time this epoch, as deltas of the live
-        // per-thread cell totals (no snapshot publish needed).
-        let registry = env.telemetry.registry();
-        let prof_now = registry.total_time(Bucket::MutatorProfiling);
-        let busy_now = registry.total_time(Bucket::MutatorApp)
-            + prof_now
-            + registry.total_time(Bucket::JitCompile);
+        // and busy mutator time this epoch, as deltas of the live cell
+        // totals (no snapshot publish needed).
+        let cells = env.telemetry.cells();
+        let prof_now = cells.time(Bucket::MutatorProfiling);
+        let busy_now = cells.time(Bucket::MutatorApp) + prof_now + cells.time(Bucket::JitCompile);
         let cost = EpochCost {
             record_events: record_total - self.epoch_record_base,
             table_bytes,
@@ -459,7 +457,7 @@ impl Policy {
             GovernorState::SitesOnly => 2,
             GovernorState::Off => 3,
         };
-        env.telemetry.registry().set_gauge(rolp_telemetry::GaugeId::GovernorState, encoded);
+        env.telemetry.set_gauge(rolp_telemetry::GaugeId::GovernorState, encoded);
     }
 }
 

@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn growing_context_is_flagged_and_stable_one_is_not() {
         let mut b = ProgramBuilder::new();
-        let m = b.method("app.cache.Registry::put", 50, false);
+        let m = b.method("app.cache.Index::put", 50, false);
         let _site = b.alloc_site(m, 7);
         let program = b.build();
         let mut jit = JitState::new(&program, JitConfig::default());
@@ -170,8 +170,8 @@ mod tests {
         let s = &report.suspects[0];
         assert_eq!(s.context, leak);
         assert_eq!(s.live_objects, 3_000);
-        assert!(s.location.contains("app.cache.Registry::put"));
-        assert!(report.render().contains("app.cache.Registry::put"));
+        assert!(s.location.contains("app.cache.Index::put"));
+        assert!(report.render().contains("app.cache.Index::put"));
     }
 
     #[test]

@@ -498,7 +498,7 @@ impl RolpProfiler {
             t.bump(CounterId::ProfileBlendDecays, blend.decayed);
         }
         t.record(HistId::ProfilerEpochNs, infer_ns + resolve_ns + publish_ns);
-        t.registry().set_gauge(rolp_telemetry::GaugeId::DecisionVersion, version);
+        t.set_gauge(rolp_telemetry::GaugeId::DecisionVersion, version);
 
         if tracing {
             use rolp_trace::EventKind;
@@ -1100,7 +1100,7 @@ mod tests {
     fn blend_decay_releases_drifted_imported_rows() {
         let (mut env, mut p) = warm(5, 40);
         assert_eq!(p.advise(pack(1, 0)), Some(5));
-        env.trace = rolp_trace::TraceRecorder::enabled(1, 1 << 12);
+        env.trace = rolp_trace::TraceRecorder::enabled(1);
 
         // Matching traffic: canaries survive, so the prior is confirmed
         // and its confidence restored to full.

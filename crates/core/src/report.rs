@@ -216,9 +216,7 @@ pub fn render_telemetry(snapshot: &rolp_telemetry::MetricsSnapshot) -> String {
 /// Renders the end-of-run summary as a JSON object (the `--stats-json`
 /// payload): run totals, throughput, pause percentiles, and — when the
 /// profiler was active — the ROLP counters behind Tables 1 and 2.
-/// `trace_dropped` is the flight recorder's ring-overflow count (0 when
-/// tracing was off).
-pub fn stats_json(report: &RunReport, pauses: &PauseRecorder, trace_dropped: u64) -> String {
+pub fn stats_json(report: &RunReport, pauses: &PauseRecorder) -> String {
     let mut pause_obj = JsonObject::new();
     pause_obj
         .u64("count", pauses.count() as u64)
@@ -239,7 +237,6 @@ pub fn stats_json(report: &RunReport, pauses: &PauseRecorder, trace_dropped: u64
         .u64("max_used_bytes", report.max_used_bytes)
         .u64("max_committed_bytes", report.max_committed_bytes)
         .u64("gc_cycles", report.gc_cycles)
-        .u64("trace_dropped_events", trace_dropped)
         .f64("profiling_overhead", report.profiling_overhead)
         .raw("pauses", &pause_obj.finish())
         // The final metrics snapshot, embedded as the same flat object
@@ -350,7 +347,7 @@ mod tests {
         };
         let mut rt = JvmRuntime::new(cfg, b.build());
         let report = rt.report();
-        let json = stats_json(&report, &rt.vm.env.pauses, 0);
+        let json = stats_json(&report, &rt.vm.env.pauses);
         for needle in [
             "\"collector\":\"ROLP\"",
             "\"p50_ms\":",
@@ -382,7 +379,7 @@ mod tests {
         cfg.rolp.fault_plan = Some(rolp_faults::FaultPlan::named("pressure-spike").unwrap());
         let mut rt = JvmRuntime::new(cfg, b.build());
         let report = rt.report();
-        let json = stats_json(&report, &rt.vm.env.pauses, 0);
+        let json = stats_json(&report, &rt.vm.env.pauses);
         for needle in [
             "\"governor_state\":\"full\"",
             "\"governor_transitions\":",

@@ -93,8 +93,6 @@ pub struct RuntimeConfig {
     /// into the [`rolp_trace::TraceRecorder`] (default off — the disabled
     /// recorder costs one branch per emit site and never allocates).
     pub trace_enabled: bool,
-    /// Per-thread event ring capacity when tracing is on.
-    pub trace_ring_capacity: usize,
     /// Per-thread allocation-buffer (TLAB) size in bytes; `0` disables
     /// the bump-pointer fast path entirely (every allocation takes the
     /// collector slow path — the differential suite's reference arm).
@@ -118,7 +116,6 @@ impl Default for RuntimeConfig {
             seed: 42,
             side_table_scale: 1,
             trace_enabled: false,
-            trace_ring_capacity: rolp_trace::DEFAULT_RING_CAPACITY,
             tlab_bytes: rolp_heap::DEFAULT_TLAB_BYTES,
             microcache: true,
         }
@@ -154,7 +151,7 @@ pub struct RunReport {
     pub rolp: Option<RolpStats>,
     /// Final published metrics snapshot: cumulative per-bucket time
     /// decomposition, event counters, and live histograms.
-    pub telemetry: std::sync::Arc<rolp_telemetry::MetricsSnapshot>,
+    pub telemetry: std::rc::Rc<rolp_telemetry::MetricsSnapshot>,
     /// Self-measured profiling overhead: mutator-attributed profiling
     /// time over busy mutator time (idle excluded). The paper's §8.2
     /// throughput claim holds when this stays in the low percent range.
@@ -193,8 +190,7 @@ impl JvmRuntime {
         env.heap.set_tlab_bytes(config.tlab_bytes);
         env.microcache_enabled = config.microcache;
         if config.trace_enabled {
-            env.trace =
-                rolp_trace::TraceRecorder::enabled(config.threads, config.trace_ring_capacity);
+            env.trace = rolp_trace::TraceRecorder::enabled(config.threads);
             env.jit.set_toggle_logging(true);
         }
 
@@ -293,16 +289,13 @@ impl JvmRuntime {
         }
     }
 
-    /// Aggregates every thread's metric cells at the current simulated
-    /// time and publishes the result as the next immutable
-    /// [`rolp_telemetry::MetricsSnapshot`].
-    /// Returns the published snapshot. Drivers call this at their
-    /// reporting cadence; [`JvmRuntime::report`] publishes a final one.
-    pub fn publish_metrics(&mut self) -> std::sync::Arc<rolp_telemetry::MetricsSnapshot> {
+    /// Copies the telemetry cells at the current simulated time into the
+    /// next immutable [`rolp_telemetry::MetricsSnapshot`] and returns it.
+    /// Drivers call this at their reporting cadence;
+    /// [`JvmRuntime::report`] publishes a final one.
+    pub fn publish_metrics(&mut self) -> std::rc::Rc<rolp_telemetry::MetricsSnapshot> {
         let env = &self.vm.env;
-        let registry = env.telemetry.registry();
-        registry.publish(env.clock.now().as_nanos());
-        registry.store().load()
+        env.telemetry.publish(env.clock.now().as_nanos())
     }
 
     /// Builds the end-of-run report (publishes a final metrics

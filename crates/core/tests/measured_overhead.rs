@@ -95,6 +95,6 @@ fn pressure_spike_degrades_via_measured_overhead() {
     }
 
     // The final snapshot carries the overhead the governor acted on.
-    let json = rolp::stats_json(&report, &rolp_metrics::PauseRecorder::new(), 0);
+    let json = rolp::stats_json(&report, &rolp_metrics::PauseRecorder::new());
     assert!(json.contains("\"profiling_overhead\":"), "{json}");
 }

@@ -75,9 +75,8 @@ pub struct EvacOutcome {
     pub pause: SimTime,
 }
 
-/// Flight-recorder bookkeeping for one stop-the-world pause: merges the
-/// per-thread event buffers (the world is stopped — this is the natural
-/// safepoint) and emits the pause event with the collector-supplied cause.
+/// Flight-recorder bookkeeping for one stop-the-world pause: emits the
+/// pause event with the collector-supplied cause.
 pub(crate) fn trace_pause(
     env: &mut VmEnv,
     start: SimTime,
@@ -88,7 +87,6 @@ pub(crate) fn trace_pause(
     if !env.trace.is_enabled() {
         return;
     }
-    env.trace.merge_safepoint();
     let cause = env.trace.take_gc_cause();
     env.trace.emit_global(
         start,

@@ -28,10 +28,8 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Total number of buckets. Lock-free metric cells mirror this layout
-    /// with atomic counters and convert back losslessly via
-    /// [`Histogram::from_bucket_counts`].
-    pub const SLOTS: usize = 64 * SUB_BUCKETS;
+    /// Total number of buckets.
+    const SLOTS: usize = 64 * SUB_BUCKETS;
 
     /// Creates an empty histogram covering the full `u64` range.
     pub fn new() -> Self {
@@ -40,7 +38,7 @@ impl Histogram {
     }
 
     /// The bucket index `value` maps to (always `< Histogram::SLOTS`).
-    pub fn index_of(value: u64) -> usize {
+    fn index_of(value: u64) -> usize {
         if value < SUB_BUCKETS as u64 {
             return value as usize;
         }
@@ -60,29 +58,6 @@ impl Histogram {
         } else {
             let shift = (bucket - 1) as u32;
             (SUB_BUCKETS as u64 + sub) << shift
-        }
-    }
-
-    /// Reconstructs a histogram from externally accumulated per-bucket
-    /// counts (the safepoint-aggregation path for per-thread atomic cells).
-    ///
-    /// `counts[i]` must hold the observations recorded for the bucket at
-    /// index `i` per [`Histogram::index_of`]; `min`/`max`/`sum` are the
-    /// exact extremes and sum of the recorded values. The result is
-    /// bit-identical to a histogram fed the same samples directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != Histogram::SLOTS`.
-    pub fn from_bucket_counts(counts: &[u64], min: u64, max: u64, sum: u128) -> Self {
-        assert_eq!(counts.len(), Self::SLOTS, "bucket count layout mismatch");
-        let total: u64 = counts.iter().sum();
-        Histogram {
-            counts: counts.to_vec(),
-            total,
-            min: if total == 0 { u64::MAX } else { min },
-            max: if total == 0 { 0 } else { max },
-            sum: if total == 0 { 0 } else { sum },
         }
     }
 
@@ -132,6 +107,11 @@ impl Histogram {
     /// Largest recorded value, or 0 if empty.
     pub fn max(&self) -> u64 {
         self.max
+    }
+
+    /// Exact sum of recorded values (0 if empty).
+    pub fn sum(&self) -> u128 {
+        self.sum
     }
 
     /// Mean of recorded values, or 0.0 if empty.

@@ -15,7 +15,7 @@
 //! time — `scripts/slo_gate.py` enforces this end to end.
 
 use rolp_metrics::{Histogram, SimTime};
-use rolp_telemetry::{Bucket, ThreadCells};
+use rolp_telemetry::{Bucket, Cells};
 
 /// Coordinated-omission-corrected latency: completion minus *intended*
 /// start. This is what SLO attainment is measured against.
@@ -37,7 +37,7 @@ pub struct BucketSnapshot {
 
 impl BucketSnapshot {
     /// Captures the current cumulative per-bucket times.
-    pub fn capture(cells: &ThreadCells) -> Self {
+    pub fn capture(cells: &Cells) -> Self {
         let mut times = [0u64; Bucket::COUNT];
         for b in Bucket::ALL {
             times[b.index()] = cells.time(b);
@@ -46,7 +46,7 @@ impl BucketSnapshot {
     }
 
     /// The decomposition of the time elapsed since this snapshot.
-    pub fn delta(&self, cells: &ThreadCells) -> Decomposition {
+    pub fn delta(&self, cells: &Cells) -> Decomposition {
         let d = |b: Bucket| cells.time(b) - self.times[b.index()];
         Decomposition {
             app_ns: d(Bucket::MutatorApp),

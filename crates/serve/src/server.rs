@@ -15,7 +15,7 @@
 //! can answer the acceptance question "how many inference epochs after a
 //! traffic shift did the decisions settle?".
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rolp::runtime::{CollectorKind, JvmRuntime, RunReport, RuntimeConfig};
 use rolp::{DecisionProfile, GovernorConfig};
@@ -154,7 +154,7 @@ pub struct ServeOutcome {
     /// Total simulated serving time.
     pub elapsed: SimTime,
     /// Telemetry snapshots published during the run, oldest first.
-    pub metrics: Vec<Arc<MetricsSnapshot>>,
+    pub metrics: Vec<Rc<MetricsSnapshot>>,
     /// GC pause recorder (for `--stats-json` summaries).
     pub pauses: PauseRecorder,
     /// The profile learned during the run (`None` without a profiler) —
@@ -208,7 +208,7 @@ pub fn serve(cfg: &ServeConfig, tenants: &mut TenantSet) -> ServeOutcome {
 
 /// [`serve`] with a hook that runs once the runtime is assembled, before
 /// the first request fires — the `rolp-serve` binary uses it to arm its
-/// crash-flush guard against the live telemetry registry.
+/// crash-flush guard against the live telemetry plane.
 pub fn serve_with(
     cfg: &ServeConfig,
     tenants: &mut TenantSet,
@@ -334,7 +334,7 @@ pub fn serve_with(
         if now >= next_window {
             rt.vm.env.throughput.sample_window(now);
             rt.sample_side_tables();
-            rt.vm.env.telemetry.registry().publish(now.as_nanos());
+            rt.vm.env.telemetry.publish(now.as_nanos());
             next_window = now + window;
         }
     }
@@ -345,7 +345,7 @@ pub fn serve_with(
     });
     let report = rt.report();
     let elapsed = rt.vm.env.clock.now();
-    let metrics = rt.vm.env.telemetry.registry().store().history();
+    let metrics = rt.vm.env.telemetry.history();
     let pauses = rt.vm.env.pauses.clone();
     ServeOutcome {
         report,

@@ -1,6 +1,6 @@
 //! Metric identifiers: time buckets, counters, gauges, histograms.
 //!
-//! Everything is a small dense enum so per-thread cells are fixed-size
+//! Everything is a small dense enum so the cells are fixed-size
 //! arrays indexed without hashing, and so the set of exported series is
 //! closed and documented in one place.
 

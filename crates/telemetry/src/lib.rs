@@ -11,19 +11,19 @@
 //!
 //! The design:
 //!
-//! - **Per-thread cells** ([`ThreadCells`]): plain relaxed atomics —
-//!   time-per-bucket counters, event counters, and log-bucketed latency
-//!   histogram cells sharing `rolp_metrics::Histogram`'s exact bucket
-//!   layout. Recording is lock-free and allocation-free.
-//! - **Safepoint aggregation**: [`Registry::publish`] sums the cells
-//!   into an immutable, versioned [`MetricsSnapshot`] (histogram cells
-//!   convert losslessly via `Histogram::from_bucket_counts`).
-//! - **Publication** ([`SnapshotStore`]): every published snapshot is
-//!   kept in order behind one mutex (the `--metrics-out` stream and the
-//!   crash guard read the whole history); the current snapshot is the
-//!   last, handed out as an `Arc` a reader may hold across publishes.
+//! - **One cell block** ([`Cells`]), owned by the [`Telemetry`] plane:
+//!   `Cell<u64>` time-per-bucket and event counters, and one
+//!   `RefCell<rolp_metrics::Histogram>` per latency series. The runtime
+//!   runs on one OS thread, so recording is a plain load and store with
+//!   no allocation; the plane is neither `Send` nor `Sync`.
+//! - **Publication by copy** ([`Telemetry::publish`]): the cells and
+//!   gauges are copied into an immutable, versioned [`MetricsSnapshot`]
+//!   appended to the plane's `Rc` history. Every snapshot is kept (the
+//!   `--metrics-out` stream and the crash guard read the whole history);
+//!   the current one is the last, and a reader may hold it across later
+//!   publishes.
 //! - **RAII attribution spans** ([`Telemetry::span`]): a guard swaps the
-//!   thread's *current bucket*; whatever the run charges while the guard
+//!   plane's *current bucket*; whatever the run charges while the guard
 //!   lives lands in that bucket. Guards nest, restore on drop, and cost
 //!   one `Cell` swap plus one reference-count bump — no allocation.
 //!
@@ -31,13 +31,9 @@
 //! and Prometheus text exposition ([`MetricsSnapshot::to_prometheus`]).
 
 pub mod bucket;
-pub mod cell;
-pub mod registry;
+pub mod plane;
 pub mod snapshot;
-pub mod span;
 
 pub use bucket::{Bucket, CounterId, GaugeId, HistId};
-pub use cell::{HistogramCell, ThreadCells};
-pub use registry::Registry;
-pub use snapshot::{MetricsSnapshot, SnapshotStore};
-pub use span::{SpanGuard, Telemetry};
+pub use plane::{Cells, SpanGuard, Telemetry};
+pub use snapshot::MetricsSnapshot;

@@ -1,11 +1,7 @@
-//! Immutable, versioned metric snapshots and their publication point.
+//! Immutable, versioned metric snapshots and their renderers.
 //!
-//! [`MetricsSnapshot`] is the aggregation of every registered thread's
-//! cells at one safepoint. [`SnapshotStore`] keeps every published
-//! snapshot in order; the current one is the last.
-
-use std::fmt;
-use std::sync::{Arc, Mutex};
+//! A [`MetricsSnapshot`] is a copy of the telemetry cells and gauges at
+//! one point in simulated time ([`crate::Telemetry::publish`]).
 
 use rolp_metrics::Histogram;
 use rolp_trace::json::JsonObject;
@@ -15,8 +11,8 @@ use crate::bucket::{Bucket, CounterId, GaugeId, HistId};
 /// The quantiles exported per histogram series (JSONL and Prometheus).
 pub const EXPORT_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
 
-/// An immutable aggregate of all registered cells at one point in
-/// simulated time.
+/// An immutable copy of the cells and gauges at one point in simulated
+/// time.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     version: u64,
@@ -28,7 +24,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The empty version-0 snapshot every store starts from.
+    /// The empty version-0 snapshot every history starts from.
     pub fn empty() -> Self {
         MetricsSnapshot {
             version: 0,
@@ -40,7 +36,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Assembles a snapshot from aggregated state (registry-side).
+    /// Assembles a snapshot from copied cell state (plane-side).
     pub(crate) fn assemble(
         version: u64,
         at_ns: u64,
@@ -177,68 +173,12 @@ impl MetricsSnapshot {
                     hist.value_at_quantile(q)
                 ));
             }
-            out.push_str(&format!(
-                "rolp_{}_sum {}\n",
-                h.label(),
-                (hist.mean() * hist.count() as f64) as u64
-            ));
+            out.push_str(&format!("rolp_{}_sum {}\n", h.label(), hist.sum()));
             out.push_str(&format!("rolp_{}_count {}\n", h.label(), hist.count()));
         }
         out.push_str(&format!("rolp_snapshot_version {}\n", self.version));
         out.push_str(&format!("rolp_snapshot_at_ns {}\n", self.at_ns));
         out
-    }
-}
-
-/// The publication point for [`MetricsSnapshot`]s: every published
-/// snapshot, oldest first. The history is what `--metrics-out` and the
-/// crash guard export, so it is kept whole; the current snapshot is its
-/// last entry.
-pub struct SnapshotStore {
-    history: Mutex<Vec<Arc<MetricsSnapshot>>>,
-}
-
-impl SnapshotStore {
-    /// A store holding the empty version-0 snapshot.
-    pub fn new() -> Self {
-        SnapshotStore { history: Mutex::new(vec![Arc::new(MetricsSnapshot::empty())]) }
-    }
-
-    /// The current snapshot. May be held across publishes; keeps reading
-    /// a consistent (old) version.
-    pub fn load(&self) -> Arc<MetricsSnapshot> {
-        let history = self.history.lock().expect("snapshot history poisoned");
-        Arc::clone(history.last().expect("history never empty"))
-    }
-
-    /// Publishes `snapshot` as the new current one. Returns its version.
-    pub fn publish(&self, snapshot: MetricsSnapshot) -> u64 {
-        let version = snapshot.version();
-        self.history.lock().expect("snapshot history poisoned").push(Arc::new(snapshot));
-        version
-    }
-
-    /// The current snapshot's version.
-    pub fn version(&self) -> u64 {
-        self.load().version()
-    }
-
-    /// Every published snapshot, oldest first (including the initial
-    /// empty one).
-    pub fn history(&self) -> Vec<Arc<MetricsSnapshot>> {
-        self.history.lock().expect("snapshot history poisoned").clone()
-    }
-}
-
-impl Default for SnapshotStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for SnapshotStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SnapshotStore").field("version", &self.version()).finish()
     }
 }
 
@@ -313,58 +253,23 @@ mod tests {
     }
 
     #[test]
-    fn store_publish_bumps_version_and_load_sees_it() {
-        let store = SnapshotStore::new();
-        assert_eq!(store.version(), 0);
-        let mut s = sample();
-        s.version = 1;
-        assert_eq!(store.publish(s), 1);
-        assert_eq!(store.version(), 1);
-        assert_eq!(store.load().busy_mutator_ns(), 10_000);
-        assert_eq!(store.history().len(), 2);
-    }
-
-    #[test]
-    fn old_snapshot_stays_consistent_across_a_publish() {
-        let store = SnapshotStore::new();
-        let mut v1 = sample();
-        v1.version = 1;
-        store.publish(v1);
-        let held = store.load();
-        assert_eq!(held.version(), 1);
-
-        let mut v2 = MetricsSnapshot::empty();
-        v2.version = 2;
-        v2.time_ns[Bucket::MutatorApp.index()] = 1;
-        store.publish(v2);
-
-        assert_eq!(held.version(), 1);
-        assert_eq!(held.time(Bucket::MutatorApp), 9_000);
-        assert_eq!(store.load().version(), 2);
-        assert_eq!(store.load().time(Bucket::MutatorApp), 1);
-    }
-
-    #[test]
-    fn loads_across_threads_see_published_snapshots() {
-        let store = Arc::new(SnapshotStore::new());
-        let reader = {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || loop {
-                let s = store.load();
-                match s.version() {
-                    0 => assert_eq!(s.busy_mutator_ns(), 0),
-                    v => {
-                        // Internally consistent: version matches payload.
-                        assert_eq!(s.busy_mutator_ns(), 10_000);
-                        break v;
-                    }
-                }
-                std::thread::yield_now();
-            })
-        };
-        let mut s = sample();
-        s.version = 1;
-        store.publish(s);
-        assert_eq!(reader.join().expect("reader"), 1);
+    fn prometheus_sum_is_exact() {
+        let mut hists: Vec<Histogram> = (0..HistId::COUNT).map(|_| Histogram::new()).collect();
+        // Seven samples summing to 61: a float mean times the count
+        // rounds down to 60.
+        for v in [1, 2, 3, 5, 8, 13, 29] {
+            hists[HistId::GcPauseNs.index()].record(v);
+        }
+        let s = MetricsSnapshot::assemble(
+            1,
+            0,
+            [0; Bucket::COUNT],
+            [0; CounterId::COUNT],
+            [0; GaugeId::COUNT],
+            hists,
+        );
+        let text = s.to_prometheus();
+        assert!(text.contains("rolp_gc_pause_ns_sum 61\n"), "{text}");
+        assert!(text.contains("rolp_gc_pause_ns_count 7\n"), "{text}");
     }
 }

@@ -1,114 +1,101 @@
-//! Property tests for the per-thread metric cells.
+//! Property tests for the telemetry plane's cells and publication.
 //!
-//! The telemetry plane's correctness hinges on one equivalence: samples
-//! recorded into per-thread [`rolp_telemetry::HistogramCell`]s and
-//! merged at a safepoint must produce *exactly* the histogram a
-//! single-threaded reference gets from the same samples — no lost
-//! counts, no drifted extremes, identical percentiles. These tests run
-//! the real multi-threaded path (cells registered and filled from
-//! spawned threads) and are kept small enough to stay Miri-clean; CI
-//! runs them under Miri with a reduced case count.
+//! Samples recorded through [`Telemetry`] and published must give
+//! *exactly* what a reference computation over the same samples gives:
+//! a histogram identical to a plain `Histogram` fed the same values,
+//! conserved time and counters, versions that rise by one per publish,
+//! and snapshots that never change once handed out.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use rolp_metrics::Histogram;
-use rolp_telemetry::{Bucket, CounterId, HistId, Registry};
+use rolp_telemetry::{Bucket, CounterId, HistId, MetricsSnapshot, Telemetry};
 
-/// Partitions `samples` round-robin over `threads` real threads, each
-/// recording into its own registered cell, then aggregates.
-fn record_across_threads(
-    samples: &[u64],
-    threads: usize,
-) -> (Arc<Registry>, rolp_telemetry::MetricsSnapshot) {
-    let registry = Arc::new(Registry::new());
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let cells = registry.register_thread();
-        let chunk: Vec<u64> = samples.iter().copied().skip(t).step_by(threads).collect();
-        handles.push(std::thread::spawn(move || {
-            for v in chunk {
-                cells.record(HistId::GcPauseNs, v);
-                cells.add_time(Bucket::MutatorApp, v);
-                cells.bump(CounterId::GcPauses, 1);
-            }
-        }));
+/// Records every sample through all three recording paths: the
+/// histogram, the time cells (alternating between a direct `add` and a
+/// span-attributed `on_charge`) and a counter.
+fn record_all(t: &Telemetry, samples: &[u64]) {
+    for (i, &v) in samples.iter().enumerate() {
+        t.record(HistId::GcPauseNs, v);
+        if i % 2 == 0 {
+            t.add(Bucket::GcEvac, v);
+        } else {
+            let _span = t.span(Bucket::GcEvac);
+            t.on_charge(v);
+        }
+        t.bump(CounterId::GcPauses, 1);
     }
-    for h in handles {
-        h.join().expect("recorder thread");
+}
+
+fn assert_same_histogram(got: &Histogram, reference: &Histogram) {
+    prop_assert_eq!(got.count(), reference.count(), "no lost counts");
+    prop_assert_eq!(got.min(), reference.min());
+    prop_assert_eq!(got.max(), reference.max());
+    prop_assert_eq!(got.sum(), reference.sum());
+    prop_assert_eq!(got.mean(), reference.mean());
+    for p in [0.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+        prop_assert_eq!(got.percentile(p), reference.percentile(p), "p{} diverged", p);
     }
-    let snapshot = registry.aggregate(0);
-    (registry, snapshot)
+    let ref_buckets: Vec<(u64, u64)> = reference.iter_buckets().collect();
+    let got_buckets: Vec<(u64, u64)> = got.iter_buckets().collect();
+    prop_assert_eq!(got_buckets, ref_buckets, "bucket-level divergence");
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: if cfg!(miri) { 4 } else { 64 },
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Safepoint aggregation of per-thread cells is bit-identical to a
-    /// single-threaded reference histogram fed the same samples.
+    /// A published snapshot's histogram is identical to a reference
+    /// histogram fed the same samples.
     #[test]
-    fn merged_cells_equal_reference_histogram(
+    fn published_histogram_equals_reference(
         samples in prop::collection::vec(0u64..4_000_000_000, 1..200),
-        threads in 1usize..5,
     ) {
         let mut reference = Histogram::new();
         for &v in &samples {
             reference.record(v);
         }
-
-        let (_registry, snapshot) = record_across_threads(&samples, threads);
-        let merged = snapshot.histogram(HistId::GcPauseNs);
-
-        prop_assert_eq!(merged.count(), reference.count(), "no lost counts");
-        prop_assert_eq!(merged.min(), reference.min());
-        prop_assert_eq!(merged.max(), reference.max());
-        prop_assert_eq!(merged.mean(), reference.mean());
-        for p in [0.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            prop_assert_eq!(
-                merged.percentile(p),
-                reference.percentile(p),
-                "p{} diverged", p
-            );
-        }
-        let ref_buckets: Vec<(u64, u64)> = reference.iter_buckets().collect();
-        let merged_buckets: Vec<(u64, u64)> = merged.iter_buckets().collect();
-        prop_assert_eq!(merged_buckets, ref_buckets, "bucket-level divergence");
+        let t = Telemetry::new();
+        record_all(&t, &samples);
+        let snapshot = t.publish(0);
+        assert_same_histogram(snapshot.histogram(HistId::GcPauseNs), &reference);
     }
 
-    /// Time and counter cells are conserved across any thread partition.
+    /// Publishing in several windows conserves time and counters, bumps
+    /// the version by one each time, and leaves every earlier snapshot
+    /// exactly as it was when published.
     #[test]
-    fn time_and_counters_are_conserved(
+    fn windows_conserve_totals_and_held_snapshots_stay_fixed(
         samples in prop::collection::vec(0u64..1_000_000, 1..200),
-        threads in 1usize..5,
+        windows in 1usize..6,
     ) {
-        let expected_time: u64 = samples.iter().sum();
-        let (registry, snapshot) = record_across_threads(&samples, threads);
-        prop_assert_eq!(snapshot.time(Bucket::MutatorApp), expected_time);
-        prop_assert_eq!(snapshot.counter(CounterId::GcPauses), samples.len() as u64);
-        prop_assert_eq!(registry.total_time(Bucket::MutatorApp), expected_time);
-        prop_assert_eq!(registry.thread_count(), threads);
-    }
+        let t = Telemetry::new();
+        let chunk = samples.len().div_ceil(windows);
+        let mut held: Vec<(Rc<MetricsSnapshot>, usize)> = Vec::new();
+        let mut recorded = 0;
+        for (w, part) in samples.chunks(chunk).enumerate() {
+            record_all(&t, part);
+            recorded += part.len();
+            let snapshot = t.publish(w as u64);
+            prop_assert_eq!(snapshot.version(), w as u64 + 1);
+            prop_assert_eq!(t.load().version(), snapshot.version());
+            held.push((snapshot, recorded));
+        }
+        prop_assert_eq!(t.history().len(), held.len() + 1, "version 0 plus one per publish");
 
-    /// Aggregation is deterministic: two aggregations of the same cells
-    /// observe the same state, and publishing bumps the version by one.
-    #[test]
-    fn aggregation_is_deterministic(
-        samples in prop::collection::vec(0u64..1_000_000, 1..100),
-    ) {
-        let (registry, first) = record_across_threads(&samples, 2);
-        let second = registry.aggregate(0);
-        prop_assert_eq!(first.time(Bucket::MutatorApp), second.time(Bucket::MutatorApp));
-        prop_assert_eq!(
-            first.histogram(HistId::GcPauseNs).percentile(99.0),
-            second.histogram(HistId::GcPauseNs).percentile(99.0)
-        );
-        let v1 = registry.publish(1);
-        let v2 = registry.publish(2);
-        prop_assert_eq!(v1 + 1, v2);
-        prop_assert_eq!(registry.store().load().version(), v2);
+        for (snapshot, n) in &held {
+            let prefix = &samples[..*n];
+            let mut reference = Histogram::new();
+            for &v in prefix {
+                reference.record(v);
+            }
+            prop_assert_eq!(snapshot.time(Bucket::GcEvac), prefix.iter().sum::<u64>());
+            prop_assert_eq!(snapshot.time(Bucket::MutatorApp), 0, "span attributed every charge");
+            prop_assert_eq!(snapshot.counter(CounterId::GcPauses), *n as u64);
+            assert_same_histogram(snapshot.histogram(HistId::GcPauseNs), &reference);
+        }
+        prop_assert_eq!(t.cells().time(Bucket::GcEvac), samples.iter().sum::<u64>());
+        prop_assert_eq!(t.cells().counter(CounterId::GcPauses), samples.len() as u64);
     }
 }

@@ -9,24 +9,19 @@
 //!
 //! ## Overhead discipline
 //!
-//! Tracing must never perturb the behaviour it observes, so the recorder
-//! follows the same unsynchronized-then-merge discipline as the paper's
-//! OLD table (§7.6):
+//! Tracing must never perturb the behaviour it observes:
 //!
 //! - **Default off.** A disabled [`TraceRecorder`] owns no buffers; every
 //!   emit is a single branch and performs **zero allocations** (asserted
 //!   by `tests/no_alloc.rs`).
-//! - **Mutator-side events** (JIT compiles) go into a fixed-capacity
-//!   per-thread [`RingBuffer`] with no synchronization and no allocation;
-//!   on overflow the oldest events are overwritten (flight-recorder
-//!   semantics) and counted in [`TraceRecorder::dropped`].
-//! - **Safepoint-side events** (pauses, profiler epochs) are appended to
-//!   the merged stream directly — the world is stopped, so the cost is
-//!   attributed to the pause like any other GC bookkeeping.
-//! - **At every GC safepoint** the per-thread buffers are drained into the
-//!   merged stream in deterministic order (timestamp, then thread id, then
-//!   per-thread sequence number), so a run's trace is bit-reproducible for
-//!   a fixed seed.
+//! - **One stream.** The runtime runs every guest thread on one OS
+//!   thread, so mutator-side events (JIT compiles, stamped with their
+//!   guest thread and a per-thread sequence number) and safepoint-side
+//!   events (pauses, profiler epochs) are appended to the same stream. No
+//!   event is ever dropped.
+//! - **Deterministic order.** [`TraceRecorder::finish`] sorts the stream
+//!   by (timestamp, thread id, per-thread sequence number), a key unique
+//!   per event, so a run's trace is bit-reproducible for a fixed seed.
 //!
 //! Exporters live in [`export`]: a JSONL event log (one object per line,
 //! round-trippable through [`export::parse_jsonl`]) and the Chrome
@@ -40,11 +35,7 @@ use rolp_metrics::SimTime;
 /// Thread id the recorder uses for safepoint-side (world-stopped) events.
 pub const GLOBAL_THREAD: u32 = u32::MAX;
 
-/// Default per-thread ring capacity (events between two safepoints).
-pub const DEFAULT_RING_CAPACITY: usize = 4_096;
-
-/// One structured telemetry event. All payload variants are `Copy` so ring
-/// buffers never touch the allocator after construction.
+/// One structured telemetry event. All payload variants are `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// A stop-the-world pause (young/mixed/full evacuation, or a
@@ -276,62 +267,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Fixed-capacity ring of events. Pushes never allocate after
-/// construction; when full, the oldest event is overwritten and counted.
-#[derive(Debug)]
-pub struct RingBuffer {
-    buf: Vec<TraceEvent>,
-    capacity: usize,
-    /// Index of the oldest event (valid when `len == capacity`).
-    head: usize,
-    dropped: u64,
-}
-
-impl RingBuffer {
-    /// Creates a ring holding at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingBuffer { buf: Vec::with_capacity(capacity), capacity, head: 0, dropped: 0 }
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Appends an event, overwriting the oldest one when full.
-    #[inline]
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Drains all buffered events in emission order into `out`.
-    pub fn drain_into(&mut self, out: &mut Vec<TraceEvent>) {
-        let n = self.buf.len();
-        for i in 0..n {
-            out.push(self.buf[(self.head + i) % n.max(1)]);
-        }
-        self.buf.clear();
-        self.head = 0;
-    }
-}
-
 /// The per-run flight recorder.
 ///
 /// Construct with [`TraceRecorder::disabled`] (the default: no buffers, no
@@ -339,9 +274,9 @@ impl RingBuffer {
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     enabled: bool,
-    threads: Vec<RingBuffer>,
+    /// Next sequence number per guest thread.
     thread_seq: Vec<u64>,
-    merged: Vec<TraceEvent>,
+    events: Vec<TraceEvent>,
     global_seq: u64,
     /// Cause annotation the collector sets before entering shared
     /// evacuation machinery; consumed by the next pause emission.
@@ -354,13 +289,12 @@ impl TraceRecorder {
         TraceRecorder::default()
     }
 
-    /// A recorder with one `capacity`-event ring per guest thread.
-    pub fn enabled(num_threads: u32, capacity: usize) -> Self {
+    /// A recorder for `num_threads` guest threads.
+    pub fn enabled(num_threads: u32) -> Self {
         TraceRecorder {
             enabled: true,
-            threads: (0..num_threads).map(|_| RingBuffer::new(capacity)).collect(),
             thread_seq: vec![0; num_threads as usize],
-            merged: Vec::new(),
+            events: Vec::new(),
             global_seq: 0,
             gc_cause: None,
         }
@@ -372,24 +306,24 @@ impl TraceRecorder {
         self.enabled
     }
 
-    /// Emits a mutator-side event into `thread`'s ring buffer. Never
-    /// allocates; a no-op (single branch) when disabled.
+    /// Emits a mutator-side event from guest `thread`; events from
+    /// threads the recorder was not built for are ignored. A no-op
+    /// (single branch) when disabled.
     #[inline]
     pub fn emit_thread(&mut self, thread: u32, ts: SimTime, kind: EventKind) {
         if !self.enabled {
             return;
         }
-        let t = thread as usize;
-        if t >= self.threads.len() {
+        let Some(next) = self.thread_seq.get_mut(thread as usize) else {
             return;
-        }
-        let seq = self.thread_seq[t];
-        self.thread_seq[t] = seq + 1;
-        self.threads[t].push(TraceEvent { ts, thread, seq, kind });
+        };
+        let seq = *next;
+        *next += 1;
+        self.events.push(TraceEvent { ts, thread, seq, kind });
     }
 
-    /// Emits a safepoint-side event directly into the merged stream (the
-    /// world is stopped; appending here is GC bookkeeping).
+    /// Emits a safepoint-side event (the world is stopped; appending here
+    /// is GC bookkeeping).
     #[inline]
     pub fn emit_global(&mut self, ts: SimTime, kind: EventKind) {
         if !self.enabled {
@@ -397,7 +331,7 @@ impl TraceRecorder {
         }
         let seq = self.global_seq;
         self.global_seq += 1;
-        self.merged.push(TraceEvent { ts, thread: GLOBAL_THREAD, seq, kind });
+        self.events.push(TraceEvent { ts, thread: GLOBAL_THREAD, seq, kind });
     }
 
     /// Annotates the cause of the next GC pause (set by the collector's
@@ -415,50 +349,13 @@ impl TraceRecorder {
         self.gc_cause.take().unwrap_or("allocation")
     }
 
-    /// Merges all per-thread ring buffers into the global stream.
-    ///
-    /// Called at GC safepoints (the world is stopped, so no thread is
-    /// mid-emit). Drained events are ordered deterministically by
-    /// `(timestamp, thread id, per-thread sequence)` regardless of drain
-    /// order, so traces are bit-reproducible.
-    pub fn merge_safepoint(&mut self) {
-        if !self.enabled {
-            return;
-        }
-        let mut batch: Vec<TraceEvent> = Vec::new();
-        for ring in &mut self.threads {
-            ring.drain_into(&mut batch);
-        }
-        if batch.is_empty() {
-            return;
-        }
-        batch.sort_by_key(|e| (e.ts, e.thread, e.seq));
-        self.merged.extend(batch);
-    }
-
-    /// Events overwritten in ring buffers before they could be merged.
-    pub fn dropped(&self) -> u64 {
-        self.threads.iter().map(|r| r.dropped()).sum()
-    }
-
-    /// The merged stream so far (call [`TraceRecorder::merge_safepoint`]
-    /// first to include buffered mutator events).
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.merged
-    }
-
-    /// Final drain: merges outstanding buffers and returns all events,
-    /// globally ordered by `(timestamp, thread id, sequence)`.
-    ///
-    /// Safepoint merges only order each drained batch internally; a batch
-    /// of mutator events can carry timestamps older than global events
-    /// already in the stream. The final sort removes those inversions so
-    /// exported traces are monotone in time (and still bit-reproducible:
-    /// the key is total within a thread because `seq` is monotone).
+    /// Returns every recorded event, globally ordered by `(timestamp,
+    /// thread id, sequence)`. The key is unique per event (`seq` is
+    /// monotone within a thread), so the order does not depend on the
+    /// order the events were emitted in.
     pub fn finish(mut self) -> Vec<TraceEvent> {
-        self.merge_safepoint();
-        self.merged.sort_by_key(|e| (e.ts, e.thread, e.seq));
-        self.merged
+        self.events.sort_by_key(|e| (e.ts, e.thread, e.seq));
+        self.events
     }
 }
 
@@ -471,33 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_overwrites_oldest_and_counts_drops() {
-        let mut ring = RingBuffer::new(3);
-        for i in 0..5u64 {
-            ring.push(TraceEvent { ts: SimTime::from_nanos(i), thread: 0, seq: i, kind: ev(i) });
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2, "two oldest events overwritten");
-        let mut out = Vec::new();
-        ring.drain_into(&mut out);
-        // Flight-recorder semantics: the *newest* three survive, in order.
-        let seqs: Vec<u64> = out.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-        assert!(ring.is_empty());
-        // A drained ring starts fresh (no stale head offset).
-        ring.push(TraceEvent { ts: SimTime::ZERO, thread: 0, seq: 9, kind: ev(9) });
-        let mut out2 = Vec::new();
-        ring.drain_into(&mut out2);
-        assert_eq!(out2.len(), 1);
-        assert_eq!(out2[0].seq, 9);
-    }
-
-    #[test]
-    fn safepoint_merge_orders_deterministically() {
-        // Two recorders fed the same events through different thread
-        // interleavings must produce identical merged streams.
-        let mut a = TraceRecorder::enabled(3, 16);
-        let mut b = TraceRecorder::enabled(3, 16);
+    fn finish_orders_thread_events_deterministically() {
+        // Two recorders fed the same events in different emission orders
+        // must produce identical streams.
+        let mut a = TraceRecorder::enabled(3);
+        let mut b = TraceRecorder::enabled(3);
         let t = SimTime::from_nanos;
         // Same (thread, ts) pairs, emitted in different wall orders.
         let feed = [(2u32, 50u64), (0, 10), (1, 10), (0, 50), (2, 10)];
@@ -507,26 +382,30 @@ mod tests {
         for &(thread, ts) in feed.iter().rev() {
             b.emit_thread(thread, t(ts), ev(ts));
         }
-        a.merge_safepoint();
-        b.merge_safepoint();
         let order_a: Vec<(u64, u32)> =
-            a.events().iter().map(|e| (e.ts.as_nanos(), e.thread)).collect();
+            a.finish().iter().map(|e| (e.ts.as_nanos(), e.thread)).collect();
         let order_b: Vec<(u64, u32)> =
-            b.events().iter().map(|e| (e.ts.as_nanos(), e.thread)).collect();
+            b.finish().iter().map(|e| (e.ts.as_nanos(), e.thread)).collect();
         // Ordered by (ts, thread, seq) in both.
         assert_eq!(order_a, vec![(10, 0), (10, 1), (10, 2), (50, 0), (50, 2)]);
         assert_eq!(order_b, order_a);
     }
 
     #[test]
-    fn merge_interleaves_with_global_stream_by_arrival() {
-        let mut r = TraceRecorder::enabled(1, 8);
-        r.emit_thread(0, SimTime::from_nanos(5), ev(5));
-        r.emit_global(SimTime::from_nanos(7), EventKind::SurvivorTracking { enabled: false });
-        r.merge_safepoint();
-        r.emit_global(SimTime::from_nanos(9), EventKind::SurvivorTracking { enabled: true });
-        let types: Vec<&str> = r.events().iter().map(|e| e.kind.type_name()).collect();
-        assert_eq!(types, vec!["survivor_tracking", "jit_compile", "survivor_tracking"]);
+    fn finish_interleaves_thread_and_global_events_by_timestamp() {
+        let t = SimTime::from_nanos;
+        let mut r = TraceRecorder::enabled(1);
+        r.emit_global(t(7), EventKind::SurvivorTracking { enabled: false });
+        r.emit_thread(0, t(5), ev(5));
+        r.emit_global(t(9), EventKind::SurvivorTracking { enabled: true });
+        r.emit_thread(0, t(9), ev(9));
+        let events = r.finish();
+        let types: Vec<&str> = events.iter().map(|e| e.kind.type_name()).collect();
+        // At equal timestamps a guest thread sorts before GLOBAL_THREAD.
+        assert_eq!(
+            types,
+            vec!["jit_compile", "survivor_tracking", "jit_compile", "survivor_tracking"]
+        );
     }
 
     #[test]
@@ -536,14 +415,12 @@ mod tests {
         r.emit_global(SimTime::ZERO, ev(2));
         r.set_gc_cause("eden-full");
         assert_eq!(r.take_gc_cause(), "allocation", "cause not latched when disabled");
-        r.merge_safepoint();
-        assert!(r.events().is_empty());
-        assert_eq!(r.dropped(), 0);
+        assert!(r.finish().is_empty());
     }
 
     #[test]
     fn gc_cause_is_consumed_once() {
-        let mut r = TraceRecorder::enabled(1, 8);
+        let mut r = TraceRecorder::enabled(1);
         r.set_gc_cause("eden-full");
         assert_eq!(r.take_gc_cause(), "eden-full");
         assert_eq!(r.take_gc_cause(), "allocation");
@@ -551,9 +428,8 @@ mod tests {
 
     #[test]
     fn emit_to_unknown_thread_is_ignored() {
-        let mut r = TraceRecorder::enabled(1, 8);
+        let mut r = TraceRecorder::enabled(1);
         r.emit_thread(5, SimTime::ZERO, ev(1));
-        r.merge_safepoint();
-        assert!(r.events().is_empty());
+        assert!(r.finish().is_empty());
     }
 }

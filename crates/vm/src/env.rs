@@ -122,9 +122,8 @@ impl VmEnv {
     pub fn sample_memory(&mut self) {
         self.memory.set_committed(self.heap.committed_bytes());
         self.memory.set_used(self.heap.used_bytes());
-        let registry = self.telemetry.registry();
-        registry.set_gauge(GaugeId::HeapUsedBytes, self.heap.used_bytes());
-        registry.set_gauge(GaugeId::HeapCommittedBytes, self.heap.committed_bytes());
+        self.telemetry.set_gauge(GaugeId::HeapUsedBytes, self.heap.used_bytes());
+        self.telemetry.set_gauge(GaugeId::HeapCommittedBytes, self.heap.committed_bytes());
         if self.trace.is_enabled() {
             self.trace.emit_global(
                 self.clock.now(),

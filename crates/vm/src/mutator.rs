@@ -837,7 +837,7 @@ mod tests {
         }
         w.vm.ctx(ThreadId(0)).idle(1_000);
 
-        let cells = std::sync::Arc::clone(w.vm.env.telemetry.cells());
+        let cells = w.vm.env.telemetry.cells();
         let attributed: u64 = rolp_telemetry::Bucket::ALL
             .iter()
             .filter(|b| !b.is_modeled())

@@ -104,11 +104,9 @@ pub struct RunOutcome {
     /// Flight-recorder events (empty unless `RuntimeConfig::trace_enabled`
     /// was set).
     pub trace: Vec<rolp_trace::TraceEvent>,
-    /// Events the per-thread trace rings overflowed and dropped.
-    pub trace_dropped: u64,
     /// Every telemetry snapshot published during the run (one per
     /// sampling window, plus the end-of-run snapshot), oldest first.
-    pub metrics: Vec<std::sync::Arc<rolp_telemetry::MetricsSnapshot>>,
+    pub metrics: Vec<std::rc::Rc<rolp_telemetry::MetricsSnapshot>>,
 }
 
 /// Runs `workload` under `config` until the budget is exhausted.
@@ -122,7 +120,7 @@ pub fn execute(
 
 /// [`execute`] with an `on_start` hook that observes the runtime after
 /// setup but before the first tick — e.g. to clone the telemetry
-/// registry for a crash-flush guard that must outlive the run loop.
+/// handle for a crash-flush guard that must outlive the run loop.
 pub fn execute_with(
     workload: &mut dyn Workload,
     config: RuntimeConfig,
@@ -171,7 +169,7 @@ pub fn execute_hooked(
         if now >= next_window {
             rt.vm.env.throughput.sample_window(now);
             rt.sample_side_tables();
-            rt.vm.env.telemetry.registry().publish(now.as_nanos());
+            rt.vm.env.telemetry.publish(now.as_nanos());
             next_window = now + window;
         }
         if now >= budget.sim_time || ops >= budget.max_ops {
@@ -185,10 +183,9 @@ pub fn execute_hooked(
     let raw_pauses = rt.vm.env.pauses.clone();
     let mut pauses = raw_pauses.clone();
     pauses.discard_before(budget.warmup_discard);
-    let trace_dropped = rt.vm.env.trace.dropped();
     // `report()` published the end-of-run snapshot, so the history is
     // complete by the time we copy it out.
-    let metrics = rt.vm.env.telemetry.registry().store().history();
+    let metrics = rt.vm.env.telemetry.history();
     RunOutcome {
         report,
         pauses,
@@ -196,7 +193,6 @@ pub fn execute_hooked(
         throughput_samples: rt.vm.env.throughput.samples().to_vec(),
         mutator_time: rt.vm.env.clock.mutator_time(),
         trace: rt.take_trace(),
-        trace_dropped,
         metrics,
     }
 }
