@@ -97,14 +97,16 @@ impl Region {
         self.liveness_valid = false;
     }
 
-    /// Returns the region to the free list. Backing memory is kept
-    /// committed for reuse (mirrors `-XX:+AlwaysPreTouch`-style behaviour;
-    /// the heap tracks committed bytes separately).
+    /// Returns the region to the free list. Backing words stay committed
+    /// for reuse (mirrors `-XX:+AlwaysPreTouch`-style behaviour; the heap
+    /// tracks committed bytes separately). The remembered set's storage
+    /// is freed: a free region owns no table, so host memory does not keep
+    /// the largest set the region ever held.
     pub fn release(&mut self) {
         self.kind = RegionKind::Free;
         self.top = 0;
         self.live_bytes = 0;
-        self.rset.clear();
+        self.rset = RememberedSet::new();
         self.liveness_valid = false;
     }
 
@@ -199,10 +201,14 @@ mod tests {
         let mut r = Region::new();
         r.assign(RegionKind::Old, 16, 1);
         r.bump(10).unwrap();
+        for offset in 0..100 {
+            r.rset.record(crate::remset::SlotAddr { region: RegionId(2), offset, epoch: 1 });
+        }
         r.release();
         assert_eq!(r.kind, RegionKind::Free);
         assert_eq!(r.top(), 0);
-        assert_eq!(r.capacity_words(), 16);
+        assert_eq!(r.capacity_words(), 16, "backing words stay committed");
+        assert_eq!(r.rset.memory_bytes(), 0, "the remembered set's table is freed");
     }
 
     #[test]

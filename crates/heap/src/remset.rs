@@ -45,7 +45,7 @@ impl RememberedSet {
         self.slots.insert(slot);
     }
 
-    /// Drops all entries.
+    /// Drops all entries, keeping the table's storage for reuse.
     pub fn clear(&mut self) {
         self.slots.clear();
     }
@@ -63,11 +63,6 @@ impl RememberedSet {
     /// Iterates all recorded slots.
     pub fn iter(&self) -> impl Iterator<Item = &SlotAddr> {
         self.slots.iter()
-    }
-
-    /// Drains the slots into a vector (used at evacuation start).
-    pub fn take(&mut self) -> Vec<SlotAddr> {
-        self.slots.drain().collect()
     }
 
     /// Approximate memory footprint in bytes.
@@ -97,13 +92,16 @@ mod tests {
     }
 
     #[test]
-    fn take_drains() {
+    fn clear_empties_but_keeps_storage() {
         let mut rs = RememberedSet::new();
+        assert_eq!(rs.memory_bytes(), 0, "a new set owns no table");
         rs.record(SlotAddr { region: RegionId(1), offset: 1, epoch: 1 });
         rs.record(SlotAddr { region: RegionId(2), offset: 2, epoch: 1 });
-        let v = rs.take();
-        assert_eq!(v.len(), 2);
+        let bytes = rs.memory_bytes();
+        assert!(bytes > 0);
+        rs.clear();
         assert!(rs.is_empty());
+        assert_eq!(rs.memory_bytes(), bytes);
     }
 
     #[test]

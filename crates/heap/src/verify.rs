@@ -8,7 +8,7 @@ use std::collections::HashSet;
 
 use crate::heap::{Heap, OBJECT_HEADER_WORDS};
 use crate::object::ObjectRef;
-use crate::region::RegionKind;
+use crate::region::{RegionId, RegionKind};
 
 /// A violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,9 +24,14 @@ pub enum VerifyError {
     BadRoot { to: ObjectRef },
     /// A cross-region reference has no remembered-set entry.
     MissingRemsetEntry { from: ObjectRef, field: u16, to: ObjectRef },
+    /// A free region's remembered set has entries or still owns storage.
+    RetainedRemset { region: RegionId },
 }
 
 /// Verifies the whole heap; returns all violations found.
+///
+/// A free region must own an empty remembered set with no storage: the
+/// set's table is freed with the region, so host memory tracks live data.
 ///
 /// `check_remsets` additionally validates remembered-set completeness
 /// (every live cross-region reference must be covered by an entry); this is
@@ -37,7 +42,7 @@ pub fn verify_heap(heap: &Heap, check_remsets: bool) -> Vec<VerifyError> {
     // Live (un-retired) TLAB gaps contain uninitialized words; the walk
     // skips them the same way it skips retirement fillers, so verification
     // is valid between safepoints too.
-    let tlab_gaps: std::collections::HashMap<(crate::region::RegionId, u32), u32> = heap
+    let tlab_gaps: std::collections::HashMap<(RegionId, u32), u32> = heap
         .live_tlab_gaps()
         .into_iter()
         .map(|(region, cursor, limit)| ((region, cursor), limit))
@@ -46,6 +51,9 @@ pub fn verify_heap(heap: &Heap, check_remsets: bool) -> Vec<VerifyError> {
     // Pass 1: walk every region and record valid object start offsets.
     let mut valid: HashSet<ObjectRef> = HashSet::new();
     for (id, region) in heap.regions() {
+        if matches!(region.kind, RegionKind::Free) && region.rset.memory_bytes() > 0 {
+            errors.push(VerifyError::RetainedRemset { region: id });
+        }
         if matches!(region.kind, RegionKind::Free | RegionKind::HumongousCont) {
             continue;
         }
@@ -217,6 +225,41 @@ mod tests {
         h.retire_all_tlabs();
         assert!(h.stats().tlab_fillers >= 1, "a filler was stamped");
         assert_eq!(verify_heap(&h, true), vec![]);
+    }
+
+    #[test]
+    fn released_region_frees_its_remembered_set() {
+        let mut h = heap();
+        let target = h.alloc_in(SpaceKind::Old, ClassId(0), 0, 0, ObjectHeader::new(1)).unwrap();
+        // Cross-region refs from eden into the old region fill its set.
+        for i in 0..32 {
+            let src = h.alloc_in(SpaceKind::Eden, ClassId(0), 1, 0, ObjectHeader::new(i)).unwrap();
+            assert_ne!(src.region(), target.region());
+            h.set_ref(src, 0, target);
+            // Drop the reference again so the release leaves no dangling
+            // slot behind; the (now stale) entries stay in the set.
+            h.set_ref(src, 0, ObjectRef::NULL);
+        }
+        let region = target.region();
+        assert!(h.region(region).rset.len() >= 32);
+        h.release_region(region);
+        assert_eq!(h.region(region).rset.memory_bytes(), 0);
+        assert_eq!(verify_heap(&h, true), vec![]);
+    }
+
+    #[test]
+    fn detects_retained_remset() {
+        use crate::remset::SlotAddr;
+        let mut h = heap();
+        let a = h.alloc_in(SpaceKind::Old, ClassId(0), 0, 0, ObjectHeader::new(1)).unwrap();
+        let region = a.region();
+        h.release_region(region);
+        // Forge: a free region that records, or keeps a cleared table.
+        let slot = SlotAddr { region: RegionId(0), offset: 0, epoch: 0 };
+        h.region_mut(region).rset.record(slot);
+        assert_eq!(verify_heap(&h, false), vec![VerifyError::RetainedRemset { region }]);
+        h.region_mut(region).rset.clear();
+        assert_eq!(verify_heap(&h, false), vec![VerifyError::RetainedRemset { region }]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! duration interval (Fig. 9). Both views are served by one HDR-style
 //! histogram: values are bucketed with a fixed number of sub-buckets per
 //! power of two, giving a bounded relative error (< 1/32 with the default
-//! 5 precision bits) at O(1) record cost and small constant memory.
+//! 5 precision bits) at O(1) record cost, with storage up to the highest
+//! recorded bucket.
 
 /// Number of low-order bits kept exactly within each power-of-two bucket.
 const PRECISION_BITS: u32 = 5;
@@ -13,7 +14,8 @@ const SUB_BUCKETS: usize = 1 << PRECISION_BITS;
 /// A log-bucketed histogram of `u64` values (typically nanoseconds).
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    /// counts[b * SUB_BUCKETS + s] holds values in bucket (b, s).
+    /// counts[b * SUB_BUCKETS + s] holds values in bucket (b, s). Grows
+    /// to the highest index recorded; slots past the end count zero.
     counts: Vec<u64>,
     total: u64,
     min: u64,
@@ -28,17 +30,17 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Total number of buckets.
-    const SLOTS: usize = 64 * SUB_BUCKETS;
-
-    /// Creates an empty histogram covering the full `u64` range.
+    /// Creates an empty histogram covering the full `u64` range. It owns
+    /// no storage until the first observation.
     pub fn new() -> Self {
-        // 64 power-of-two buckets cover all u64 values.
-        Histogram { counts: vec![0; Self::SLOTS], total: 0, min: u64::MAX, max: 0, sum: 0 }
+        Histogram { counts: Vec::new(), total: 0, min: u64::MAX, max: 0, sum: 0 }
     }
 
-    /// The bucket index `value` maps to (always `< Histogram::SLOTS`).
-    fn index_of(value: u64) -> usize {
+    /// The bucket index `value` maps to. Values below `SUB_BUCKETS` index
+    /// themselves; every power of two above that adds `SUB_BUCKETS` slots,
+    /// so 60 × 32 = 1,920 slots (at most 15 KB) cover all `u64` values and
+    /// `u64::MAX` maps to 1,919.
+    pub fn index_of(value: u64) -> usize {
         if value < SUB_BUCKETS as u64 {
             return value as usize;
         }
@@ -72,6 +74,9 @@ impl Histogram {
             return;
         }
         let idx = Self::index_of(value);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
         self.counts[idx] += n;
         self.total += n;
         self.sum += value as u128 * n as u128;
@@ -81,6 +86,9 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
             *dst += *src;
         }
@@ -289,6 +297,72 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 10);
         assert_eq!(a.max(), 1_000_000);
+    }
+
+    #[test]
+    fn u64_max_maps_to_the_last_slot() {
+        assert_eq!(Histogram::index_of(u64::MAX), 1919);
+        assert_eq!(Histogram::index_of(u64::MAX - 1), 1919);
+    }
+
+    #[test]
+    fn empty_histogram_owns_no_storage() {
+        let h = Histogram::new();
+        assert_eq!(h.counts.len(), 0);
+        assert_eq!(h.counts.capacity(), 0);
+        assert_eq!(Histogram::default().counts.capacity(), 0);
+    }
+
+    #[test]
+    fn storage_grows_only_to_the_highest_recorded_bucket() {
+        let mut h = Histogram::new();
+        for v in (0..1_000u64).step_by(7) {
+            h.record(v);
+        }
+        assert!(h.counts.len() - 1 <= Histogram::index_of(1_000), "len {}", h.counts.len());
+        h.record_n(5, 0);
+        h.record(3);
+        assert_eq!(h.counts.len(), Histogram::index_of(994) + 1, "a lower value never grows it");
+    }
+
+    /// `a` merged with `b` must read exactly like one histogram that
+    /// recorded both value lists.
+    fn assert_merge_matches_union(a: &[u64], b: &[u64]) {
+        let mut ha = Histogram::new();
+        let mut hb = Histogram::new();
+        let mut union = Histogram::new();
+        for &v in a {
+            ha.record(v);
+            union.record(v);
+        }
+        for &v in b {
+            hb.record(v);
+            union.record(v);
+        }
+        ha.merge(&hb);
+        assert_eq!(ha.count(), union.count());
+        assert_eq!(ha.min(), union.min());
+        assert_eq!(ha.max(), union.max());
+        assert_eq!(ha.sum(), union.sum());
+        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(ha.value_at_quantile(q), union.value_at_quantile(q), "q{q}");
+        }
+        let bounds = [0, 50, 1_000, 40_000, 2_000_000];
+        assert_eq!(ha.interval_counts(&bounds), union.interval_counts(&bounds));
+        assert_eq!(ha.iter_buckets().collect::<Vec<_>>(), union.iter_buckets().collect::<Vec<_>>());
+        assert_eq!(ha.counts.len(), union.counts.len());
+    }
+
+    #[test]
+    fn merge_in_both_directions_equals_the_union() {
+        let short = [3u64, 17, 31, 400, 999];
+        let long = [5u64, 999, 12_345, 7_000_000, 3_000_000_000];
+        // Short into long and long into short.
+        assert_merge_matches_union(&long, &short);
+        assert_merge_matches_union(&short, &long);
+        // An empty side on either end.
+        assert_merge_matches_union(&[], &long);
+        assert_merge_matches_union(&short, &[]);
     }
 
     #[test]

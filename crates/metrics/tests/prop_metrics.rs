@@ -1,7 +1,7 @@
 //! Property-based tests for the metrics substrate.
 
 use proptest::prelude::*;
-use rolp_metrics::{quantile_sorted, Histogram};
+use rolp_metrics::{quantile_sorted, rank_of, Histogram};
 
 proptest! {
     /// Histogram percentiles track exact (sorted) percentiles within the
@@ -29,6 +29,28 @@ proptest! {
         prop_assert_eq!(h.max(), *values.last().expect("non-empty"));
         prop_assert_eq!(h.min(), values[0]);
         prop_assert_eq!(h.count(), values.len() as u64);
+    }
+
+    /// Every quantile below 1 is the representative of the bucket holding
+    /// the nearest-rank observation, clamped up to the recorded minimum;
+    /// q = 1 is the exact maximum.
+    #[test]
+    fn quantiles_match_a_sorted_vector_oracle(
+        mut values in prop::collection::vec(any::<u64>().prop_map(|v| v >> (v % 64)), 1..300),
+        qs in prop::collection::vec(0.0f64..1.0, 1..8),
+    ) {
+        let mut h = Histogram::new();
+        for &v in &values {
+            h.record(v);
+        }
+        values.sort_unstable();
+        let min = values[0];
+        for q in qs {
+            let rank = rank_of(q, values.len() as u64) as usize;
+            let oracle = Histogram::value_of(Histogram::index_of(values[rank - 1])).max(min);
+            prop_assert_eq!(h.value_at_quantile(q), oracle, "q {}", q);
+        }
+        prop_assert_eq!(h.value_at_quantile(1.0), *values.last().expect("non-empty"));
     }
 
     /// Interval counts always partition the full population, for any
