@@ -233,10 +233,16 @@ impl Heap {
         self.config.max_heap_bytes
     }
 
-    /// Bytes of committed backing memory (regions that have ever been
-    /// assigned keep their memory, as with pre-touched heaps).
+    /// Simulated committed bytes: a region that has ever been assigned
+    /// counts its full capacity, as with pre-touched heaps. The host holds
+    /// only the pages written non-zero (see [`Heap::backing_bytes`]).
     pub fn committed_bytes(&self) -> u64 {
         self.regions.iter().map(|r| (r.capacity_words() * 8) as u64).sum()
+    }
+
+    /// Host bytes held by the regions' page maps and pages.
+    pub fn backing_bytes(&self) -> u64 {
+        self.regions.iter().map(Region::backing_bytes).sum()
     }
 
     /// Bytes occupied by objects in live (non-free) regions.
@@ -301,8 +307,8 @@ impl Heap {
                 *c = None;
             }
         }
-        // Invalidate any TLAB still carved from it (the backing words are
-        // being recycled; no filler needed for a freed region).
+        // Invalidate any TLAB still carved from it (the region is being
+        // recycled; no filler needed for a freed region).
         for set in &mut self.tlabs {
             for tl in set.iter_mut() {
                 if tl.map(|t| t.region) == Some(id) {
@@ -313,10 +319,10 @@ impl Heap {
         self.free.push(id);
     }
 
-    /// Commits backing memory for up to `n` additional free regions
-    /// without assigning them (concurrent collectors pre-commit allocation
-    /// headroom for the mutator allocation that proceeds during their
-    /// cycles). Counted by [`Heap::committed_bytes`].
+    /// Commits up to `n` additional free regions without assigning them
+    /// (concurrent collectors pre-commit allocation headroom for the
+    /// mutator allocation that proceeds during their cycles). Counted by
+    /// [`Heap::committed_bytes`].
     pub fn commit_headroom(&mut self, n: usize) {
         let words = self.region_words();
         let mut committed = 0;
@@ -326,8 +332,8 @@ impl Heap {
             }
             let r = &mut self.regions[id.0 as usize];
             if r.capacity_words() != words {
-                // Touch the backing memory, as `assign` would, then return
-                // the region to the free state (kind counts unchanged).
+                // Size the region, as `assign` would, then return it to
+                // the free state (kind counts unchanged).
                 r.assign(RegionKind::Eden, words, 0);
                 r.release();
                 committed += 1;
@@ -496,9 +502,9 @@ impl Heap {
     }
 
     /// Live (un-retired) buffer gaps as `(region, cursor, limit)` spans.
-    /// The words inside a span are uninitialized until the owning thread
-    /// allocates over them, so heap walkers running between safepoints
-    /// must skip them just like retirement fillers.
+    /// The words inside a span read zero and hold no object until the
+    /// owning thread allocates over them, so heap walkers running between
+    /// safepoints must skip them just like retirement fillers.
     pub fn live_tlab_gaps(&self) -> Vec<(RegionId, u32, u32)> {
         let mut gaps = Vec::new();
         for per_thread in &self.tlabs {
@@ -577,9 +583,8 @@ impl Heap {
         for i in 0..ref_words as u32 {
             r.set_word(offset + OBJECT_HEADER_WORDS + i, ObjectRef::NULL.raw());
         }
-        for j in 0..data_words {
-            r.set_word(offset + OBJECT_HEADER_WORDS + ref_words as u32 + j, 0);
-        }
+        // Data words are not written: fresh bump space reads zero (the
+        // verifier's `DirtyFrontier` check guards this).
         self.classes.note_allocation(class);
         self.stats.allocations += 1;
         self.stats.bytes_allocated += size_words as u64 * 8;
@@ -940,6 +945,23 @@ mod tests {
         // Next eden allocation may reuse the same region.
         let o2 = alloc(&mut h, SpaceKind::Eden, 0, 30);
         assert_eq!(o2.region(), region);
+    }
+
+    #[test]
+    fn reused_region_reads_zero_data() {
+        let mut h = heap_with_class();
+        let o = alloc(&mut h, SpaceKind::Eden, 1, 30);
+        for j in 0..30 {
+            h.set_data(o, j, u64::MAX - j as u64);
+        }
+        h.retire_current(SpaceKind::Eden);
+        h.release_region(o.region());
+        let o2 = alloc(&mut h, SpaceKind::Eden, 1, 30);
+        assert_eq!(o2, o, "same region, same offset");
+        assert_eq!(h.get_ref(o2, 0), ObjectRef::NULL);
+        for j in 0..30 {
+            assert_eq!(h.get_data(o2, j), 0, "data word {j}");
+        }
     }
 
     #[test]

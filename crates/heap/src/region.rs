@@ -4,8 +4,25 @@
 //! Each region is a bump-allocated arena of 8-byte words; a region belongs
 //! to exactly one space at a time and is recycled through the free list
 //! after evacuation.
+//!
+//! A region's words are stored one cache line (8 words) at a time, and a
+//! page is created by the first non-zero write into it. Pages
+//! never written read as zero. Object payloads are opaque to the
+//! collectors and mostly never written, so the host holds little more
+//! than headers and references. A released region drops its pages but
+//! keeps its simulated capacity, which is what the heap counts as
+//! committed.
 
 use crate::remset::RememberedSet;
+
+/// Words per backing page: one 64-byte cache line.
+const PAGE_WORDS: usize = 8;
+
+/// Page-map entry of a page that holds no storage (all its words read zero).
+const ABSENT: u32 = u32::MAX;
+
+/// The contents of a page that was never written non-zero.
+const ZERO_PAGE: [u64; PAGE_WORDS] = [0; PAGE_WORDS];
 
 /// Index of a region within the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,8 +64,13 @@ impl RegionKind {
 /// One heap region.
 #[derive(Debug, Clone)]
 pub struct Region {
-    /// Backing words. Allocated lazily on first assignment to a space.
-    words: Vec<u64>,
+    /// Simulated size in words: set by assignment, kept on release.
+    capacity: usize,
+    /// One entry per page: the page's index in `pages`, or `ABSENT`.
+    /// Empty until the first non-zero write after assignment.
+    page_map: Vec<u32>,
+    /// The pages that have received a non-zero write.
+    pages: Vec<[u64; PAGE_WORDS]>,
     /// Bump pointer: next free word index.
     top: usize,
     /// Current space.
@@ -70,10 +92,12 @@ pub struct Region {
 }
 
 impl Region {
-    /// Creates an unassigned region; backing memory is not yet committed.
+    /// Creates an unassigned region of capacity 0 that holds no storage.
     pub fn new() -> Self {
         Region {
-            words: Vec::new(),
+            capacity: 0,
+            page_map: Vec::new(),
+            pages: Vec::new(),
             top: 0,
             kind: RegionKind::Free,
             live_bytes: 0,
@@ -83,12 +107,11 @@ impl Region {
         }
     }
 
-    /// Commits backing memory and assigns the region to a space.
+    /// Assigns the region to a space with a capacity of `region_words`.
+    /// Every word reads zero: a free region holds no pages.
     pub fn assign(&mut self, kind: RegionKind, region_words: usize, epoch: u64) {
         debug_assert!(matches!(self.kind, RegionKind::Free), "assigning a non-free region");
-        if self.words.len() != region_words {
-            self.words = vec![0; region_words];
-        }
+        self.capacity = region_words;
         self.top = 0;
         self.kind = kind;
         self.live_bytes = 0;
@@ -97,15 +120,17 @@ impl Region {
         self.liveness_valid = false;
     }
 
-    /// Returns the region to the free list. Backing words stay committed
-    /// for reuse (mirrors `-XX:+AlwaysPreTouch`-style behaviour; the heap
-    /// tracks committed bytes separately). The remembered set's storage
-    /// is freed: a free region owns no table, so host memory does not keep
-    /// the largest set the region ever held.
+    /// Returns the region to the free list. The capacity is kept, so the
+    /// heap still counts the region as committed (mirrors
+    /// `-XX:+AlwaysPreTouch`-style behaviour), but the pages and the
+    /// remembered set's table are freed: a free region owns no storage, so
+    /// host memory tracks live data.
     pub fn release(&mut self) {
         self.kind = RegionKind::Free;
         self.top = 0;
         self.live_bytes = 0;
+        self.page_map = Vec::new();
+        self.pages = Vec::new();
         self.rset = RememberedSet::new();
         self.liveness_valid = false;
     }
@@ -113,7 +138,7 @@ impl Region {
     /// Bump-allocates `words` words; returns the offset of the first word
     /// or `None` if the region is full.
     pub fn bump(&mut self, words: usize) -> Option<u32> {
-        if self.top + words > self.words.len() {
+        if self.top + words > self.capacity {
             return None;
         }
         let at = self.top;
@@ -141,7 +166,7 @@ impl Region {
 
     /// Capacity in words (0 until first assignment).
     pub fn capacity_words(&self) -> usize {
-        self.words.len()
+        self.capacity
     }
 
     /// Bytes allocated in this region so far.
@@ -154,24 +179,122 @@ impl Region {
         self.used_bytes().saturating_sub(self.live_bytes)
     }
 
-    /// Reads a word.
-    #[inline]
-    pub fn word(&self, offset: u32) -> u64 {
-        self.words[offset as usize]
+    /// Host bytes held by the page map and the pages.
+    pub fn backing_bytes(&self) -> u64 {
+        (self.page_map.capacity() * size_of::<u32>()
+            + self.pages.capacity() * size_of::<[u64; PAGE_WORDS]>()) as u64
     }
 
-    /// Writes a word.
+    /// The first non-zero word at or past the allocation frontier, if any.
+    /// Allocation relies on fresh bump space reading zero.
+    pub(crate) fn first_dirty_word_past_top(&self) -> Option<u32> {
+        let top = self.top;
+        (top / PAGE_WORDS..self.page_map.len()).find_map(|page| {
+            let base = page * PAGE_WORDS;
+            let from = top.saturating_sub(base);
+            let k = self.page(page)[from..].iter().position(|&w| w != 0)?;
+            Some((base + from + k) as u32)
+        })
+    }
+
+    /// Reads a word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not below the capacity.
+    #[inline]
+    pub fn word(&self, offset: u32) -> u64 {
+        let o = offset as usize;
+        self.check_range(o, 1);
+        self.page(o / PAGE_WORDS)[o % PAGE_WORDS]
+    }
+
+    /// Writes a word. Writing zero into a page with no storage does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not below the capacity.
     #[inline]
     pub fn set_word(&mut self, offset: u32, value: u64) {
-        self.words[offset as usize] = value;
+        let o = offset as usize;
+        self.check_range(o, 1);
+        if let Some(page) = self.page_mut(o / PAGE_WORDS, value != 0) {
+            page[o % PAGE_WORDS] = value;
+        }
     }
 
     /// Copies `words` words starting at `src_offset` in `src` into this
-    /// region at `dst_offset`. Both ranges must be in bounds.
+    /// region at `dst_offset`, one source page at a time. A source page
+    /// with no storage creates no page here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range is out of bounds.
     pub fn copy_from(&mut self, src: &Region, src_offset: u32, dst_offset: u32, words: usize) {
-        let s = src_offset as usize;
-        let d = dst_offset as usize;
-        self.words[d..d + words].copy_from_slice(&src.words[s..s + words]);
+        let (s, d) = (src_offset as usize, dst_offset as usize);
+        src.check_range(s, words);
+        self.check_range(d, words);
+        let mut done = 0;
+        while done < words {
+            let at = s + done;
+            let within = at % PAGE_WORDS;
+            let n = (PAGE_WORDS - within).min(words - done);
+            self.write_words(d + done, &src.page(at / PAGE_WORDS)[within..within + n]);
+            done += n;
+        }
+    }
+
+    /// Writes `values` starting at word `at`, one destination page at a
+    /// time; an all-zero run into a page with no storage is skipped.
+    fn write_words(&mut self, at: usize, values: &[u64]) {
+        let mut done = 0;
+        while done < values.len() {
+            let o = at + done;
+            let within = o % PAGE_WORDS;
+            let run = &values[done..values.len().min(done + PAGE_WORDS - within)];
+            if let Some(page) = self.page_mut(o / PAGE_WORDS, run.iter().any(|&w| w != 0)) {
+                page[within..within + run.len()].copy_from_slice(run);
+            }
+            done += run.len();
+        }
+    }
+
+    #[inline]
+    fn check_range(&self, offset: usize, words: usize) {
+        assert!(
+            offset + words <= self.capacity,
+            "words {offset}..{} outside a region of {} words",
+            offset + words,
+            self.capacity
+        );
+    }
+
+    /// Page `page`'s words; the zero page if it holds no storage.
+    #[inline]
+    fn page(&self, page: usize) -> &[u64; PAGE_WORDS] {
+        match self.page_map.get(page) {
+            Some(&slot) if slot != ABSENT => &self.pages[slot as usize],
+            _ => &ZERO_PAGE,
+        }
+    }
+
+    /// Page `page`'s storage; created first if it has none and `create`.
+    #[inline]
+    fn page_mut(&mut self, page: usize, create: bool) -> Option<&mut [u64; PAGE_WORDS]> {
+        let slot = match self.page_map.get(page) {
+            Some(&slot) if slot != ABSENT => slot,
+            _ if !create => return None,
+            _ => {
+                if self.page_map.is_empty() {
+                    self.page_map = vec![ABSENT; self.capacity.div_ceil(PAGE_WORDS)];
+                }
+                let slot = u32::try_from(self.pages.len()).expect("page count fits the map");
+                self.pages.push(ZERO_PAGE);
+                self.page_map[page] = slot;
+                slot
+            }
+        };
+        Some(&mut self.pages[slot as usize])
     }
 }
 
@@ -197,18 +320,66 @@ mod tests {
     }
 
     #[test]
-    fn release_resets_but_keeps_memory() {
+    fn release_frees_storage_but_keeps_capacity() {
         let mut r = Region::new();
         r.assign(RegionKind::Old, 16, 1);
         r.bump(10).unwrap();
+        r.set_word(3, 7);
         for offset in 0..100 {
             r.rset.record(crate::remset::SlotAddr { region: RegionId(2), offset, epoch: 1 });
         }
+        assert!(r.backing_bytes() > 0);
         r.release();
         assert_eq!(r.kind, RegionKind::Free);
         assert_eq!(r.top(), 0);
-        assert_eq!(r.capacity_words(), 16, "backing words stay committed");
+        assert_eq!(r.capacity_words(), 16, "the capacity stays committed");
+        assert_eq!(r.backing_bytes(), 0, "the pages are freed");
         assert_eq!(r.rset.memory_bytes(), 0, "the remembered set's table is freed");
+        r.assign(RegionKind::Eden, 16, 2);
+        assert_eq!(r.word(3), 0, "a reassigned region reads zero");
+    }
+
+    #[test]
+    fn zero_writes_create_no_pages() {
+        let mut r = Region::new();
+        r.assign(RegionKind::Eden, 64, 1);
+        for offset in 0..64 {
+            r.set_word(offset, 0);
+        }
+        assert_eq!(r.backing_bytes(), 0);
+        r.set_word(9, 1);
+        assert_eq!(r.pages.len(), 1, "one page holds word 9");
+        r.set_word(15, 2);
+        assert_eq!(r.pages.len(), 1, "word 15 shares word 9's page");
+        assert_eq!((r.word(8), r.word(9), r.word(15), r.word(16)), (0, 1, 2, 0));
+    }
+
+    #[test]
+    fn copy_from_skips_pages_with_no_storage() {
+        let mut a = Region::new();
+        let mut b = Region::new();
+        a.assign(RegionKind::Eden, 64, 1);
+        b.assign(RegionKind::Old, 64, 1);
+        a.set_word(3, 5);
+        b.copy_from(&a, 3, 10, 40);
+        assert_eq!(b.word(10), 5);
+        assert_eq!(b.pages.len(), 1, "only the page holding word 10 exists");
+        // Copying zeros over written words clears them.
+        b.copy_from(&a, 20, 8, 8);
+        assert_eq!(b.word(10), 0);
+    }
+
+    #[test]
+    fn dirty_word_past_top_is_found() {
+        let mut r = Region::new();
+        r.assign(RegionKind::Eden, 32, 1);
+        r.bump(12).unwrap();
+        r.set_word(11, 1);
+        assert_eq!(r.first_dirty_word_past_top(), None);
+        r.set_word(13, 1);
+        assert_eq!(r.first_dirty_word_past_top(), Some(13));
+        r.unbump(4);
+        assert_eq!(r.first_dirty_word_past_top(), Some(11));
     }
 
     #[test]

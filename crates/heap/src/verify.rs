@@ -26,12 +26,19 @@ pub enum VerifyError {
     MissingRemsetEntry { from: ObjectRef, field: u16, to: ObjectRef },
     /// A free region's remembered set has entries or still owns storage.
     RetainedRemset { region: RegionId },
+    /// A free region's page map or pages still own storage.
+    RetainedBacking { region: RegionId },
+    /// A non-zero word at or past the region's allocation frontier.
+    /// Allocation does not write data words, so fresh bump space must
+    /// read zero.
+    DirtyFrontier { region: RegionId, offset: u32 },
 }
 
 /// Verifies the whole heap; returns all violations found.
 ///
-/// A free region must own an empty remembered set with no storage: the
-/// set's table is freed with the region, so host memory tracks live data.
+/// A free region must own an empty remembered set and no pages: both are
+/// freed with the region, so host memory tracks live data. Every word at
+/// or past a region's frontier must read zero.
 ///
 /// `check_remsets` additionally validates remembered-set completeness
 /// (every live cross-region reference must be covered by an entry); this is
@@ -39,9 +46,9 @@ pub enum VerifyError {
 pub fn verify_heap(heap: &Heap, check_remsets: bool) -> Vec<VerifyError> {
     let mut errors = Vec::new();
 
-    // Live (un-retired) TLAB gaps contain uninitialized words; the walk
-    // skips them the same way it skips retirement fillers, so verification
-    // is valid between safepoints too.
+    // Live (un-retired) TLAB gaps read zero and hold no objects yet; the
+    // walk skips them the same way it skips retirement fillers, so
+    // verification is valid between safepoints too.
     let tlab_gaps: std::collections::HashMap<(RegionId, u32), u32> = heap
         .live_tlab_gaps()
         .into_iter()
@@ -51,8 +58,16 @@ pub fn verify_heap(heap: &Heap, check_remsets: bool) -> Vec<VerifyError> {
     // Pass 1: walk every region and record valid object start offsets.
     let mut valid: HashSet<ObjectRef> = HashSet::new();
     for (id, region) in heap.regions() {
-        if matches!(region.kind, RegionKind::Free) && region.rset.memory_bytes() > 0 {
-            errors.push(VerifyError::RetainedRemset { region: id });
+        if matches!(region.kind, RegionKind::Free) {
+            if region.rset.memory_bytes() > 0 {
+                errors.push(VerifyError::RetainedRemset { region: id });
+            }
+            if region.backing_bytes() > 0 {
+                errors.push(VerifyError::RetainedBacking { region: id });
+            }
+        }
+        if let Some(offset) = region.first_dirty_word_past_top() {
+            errors.push(VerifyError::DirtyFrontier { region: id, offset });
         }
         if matches!(region.kind, RegionKind::Free | RegionKind::HumongousCont) {
             continue;
@@ -260,6 +275,33 @@ mod tests {
         assert_eq!(verify_heap(&h, false), vec![VerifyError::RetainedRemset { region }]);
         h.region_mut(region).rset.clear();
         assert_eq!(verify_heap(&h, false), vec![VerifyError::RetainedRemset { region }]);
+    }
+
+    #[test]
+    fn detects_retained_backing() {
+        let mut h = heap();
+        let a = h.alloc_in(SpaceKind::Old, ClassId(0), 0, 4, ObjectHeader::new(1)).unwrap();
+        let region = a.region();
+        assert!(h.backing_bytes() > 0);
+        h.release_region(region);
+        assert_eq!(h.backing_bytes(), 0);
+        assert_eq!(verify_heap(&h, false), vec![]);
+        // Forge: a free region whose page was written and zeroed again
+        // still owns storage.
+        h.region_mut(region).set_word(2, 9);
+        h.region_mut(region).set_word(2, 0);
+        assert_eq!(verify_heap(&h, false), vec![VerifyError::RetainedBacking { region }]);
+    }
+
+    #[test]
+    fn detects_dirty_frontier() {
+        let mut h = heap();
+        let a = h.alloc_in(SpaceKind::Eden, ClassId(0), 0, 4, ObjectHeader::new(1)).unwrap();
+        let (region, offset) = (a.region(), h.region(a.region()).top() as u32 + 3);
+        // Forge: a stale word past the frontier, which the next allocation
+        // would expose as data.
+        h.region_mut(region).set_word(offset, 42);
+        assert_eq!(verify_heap(&h, false), vec![VerifyError::DirtyFrontier { region, offset }]);
     }
 
     #[test]
