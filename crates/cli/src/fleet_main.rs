@@ -179,14 +179,13 @@ fn instance_workload(
     scale: SimScale,
     instance: usize,
 ) -> rolp_workloads::CassandraWorkload {
-    let mut preset = rolp_workloads::presets::cassandra(CassandraMix::WriteIntensive, scale);
-    let mut params = preset.params().clone();
+    let mut workload = rolp_workloads::presets::cassandra(CassandraMix::WriteIntensive, scale);
+    let params = workload.params_mut();
     params.seed = params.seed.wrapping_add((instance as u64) << 16);
     if args.drift && args.instances > 1 && instance == args.instances - 1 {
         params.mix = CassandraMix::ReadWrite;
     }
-    preset = rolp_workloads::CassandraWorkload::new(params);
-    preset
+    workload
 }
 
 fn instance_config(args: &FleetArgs, scale: SimScale) -> RuntimeConfig {

@@ -206,6 +206,7 @@ impl CmsCollector {
             env.heap.release_region(id);
             swept += 1;
         }
+        env.heap.purge_remsets();
         env.heap.retire_current(SpaceKind::Old);
         self.stats.regions_swept += swept;
         self.stats.concurrent_cycles += 1;

@@ -114,6 +114,7 @@ impl ConcurrentCollector {
         {
             env.heap.release_region(id);
         }
+        env.heap.purge_remsets();
 
         let cset: Vec<RegionId> = env
             .heap

@@ -6,7 +6,8 @@
 //!
 //! - root processing through the handle table,
 //! - remembered-set scanning with epoch validation (stale slots in
-//!   recycled regions are discarded, never written through),
+//!   recycled regions are discarded, never written through; once a pause
+//!   releases its regions, the sets drop the slots those regions held),
 //! - transitive copying with forwarding pointers in object headers,
 //! - age increments for survivors and per-survivor profiler callbacks,
 //! - pause-time accounting from the cost model (copying is
@@ -38,7 +39,8 @@ pub struct EvacStats {
     pub survivors: u64,
     /// Root handles examined.
     pub roots_scanned: u64,
-    /// Remembered-set slots examined (valid or stale).
+    /// Remembered-set slots examined (valid or stale), counting the slots
+    /// a set dropped since it was last cleared.
     pub remset_slots: u64,
     /// Regions in the collection set.
     pub regions_in_cset: u64,
@@ -179,8 +181,9 @@ struct RemsetPrescan {
     /// Valid slots per collection-set region, in `cset` order, each list
     /// sorted by `(region, offset, epoch)`.
     valid: Vec<Vec<ValidSlot>>,
-    /// Total slots examined (valid or stale) — the pause-accounting
-    /// figure the cost model charges.
+    /// Total slots examined (valid or stale), including the slots each set
+    /// dropped since it was last cleared — the pause-accounting figure the
+    /// cost model charges.
     slots_examined: u64,
 }
 
@@ -188,21 +191,22 @@ struct RemsetPrescan {
 /// before any object is forwarded. Skipped: slots whose holder is itself
 /// in the collection set (transitive scanning covers them), stale slots
 /// (recycled holder region, or an offset past its top), and slots since
-/// overwritten with a reference outside the collection set.
+/// overwritten with a reference outside the collection set. Slots a set
+/// dropped after their holder was released count as examined stale
+/// slots, so the charge equals that of a set that kept them.
 fn prescan_remsets(heap: &Heap, cset: &[RegionId], in_cset: &[bool]) -> RemsetPrescan {
     let mut prescan = RemsetPrescan::default();
     for &r in cset {
+        let rset = &heap.region(r).rset;
+        prescan.slots_examined += rset.dropped();
         let mut valid: Vec<ValidSlot> = Vec::new();
-        for slot in heap.region(r).rset.iter() {
+        for slot in rset.iter() {
             prescan.slots_examined += 1;
             if in_cset[slot.region.0 as usize] {
                 continue;
             }
             let holder = heap.region(slot.region);
-            if holder.assigned_epoch != slot.epoch
-                || matches!(holder.kind, RegionKind::Free)
-                || (slot.offset as usize) >= holder.top()
-            {
+            if !holder.holds_epoch(slot.epoch) || (slot.offset as usize) >= holder.top() {
                 continue;
             }
             let value = ObjectRef::from_raw(holder.word(slot.offset));
@@ -427,6 +431,7 @@ fn evacuate_mode(
             env.heap.release_region(r);
             stats.regions_released += 1;
         }
+        env.heap.purge_remsets();
     }
 
     let work = SimTime::from_nanos(evac_pause_ns(&env.cost, &stats, tracking));

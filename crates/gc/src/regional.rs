@@ -235,6 +235,7 @@ impl RegionalCollector {
                 env.heap.release_region(id);
             }
         }
+        env.heap.purge_remsets();
         self.liveness_fresh = true;
         self.mixed_remaining = self.config.mixed_cycles;
         self.stats.markings += 1;

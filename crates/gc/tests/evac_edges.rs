@@ -136,3 +136,37 @@ fn survivor_pause_grows_with_copied_bytes() {
     }
     assert!(pauses[1] > pauses[0], "10x larger objects must cost more: {pauses:?}");
 }
+
+/// Slots whose holder region was released are dropped from the target's
+/// remembered set but still counted: collecting the target charges the
+/// stored slots plus the dropped ones, the count of a set that kept them.
+#[test]
+fn collecting_a_target_charges_its_dropped_slots() {
+    let mut env = env();
+    let target = alloc(&mut env, SpaceKind::Old, 0, 0);
+    let holder = alloc(&mut env, SpaceKind::Dynamic(3), 1, 0);
+    env.heap.handles.create(target);
+    env.heap.handles.create(holder);
+    env.heap.set_ref(holder, 0, target);
+    // Dead eden objects that once pointed at the target.
+    for _ in 0..40 {
+        let e = alloc(&mut env, SpaceKind::Eden, 1, 0);
+        env.heap.set_ref(e, 0, target);
+    }
+    let t = target.region();
+    assert_eq!(env.heap.region(t).rset.len(), 41);
+
+    let eden = env.heap.regions_of_kind(RegionKind::Eden);
+    let mut hooks = NullHooks;
+    evacuate(&mut env, &eden, &mut young_dest, &mut hooks, PauseKind::Young);
+    let rset = &env.heap.region(t).rset;
+    assert_eq!((rset.len(), rset.dropped()), (1, 40), "the released holders' slots are dropped");
+    assert_heap_valid(&env.heap, true);
+
+    let mut to_old = |_: RegionKind, _: u8, _: u32, _: Option<u32>| SpaceKind::Old;
+    let outcome = evacuate(&mut env, &[t], &mut to_old, &mut hooks, PauseKind::Mixed);
+    assert!(!outcome.failed);
+    assert_eq!(outcome.stats.remset_slots, 1 + 40, "stored plus dropped slots");
+    assert_eq!(outcome.stats.survivors, 1);
+    assert_heap_valid(&env.heap, true);
+}

@@ -9,7 +9,7 @@ use crate::class::{ClassId, ClassTable};
 use crate::handles::HandleTable;
 use crate::header::ObjectHeader;
 use crate::object::ObjectRef;
-use crate::region::{Region, RegionId, RegionKind};
+use crate::region::{Region, RegionId, RegionKind, MAX_REGION_WORDS};
 use crate::remset::{needs_barrier, SlotAddr};
 
 /// Words of per-object overhead (header word + info word).
@@ -23,7 +23,8 @@ pub const DEFAULT_TLAB_BYTES: usize = 8 * 1024;
 /// Heap sizing parameters.
 #[derive(Debug, Clone)]
 pub struct HeapConfig {
-    /// Bytes per region (must be a multiple of 8). Default 256 KiB — the
+    /// Bytes per region (a multiple of 8, at most 8 × [`MAX_REGION_WORDS`]
+    /// = 2,097,120). Default 256 KiB — the
     /// paper's 1 MiB G1 regions scaled by the default 1/16 experiment
     /// scale, keeping the regions-per-heap ratio.
     pub region_bytes: usize,
@@ -155,6 +156,8 @@ pub struct Heap {
     tlab_words: usize,
     /// Per-thread, per-space allocation buffers (grown on demand).
     tlabs: Vec<[Option<Tlab>; 17]>,
+    /// A region was released since the last [`Heap::purge_remsets`].
+    released_since_purge: bool,
 }
 
 /// Dense index for [`RegionKind`] used by the O(1) counters.
@@ -175,10 +178,17 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if the region size is not a positive multiple of 8 or the
-    /// heap budget is smaller than one region.
+    /// Panics if the region size is not a positive multiple of 8, is larger
+    /// than a `u16` page map addresses, or the heap budget is smaller than
+    /// one region.
     pub fn new(config: HeapConfig) -> Self {
         assert!(config.region_bytes >= 64 && config.region_bytes.is_multiple_of(8));
+        assert!(
+            config.region_bytes / 8 <= MAX_REGION_WORDS,
+            "region_bytes {} exceeds {} bytes, the largest region a u16 page map addresses",
+            config.region_bytes,
+            MAX_REGION_WORDS * 8
+        );
         let max_regions = (config.max_heap_bytes / config.region_bytes as u64) as usize;
         assert!(max_regions >= 1, "heap budget smaller than one region");
         let regions: Vec<Region> = (0..max_regions).map(|_| Region::new()).collect();
@@ -200,6 +210,7 @@ impl Heap {
             },
             tlab_words: DEFAULT_TLAB_BYTES / 8,
             tlabs: Vec::new(),
+            released_since_purge: false,
         }
     }
 
@@ -317,6 +328,24 @@ impl Heap {
             }
         }
         self.free.push(id);
+        self.released_since_purge = true;
+    }
+
+    /// Drops from every remembered set the slots whose holder region was
+    /// released since they were recorded: the holder is free, or holds a
+    /// newer assignment. Such a slot can never become valid again. Each
+    /// set counts what it drops, so collecting its region costs the same.
+    /// Collectors call this once they have released regions; it does
+    /// nothing when no region was released since the last call.
+    pub fn purge_remsets(&mut self) {
+        if !std::mem::take(&mut self.released_since_purge) {
+            return;
+        }
+        for i in 0..self.regions.len() {
+            let mut rset = std::mem::take(&mut self.regions[i].rset);
+            rset.drop_stale(|s| self.regions[s.region.0 as usize].holds_epoch(s.epoch));
+            self.regions[i].rset = rset;
+        }
     }
 
     /// Commits up to `n` additional free regions without assigning them
@@ -971,6 +1000,20 @@ mod tests {
         let _ = alloc(&mut h, SpaceKind::Eden, 0, 6);
         assert_eq!(h.used_bytes(), 8 * 8);
         assert_eq!(h.committed_bytes(), 1024);
+    }
+
+    #[test]
+    fn the_largest_u16_addressable_region_is_accepted() {
+        let region_bytes = crate::region::MAX_REGION_WORDS * 8;
+        let h = Heap::new(HeapConfig { region_bytes, max_heap_bytes: 2 * region_bytes as u64 });
+        assert_eq!(h.region_words(), crate::region::MAX_REGION_WORDS);
+    }
+
+    #[test]
+    #[should_panic(expected = "the largest region a u16 page map addresses")]
+    fn regions_too_large_for_a_u16_page_map_are_rejected() {
+        let region_bytes = crate::region::MAX_REGION_WORDS * 8 + 8;
+        Heap::new(HeapConfig { region_bytes, max_heap_bytes: 2 * region_bytes as u64 });
     }
 
     #[test]

@@ -5,24 +5,41 @@
 //! to exactly one space at a time and is recycled through the free list
 //! after evacuation.
 //!
-//! A region's words are stored one cache line (8 words) at a time, and a
-//! page is created by the first non-zero write into it. Pages
-//! never written read as zero. Object payloads are opaque to the
-//! collectors and mostly never written, so the host holds little more
-//! than headers and references. A released region drops its pages but
-//! keeps its simulated capacity, which is what the heap counts as
-//! committed.
+//! A region's words are stored four at a time, and a page is created by
+//! the first non-zero write into it. Pages never written read as zero.
+//! Object payloads are opaque to the collectors and mostly never written,
+//! so the host holds little more than headers and references. A page map
+//! of `u16` region-local indices locates the stored pages, which are
+//! allocated in fixed-size chunks. A released region drops its map and
+//! pages but keeps its simulated capacity, which is what the heap counts
+//! as committed.
 
 use crate::remset::RememberedSet;
 
-/// Words per backing page: one 64-byte cache line.
-const PAGE_WORDS: usize = 8;
+/// Words per backing page.
+const PAGE_WORDS: usize = 4;
+
+/// One backing page.
+type Page = [u64; PAGE_WORDS];
+
+/// Pages per storage chunk.
+const CHUNK_PAGES: usize = 64;
+
+/// A fixed-size block of page storage (2 KiB).
+type Chunk = [Page; CHUNK_PAGES];
 
 /// Page-map entry of a page that holds no storage (all its words read zero).
-const ABSENT: u32 = u32::MAX;
+const ABSENT: u16 = u16::MAX;
+
+/// The most pages one region can store: every `u16` but [`ABSENT`].
+const MAX_PAGES: usize = ABSENT as usize;
+
+/// The largest region, in words, whose every page a `u16` page map can
+/// address. [`Heap::new`](crate::Heap::new) rejects larger regions.
+pub const MAX_REGION_WORDS: usize = MAX_PAGES * PAGE_WORDS;
 
 /// The contents of a page that was never written non-zero.
-const ZERO_PAGE: [u64; PAGE_WORDS] = [0; PAGE_WORDS];
+const ZERO_PAGE: Page = [0; PAGE_WORDS];
 
 /// Index of a region within the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,11 +83,15 @@ impl RegionKind {
 pub struct Region {
     /// Simulated size in words: set by assignment, kept on release.
     capacity: usize,
-    /// One entry per page: the page's index in `pages`, or `ABSENT`.
-    /// Empty until the first non-zero write after assignment.
-    page_map: Vec<u32>,
-    /// The pages that have received a non-zero write.
-    pages: Vec<[u64; PAGE_WORDS]>,
+    /// One entry per page: the page's storage index, or `ABSENT`. Empty
+    /// until the first non-zero write after assignment.
+    page_map: Vec<u16>,
+    /// Storage for the pages that have received a non-zero write; storage
+    /// index `i` is page `i % CHUNK_PAGES` of chunk `i / CHUNK_PAGES`.
+    #[allow(clippy::vec_box)] // growing moves pointers, not pages, and leaves no spare chunks
+    chunks: Vec<Box<Chunk>>,
+    /// Pages stored, in storage-index order.
+    stored: usize,
     /// Bump pointer: next free word index.
     top: usize,
     /// Current space.
@@ -97,7 +118,8 @@ impl Region {
         Region {
             capacity: 0,
             page_map: Vec::new(),
-            pages: Vec::new(),
+            chunks: Vec::new(),
+            stored: 0,
             top: 0,
             kind: RegionKind::Free,
             live_bytes: 0,
@@ -130,7 +152,8 @@ impl Region {
         self.top = 0;
         self.live_bytes = 0;
         self.page_map = Vec::new();
-        self.pages = Vec::new();
+        self.chunks = Vec::new();
+        self.stored = 0;
         self.rset = RememberedSet::new();
         self.liveness_valid = false;
     }
@@ -179,10 +202,18 @@ impl Region {
         self.used_bytes().saturating_sub(self.live_bytes)
     }
 
-    /// Host bytes held by the page map and the pages.
+    /// True when the region is assigned and `epoch` is its current
+    /// assignment epoch: a slot stamped with `epoch` still names this
+    /// assignment.
+    pub fn holds_epoch(&self, epoch: u64) -> bool {
+        !matches!(self.kind, RegionKind::Free) && self.assigned_epoch == epoch
+    }
+
+    /// Host bytes held by the page map and the page chunks.
     pub fn backing_bytes(&self) -> u64 {
-        (self.page_map.capacity() * size_of::<u32>()
-            + self.pages.capacity() * size_of::<[u64; PAGE_WORDS]>()) as u64
+        (self.page_map.capacity() * size_of::<u16>()
+            + self.chunks.capacity() * size_of::<Box<Chunk>>()
+            + self.chunks.len() * size_of::<Chunk>()) as u64
     }
 
     /// The first non-zero word at or past the allocation frontier, if any.
@@ -213,7 +244,9 @@ impl Region {
     ///
     /// # Panics
     ///
-    /// Panics if `offset` is not below the capacity.
+    /// Panics if `offset` is not below the capacity, or if the write needs
+    /// a page beyond the 65,535 a region can store (only a region larger
+    /// than [`MAX_REGION_WORDS`] can get there).
     #[inline]
     pub fn set_word(&mut self, offset: u32, value: u64) {
         let o = offset as usize;
@@ -229,7 +262,8 @@ impl Region {
     ///
     /// # Panics
     ///
-    /// Panics if either range is out of bounds.
+    /// Panics if either range is out of bounds, or as [`Region::set_word`]
+    /// does when this region runs out of storable pages.
     pub fn copy_from(&mut self, src: &Region, src_offset: u32, dst_offset: u32, words: usize) {
         let (s, d) = (src_offset as usize, dst_offset as usize);
         src.check_range(s, words);
@@ -271,30 +305,46 @@ impl Region {
 
     /// Page `page`'s words; the zero page if it holds no storage.
     #[inline]
-    fn page(&self, page: usize) -> &[u64; PAGE_WORDS] {
+    fn page(&self, page: usize) -> &Page {
         match self.page_map.get(page) {
-            Some(&slot) if slot != ABSENT => &self.pages[slot as usize],
+            Some(&slot) if slot != ABSENT => {
+                let slot = slot as usize;
+                &self.chunks[slot / CHUNK_PAGES][slot % CHUNK_PAGES]
+            }
             _ => &ZERO_PAGE,
         }
     }
 
     /// Page `page`'s storage; created first if it has none and `create`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region already stores [`MAX_PAGES`] pages, which only
+    /// a humongous region larger than [`MAX_REGION_WORDS`] can reach.
     #[inline]
-    fn page_mut(&mut self, page: usize, create: bool) -> Option<&mut [u64; PAGE_WORDS]> {
+    fn page_mut(&mut self, page: usize, create: bool) -> Option<&mut Page> {
         let slot = match self.page_map.get(page) {
-            Some(&slot) if slot != ABSENT => slot,
+            Some(&slot) if slot != ABSENT => slot as usize,
             _ if !create => return None,
             _ => {
                 if self.page_map.is_empty() {
                     self.page_map = vec![ABSENT; self.capacity.div_ceil(PAGE_WORDS)];
                 }
-                let slot = u32::try_from(self.pages.len()).expect("page count fits the map");
-                self.pages.push(ZERO_PAGE);
-                self.page_map[page] = slot;
+                let slot = self.stored;
+                assert!(
+                    slot < MAX_PAGES,
+                    "a region of {} words stores at most {MAX_PAGES} non-zero pages",
+                    self.capacity
+                );
+                if slot.is_multiple_of(CHUNK_PAGES) {
+                    self.chunks.push(Box::new([ZERO_PAGE; CHUNK_PAGES]));
+                }
+                self.stored += 1;
+                self.page_map[page] = slot as u16;
                 slot
             }
         };
-        Some(&mut self.pages[slot as usize])
+        Some(&mut self.chunks[slot / CHUNK_PAGES][slot % CHUNK_PAGES])
     }
 }
 
@@ -348,10 +398,53 @@ mod tests {
         }
         assert_eq!(r.backing_bytes(), 0);
         r.set_word(9, 1);
-        assert_eq!(r.pages.len(), 1, "one page holds word 9");
-        r.set_word(15, 2);
-        assert_eq!(r.pages.len(), 1, "word 15 shares word 9's page");
-        assert_eq!((r.word(8), r.word(9), r.word(15), r.word(16)), (0, 1, 2, 0));
+        assert_eq!(r.stored, 1, "one page holds word 9");
+        r.set_word(11, 2);
+        assert_eq!(r.stored, 1, "word 11 shares word 9's page");
+        r.set_word(12, 3);
+        assert_eq!(r.stored, 2, "word 12 starts the next page");
+        assert_eq!(r.page_map.len(), 16, "one map entry per four words");
+        assert_eq!(r.chunks.len(), 1, "one chunk holds both pages");
+        assert_eq!((r.word(8), r.word(9), r.word(11), r.word(12), r.word(13)), (0, 1, 2, 3, 0));
+    }
+
+    #[test]
+    fn pages_fill_fixed_size_chunks() {
+        let mut r = Region::new();
+        r.assign(RegionKind::Old, 1024, 1);
+        for page in 0..=CHUNK_PAGES {
+            r.set_word((page * PAGE_WORDS) as u32, page as u64 + 1);
+        }
+        assert_eq!(r.stored, CHUNK_PAGES + 1);
+        assert_eq!(r.chunks.len(), 2, "the 65th page opens a second chunk");
+        for page in 0..=CHUNK_PAGES {
+            assert_eq!(r.word((page * PAGE_WORDS) as u32), page as u64 + 1);
+        }
+    }
+
+    #[test]
+    fn the_largest_region_stores_every_page() {
+        let mut r = Region::new();
+        r.assign(RegionKind::Humongous, MAX_REGION_WORDS, 1);
+        for page in (0..MAX_PAGES).rev() {
+            r.set_word((page * PAGE_WORDS + 3) as u32, page as u64 + 1);
+        }
+        assert_eq!(r.stored, MAX_PAGES);
+        for page in 0..MAX_PAGES {
+            let at = (page * PAGE_WORDS) as u32;
+            assert_eq!((r.word(at), r.word(at + 3)), (0, page as u64 + 1), "page {page}");
+        }
+        // One page more than a u16 map can address.
+        let mut big = Region::new();
+        big.assign(RegionKind::Humongous, MAX_REGION_WORDS + PAGE_WORDS, 1);
+        for page in 0..MAX_PAGES {
+            big.set_word((page * PAGE_WORDS) as u32, 1);
+        }
+        let last = (MAX_PAGES * PAGE_WORDS) as u32;
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| big.set_word(last, 1)))
+            .expect_err("the 65536th page does not fit the map");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("stores at most 65535 non-zero pages"), "{msg}");
     }
 
     #[test]
@@ -363,7 +456,7 @@ mod tests {
         a.set_word(3, 5);
         b.copy_from(&a, 3, 10, 40);
         assert_eq!(b.word(10), 5);
-        assert_eq!(b.pages.len(), 1, "only the page holding word 10 exists");
+        assert_eq!(b.stored, 1, "only the page holding word 10 exists");
         // Copying zeros over written words clears them.
         b.copy_from(&a, 20, 8, 8);
         assert_eq!(b.word(10), 0);

@@ -5,7 +5,9 @@
 //! each region keeps a *remembered set* of heap slots that held an
 //! incoming cross-region reference at write-barrier time. Entries may be
 //! stale (the slot has since been overwritten or its holder died); the
-//! evacuator re-validates each slot before using it.
+//! evacuator re-validates each slot before using it. Once a collection has
+//! released regions, the sets drop the slots those regions held
+//! ([`Heap::purge_remsets`](crate::Heap::purge_remsets)).
 
 use std::collections::HashSet;
 
@@ -29,9 +31,16 @@ pub struct SlotAddr {
 }
 
 /// The remembered set of one region: slots that pointed into it.
+///
+/// Slots whose holder region has been released since they were recorded
+/// are dropped by [`RememberedSet::drop_stale`]; the set counts them, so a
+/// collection of this region still charges every slot recorded since the
+/// last [`RememberedSet::clear`].
 #[derive(Debug, Clone, Default)]
 pub struct RememberedSet {
     slots: HashSet<SlotAddr>,
+    /// Slots dropped since the last clear because their holder was released.
+    dropped: u64,
 }
 
 impl RememberedSet {
@@ -45,22 +54,48 @@ impl RememberedSet {
         self.slots.insert(slot);
     }
 
-    /// Drops all entries, keeping the table's storage for reuse.
+    /// Drops all entries and the dropped count, keeping the table's
+    /// storage for reuse.
     pub fn clear(&mut self) {
         self.slots.clear();
+        self.dropped = 0;
     }
 
-    /// Number of recorded slots (possibly stale).
+    /// Drops every slot for which `holder_live` is false and adds them to
+    /// [`RememberedSet::dropped`]. The table shrinks once it is at least
+    /// four times larger than what it keeps.
+    pub fn drop_stale(&mut self, holder_live: impl Fn(&SlotAddr) -> bool) {
+        let before = self.slots.len();
+        self.slots.retain(holder_live);
+        self.dropped += (before - self.slots.len()) as u64;
+        if self.slots.capacity() >= 4 * self.slots.len() {
+            self.slots.shrink_to(2 * self.slots.len());
+        }
+    }
+
+    /// Slots dropped since the last clear. Each of them was stored once,
+    /// and none can be recorded again: a holder never gets its released
+    /// epoch back.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Number of stored slots (possibly stale).
     pub fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// True when no slot is recorded.
+    /// True when no slot is stored.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
-    /// Iterates all recorded slots.
+    /// True when exactly `slot` is stored.
+    pub fn contains(&self, slot: &SlotAddr) -> bool {
+        self.slots.contains(slot)
+    }
+
+    /// Iterates all stored slots.
     pub fn iter(&self) -> impl Iterator<Item = &SlotAddr> {
         self.slots.iter()
     }
@@ -102,6 +137,22 @@ mod tests {
         rs.clear();
         assert!(rs.is_empty());
         assert_eq!(rs.memory_bytes(), bytes);
+    }
+
+    #[test]
+    fn drop_stale_counts_and_shrinks() {
+        let mut rs = RememberedSet::new();
+        for offset in 0..1000 {
+            rs.record(SlotAddr { region: RegionId(offset % 2), offset, epoch: 1 });
+        }
+        let bytes = rs.memory_bytes();
+        rs.drop_stale(|s| s.region == RegionId(0) && s.offset < 100);
+        assert_eq!((rs.len(), rs.dropped()), (50, 950));
+        assert!(rs.memory_bytes() * 4 <= bytes, "the table shrank");
+        rs.drop_stale(|_| false);
+        assert_eq!((rs.len(), rs.dropped(), rs.memory_bytes()), (0, 1000, 0));
+        rs.clear();
+        assert_eq!(rs.dropped(), 0, "clear resets the count");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::collections::HashSet;
 use crate::heap::{Heap, OBJECT_HEADER_WORDS};
 use crate::object::ObjectRef;
 use crate::region::{RegionId, RegionKind};
+use crate::remset::SlotAddr;
 
 /// A violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,12 +23,18 @@ pub enum VerifyError {
     StaleForwarding { obj: ObjectRef },
     /// A root handle points outside any allocated object.
     BadRoot { to: ObjectRef },
-    /// A cross-region reference has no remembered-set entry.
+    /// A cross-region reference has no remembered-set entry stamped with
+    /// its holder region's current epoch.
     MissingRemsetEntry { from: ObjectRef, field: u16, to: ObjectRef },
     /// A free region's remembered set has entries or still owns storage.
     RetainedRemset { region: RegionId },
     /// A free region's page map or pages still own storage.
     RetainedBacking { region: RegionId },
+    /// `region`'s remembered set stores a slot whose `holder` region is
+    /// free or has been reassigned since the slot was recorded: it should
+    /// have been dropped when the holder was released. Reported once per
+    /// region, for its lowest such slot.
+    StaleRemsetSlot { region: RegionId, holder: RegionId },
     /// A non-zero word at or past the region's allocation frontier.
     /// Allocation does not write data words, so fresh bump space must
     /// read zero.
@@ -37,8 +44,9 @@ pub enum VerifyError {
 /// Verifies the whole heap; returns all violations found.
 ///
 /// A free region must own an empty remembered set and no pages: both are
-/// freed with the region, so host memory tracks live data. Every word at
-/// or past a region's frontier must read zero.
+/// freed with the region, so host memory tracks live data. An assigned
+/// region's remembered set must store no slot whose holder was released.
+/// Every word at or past a region's frontier must read zero.
 ///
 /// `check_remsets` additionally validates remembered-set completeness
 /// (every live cross-region reference must be covered by an entry); this is
@@ -64,6 +72,11 @@ pub fn verify_heap(heap: &Heap, check_remsets: bool) -> Vec<VerifyError> {
             }
             if region.backing_bytes() > 0 {
                 errors.push(VerifyError::RetainedBacking { region: id });
+            }
+        } else {
+            let stale = region.rset.iter().filter(|s| !heap.region(s.region).holds_epoch(s.epoch));
+            if let Some(slot) = stale.min_by_key(|s| (s.region, s.offset, s.epoch)) {
+                errors.push(VerifyError::StaleRemsetSlot { region: id, holder: slot.region });
             }
         }
         if let Some(offset) = region.first_dirty_word_past_top() {
@@ -125,13 +138,12 @@ pub fn verify_heap(heap: &Heap, check_remsets: bool) -> Vec<VerifyError> {
                 continue;
             }
             if check_remsets && to.region() != obj.region() {
-                let slot_off = obj.offset() + OBJECT_HEADER_WORDS + i as u32;
-                let covered = heap
-                    .region(to.region())
-                    .rset
-                    .iter()
-                    .any(|s| s.region == obj.region() && s.offset == slot_off);
-                if !covered {
+                let slot = SlotAddr {
+                    region: obj.region(),
+                    offset: obj.offset() + OBJECT_HEADER_WORDS + i as u32,
+                    epoch: heap.region(obj.region()).assigned_epoch,
+                };
+                if !heap.region(to.region()).rset.contains(&slot) {
                     errors.push(VerifyError::MissingRemsetEntry { from: obj, field: i, to });
                 }
             }
@@ -219,6 +231,56 @@ mod tests {
         assert!(errs.iter().any(|e| matches!(e, VerifyError::MissingRemsetEntry { .. })));
     }
 
+    /// A slot left by a recycled holder at the same offset, but stamped
+    /// with the holder's old epoch, does not cover a live reference.
+    #[test]
+    fn stale_same_offset_slot_does_not_mask_a_missing_entry() {
+        let mut h = heap();
+        let b = h.alloc_in(SpaceKind::Old, ClassId(0), 0, 0, ObjectHeader::new(1)).unwrap();
+        let a = h.alloc_in(SpaceKind::Eden, ClassId(0), 1, 0, ObjectHeader::new(2)).unwrap();
+        h.set_ref(a, 0, b);
+        // Recycle a's region and allocate again at the same offset.
+        h.retire_current(SpaceKind::Eden);
+        h.release_region(a.region());
+        let a2 = h.alloc_in(SpaceKind::Eden, ClassId(0), 1, 0, ObjectHeader::new(3)).unwrap();
+        assert_eq!(a2, a, "same region, same offset");
+        // A store that skipped the barrier: only the old epoch's slot names
+        // this offset.
+        let off = a2.offset() + OBJECT_HEADER_WORDS;
+        h.region_mut(a2.region()).set_word(off, b.raw());
+        h.handles.create(a2);
+        let errs = verify_heap(&h, true);
+        assert!(
+            errs.iter().any(|e| matches!(e, VerifyError::MissingRemsetEntry { .. })),
+            "the stale slot hid the missing entry: {errs:?}"
+        );
+    }
+
+    #[test]
+    fn detects_stale_remset_slot() {
+        let mut h = heap();
+        let b = h.alloc_in(SpaceKind::Old, ClassId(0), 0, 0, ObjectHeader::new(1)).unwrap();
+        let a = h.alloc_in(SpaceKind::Eden, ClassId(0), 1, 0, ObjectHeader::new(2)).unwrap();
+        h.set_ref(a, 0, b);
+        h.handles.create(b);
+        let (region, holder) = (b.region(), a.region());
+        let epoch = h.region(holder).assigned_epoch;
+        h.retire_current(SpaceKind::Eden);
+        h.release_region(holder);
+        assert_eq!(verify_heap(&h, true), vec![VerifyError::StaleRemsetSlot { region, holder }]);
+        h.purge_remsets();
+        assert_eq!(verify_heap(&h, true), vec![]);
+        let rset = &h.region(region).rset;
+        assert_eq!((rset.len(), rset.dropped()), (0, 1));
+        // Once the holder is reassigned, its old epoch's slot is stale too.
+        let c = h.alloc_in(SpaceKind::Eden, ClassId(0), 0, 0, ObjectHeader::new(3)).unwrap();
+        assert_eq!(c.region(), holder);
+        assert!(h.region(holder).assigned_epoch > epoch);
+        let offset = a.offset() + OBJECT_HEADER_WORDS;
+        h.region_mut(region).rset.record(SlotAddr { region: holder, offset, epoch });
+        assert_eq!(verify_heap(&h, true), vec![VerifyError::StaleRemsetSlot { region, holder }]);
+    }
+
     #[test]
     fn fillers_between_objects_verify_clean() {
         use crate::heap::TlabAlloc;
@@ -264,7 +326,6 @@ mod tests {
 
     #[test]
     fn detects_retained_remset() {
-        use crate::remset::SlotAddr;
         let mut h = heap();
         let a = h.alloc_in(SpaceKind::Old, ClassId(0), 0, 0, ObjectHeader::new(1)).unwrap();
         let region = a.region();

@@ -4,6 +4,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use rolp_heap::header::MAX_AGE;
+use rolp_heap::region::MAX_REGION_WORDS;
 use rolp_heap::{
     ClassId, Heap, HeapConfig, ObjectHeader, ObjectRef, Region, RegionId, RegionKind, SpaceKind,
 };
@@ -44,10 +45,12 @@ enum RegionOp {
 
 fn region_op() -> impl Strategy<Value = RegionOp> {
     // Capacities include humongous sizes that are not a multiple of the
-    // page size.
-    let words = prop_oneof![1usize..300, Just(8193usize)];
+    // page size, and the largest region a `u16` page map addresses.
+    let words = prop_oneof![8 => 1usize..300, 1 => Just(8193usize), 1 => Just(MAX_REGION_WORDS)];
     let value = prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()];
-    let at = 0usize..10_000;
+    // Offsets are reduced modulo the capacity, so they reach every page of
+    // the largest region.
+    let at = 0usize..MAX_REGION_WORDS;
     prop_oneof![
         1 => (0usize..2, words).prop_map(|(which, words)| RegionOp::Assign { which, words }),
         1 => (0usize..2, 0usize..80).prop_map(|(which, words)| RegionOp::Bump { which, words }),

@@ -141,7 +141,8 @@ struct Classes {
 /// The Cassandra-like workload.
 pub struct CassandraWorkload {
     params: CassandraParams,
-    gen: YcsbGenerator,
+    /// Built by `setup` from the parameters then current.
+    gen: Option<YcsbGenerator>,
     ids: Option<Ids>,
     classes: Option<Classes>,
     /// key → live memtable entry handle.
@@ -164,10 +165,9 @@ pub struct CassandraWorkload {
 impl CassandraWorkload {
     /// Creates the workload.
     pub fn new(params: CassandraParams) -> Self {
-        let gen = YcsbGenerator::new(params.key_space, params.mix.write_fraction(), params.seed);
         CassandraWorkload {
             params,
-            gen,
+            gen: None,
             ids: None,
             classes: None,
             memtable: std::collections::HashMap::new(),
@@ -187,11 +187,9 @@ impl CassandraWorkload {
         &self.params
     }
 
-    /// Mutable parameter access for shape-only overrides after
-    /// construction (e.g. the service harness zeroes `op_pacing_ns`
-    /// because the arrival schedule paces requests). The generator
-    /// seed/mix/key-space are baked in at [`CassandraWorkload::new`];
-    /// changing them here has no effect.
+    /// Mutable parameter access for overrides before setup (e.g. the
+    /// service harness zeroes `op_pacing_ns` because the arrival schedule
+    /// paces requests).
     pub fn params_mut(&mut self) -> &mut CassandraParams {
         &mut self.params
     }
@@ -202,6 +200,10 @@ impl CassandraWorkload {
 
     fn classes(&self) -> Classes {
         self.classes.expect("setup not called")
+    }
+
+    fn gen(&mut self) -> &mut YcsbGenerator {
+        self.gen.as_mut().expect("setup not called")
     }
 
     /// Allocates a payload buffer through the shared factory (the
@@ -233,7 +235,7 @@ impl CassandraWorkload {
     fn do_write(&mut self, ctx: &mut MutatorCtx<'_>, key: u64) {
         let ids = self.ids();
         let classes = self.classes();
-        let words = self.gen.value_words();
+        let words = self.gen().value_words();
         ctx.call(ids.cs_put, |ctx| ctx.work(4_000));
         // Durable payload through the conflicted factory.
         let payload = self.alloc_buffer(ctx, words, true, Some(ENTRY_GEN));
@@ -263,7 +265,7 @@ impl CassandraWorkload {
     fn do_read(&mut self, ctx: &mut MutatorCtx<'_>, key: u64) {
         let ids = self.ids();
         let classes = self.classes();
-        let words = self.gen.value_words();
+        let words = self.gen().value_words();
         // Read path: a row-cache fill through the shared factory — the
         // same allocation site as the durable write-path payloads reached
         // through a different call path, with a different (fixed-span)
@@ -392,6 +394,8 @@ impl Workload for CassandraWorkload {
     }
 
     fn setup(&mut self, rt: &mut JvmRuntime) {
+        let p = &self.params;
+        self.gen = Some(YcsbGenerator::new(p.key_space, p.mix.write_fraction(), p.seed));
         let classes = Classes {
             request: rt.vm.env.heap.classes.register("cassandra.net.Request"),
             buffer: rt.vm.env.heap.classes.register("cassandra.utils.Buffer"),
@@ -418,7 +422,7 @@ impl Workload for CassandraWorkload {
     fn tick(&mut self, ctx: &mut MutatorCtx<'_>) -> u64 {
         let ids = self.ids();
         let classes = self.classes();
-        let op = self.gen.next_op();
+        let op = self.gen().next_op();
         let parse_buffers = self.params.parse_buffers_per_op;
 
         // Request parsing (transient): a request object + deserialization
@@ -429,7 +433,7 @@ impl Workload for CassandraWorkload {
         });
         let mut transients = Vec::with_capacity(parse_buffers);
         for _ in 0..parse_buffers {
-            let words = self.gen.value_words();
+            let words = self.gen().value_words();
             let h = ctx.call(ids.cs_parse, |ctx| {
                 ctx.work(400);
                 ctx.alloc(ids.site_parse_buf, classes.buffer, 0, words)
