@@ -166,7 +166,9 @@ fn site_only_contexts(scale: SimScale) {
 /// lost, and the merged histograms are compared cell-by-cell against the
 /// single-threaded reference.
 fn old_table_loss(_scale: SimScale) {
-    use rolp::concurrent::{compare_to_reference, run_concurrent, run_reference, ConcurrentConfig};
+    use rolp_bench::concurrent::{
+        compare_to_reference, run_concurrent, run_reference, ConcurrentConfig,
+    };
     println!("--- Ablation 5: unsynchronized OLD-table increments (Section 7.6) ---");
     let mut table = TextTable::new(vec![
         "mutator threads",
@@ -179,7 +181,7 @@ fn old_table_loss(_scale: SimScale) {
         let config = ConcurrentConfig { mutator_threads: threads, ..Default::default() };
         let run = run_concurrent(&config);
         let reference = run_reference(&config);
-        let report = compare_to_reference(&run.histograms, &reference);
+        let report = compare_to_reference(&run.histograms, &reference.histograms);
         assert!(
             report.within_bound(run.total_lost),
             "loss bound violated: deviation {} > measured loss {}",

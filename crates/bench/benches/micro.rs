@@ -6,7 +6,7 @@
 //! heap allocation fast path, and the survivor-processing table update.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rolp::{LifetimeTable, OldTable, WorkerTable};
+use rolp::{OldTable, WorkerTable};
 use rolp_heap::{Heap, HeapConfig, ObjectHeader, SpaceKind};
 use rolp_metrics::Histogram;
 use rolp_vm::thread::{MutatorThread, ThreadId};
@@ -49,7 +49,7 @@ fn bench_old_table(c: &mut Criterion) {
             for i in 0..1_000u32 {
                 w.record_survival((1 + (i & 7)) << 16, (i % 15) as u8);
             }
-            w.merge_into(&mut t);
+            t.merge_survivals(&mut w);
         });
     });
 }

@@ -11,6 +11,18 @@
 //! *magnitudes* stay comparable; run *durations* are scaled less
 //! aggressively (by scale/4) so each run still contains enough GC cycles
 //! for stable percentiles.
+//!
+//! The crate also holds the paper's §7.6 lost-update measurement, the
+//! only code in the repository that runs OS threads: [`shared_table`]
+//! (the relaxed-atomic OLD table) and [`concurrent`] (racing mutator and
+//! GC-worker threads checked against the single-threaded
+//! [`rolp::OldTable`]). Ablation 5 and `tests/lost_update_bound.rs` run
+//! it.
+
+pub mod concurrent;
+pub mod shared_table;
+
+pub use shared_table::SharedOldTable;
 
 use rolp::runtime::{CollectorKind, RuntimeConfig};
 use rolp_heap::HeapConfig;

@@ -8,7 +8,6 @@
 //! ```
 
 use rolp::runtime::{CollectorKind, JvmRuntime};
-use rolp::LifetimeTable;
 use rolp_metrics::SimScale;
 use rolp_workloads::{CassandraMix, RunBudget, Workload};
 

@@ -49,17 +49,12 @@ pub struct Args {
     pub metrics_prom: Option<String>,
     /// Guest mutator threads.
     pub mutator_threads: u32,
-    /// Modeled GC workers for the pause cost model (None keeps its
-    /// default); also the `--verify-determinism` harness's GC threads.
+    /// Modeled GC workers: the width of the pause cost model (None keeps
+    /// its default).
     pub gc_workers: Option<usize>,
     /// Fault-injection plan: a canned name or a `;`-separated spec
     /// (enables the overhead governor). `None` = no injection.
     pub fault_plan: Option<String>,
-    /// Run the concurrency determinism check instead of a workload:
-    /// multi-threaded mutators + parallel GC workers vs. the
-    /// single-threaded reference, asserting the merged histograms stay
-    /// within the measured §7.6 loss bound.
-    pub verify_determinism: bool,
     /// TLAB chunk size in bytes; 0 disables the per-thread allocation
     /// fast path.
     pub tlab_bytes: usize,
@@ -86,7 +81,6 @@ impl Default for Args {
             mutator_threads: 4,
             gc_workers: None,
             fault_plan: None,
-            verify_determinism: false,
             tlab_bytes: rolp_heap::DEFAULT_TLAB_BYTES,
             microcache: true,
         }
@@ -137,20 +131,15 @@ OPTIONS:
                         [default: 1]
     --metrics-prom <FILE>  dump the final telemetry snapshot in
                         Prometheus text exposition format at exit
-    --mutator-threads <N>  guest mutator threads           [default: 4]
-    --gc-workers <N>    modeled GC workers (pause cost model); with
-                        --verify-determinism, the harness's GC threads
-                        [default: cost model, 4]
+    --mutator-threads <N>  guest mutator threads, run in turn on one
+                        OS thread                       [default: 4]
+    --gc-workers <N>    modeled GC workers: the pause cost model divides
+                        parallel GC work by this width  [default: 4]
     --fault-plan <SPEC> inject deterministic profiler faults and engage
                         the overhead governor. SPEC is a canned plan
                         (pressure-spike | id-exhaustion | merge-chaos) or
                         a `;`-separated list of atoms, e.g.
                         \"seed=7;burst@16..64x200000;drop-merge%3\"
-    --verify-determinism   run the concurrency check instead of a
-                        workload: N racy mutator threads + N parallel GC
-                        workers vs. the single-threaded reference; fails
-                        unless the merged histograms stay within the
-                        measured lost-increment bound (paper section 7.6)
     --tlab-size <BYTES> per-thread allocation buffer (TLAB) chunk size;
                         each mutator bump-allocates privately from a
                         chunk of this size per space and refills under
@@ -232,7 +221,6 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
                 rolp_faults::FaultPlan::parse(&v)?;
                 args.fault_plan = Some(v);
             }
-            "--verify-determinism" => args.verify_determinism = true,
             "--tlab-size" => {
                 let v = take("--tlab-size")?;
                 args.tlab_bytes =
@@ -316,22 +304,21 @@ mod tests {
 
     #[test]
     fn concurrency_flags_parse() {
-        let a = parse(&argv("--mutator-threads 8 --gc-workers 2 --verify-determinism"))
-            .expect("parses");
+        let a = parse(&argv("--mutator-threads 8 --gc-workers 2")).expect("parses");
         assert_eq!(a.mutator_threads, 8);
         assert_eq!(a.gc_workers, Some(2));
-        assert!(a.verify_determinism);
         let d = parse(&[]).expect("defaults");
         assert_eq!(d.mutator_threads, 4);
         assert_eq!(d.gc_workers, None);
-        assert!(!d.verify_determinism);
         assert!(parse(&argv("--gc-workers 0")).unwrap_err().contains("positive"));
         assert!(parse(&argv("--mutator-threads 0")).unwrap_err().contains("positive"));
     }
 
     #[test]
     fn removed_flags_are_unknown_options() {
-        for flag in ["--table-shards 4", "--export-profile p", "--import-profile p"] {
+        for flag in
+            ["--table-shards 4", "--export-profile p", "--import-profile p", "--verify-determinism"]
+        {
             let err = parse(&argv(flag)).unwrap_err();
             assert!(err.starts_with("unknown option"), "{flag}: {err}");
         }

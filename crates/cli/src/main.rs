@@ -39,9 +39,6 @@ fn heap_for(args: &Args, scale: SimScale) -> rolp_heap::HeapConfig {
 }
 
 fn run(args: Args) -> Result<(), String> {
-    if args.verify_determinism {
-        return verify_determinism(&args);
-    }
     let scale = SimScale::new(args.scale);
     let mut workload = build_workload(&args, scale);
     let heap = heap_for(&args, scale);
@@ -133,58 +130,6 @@ fn arm_crash_guard(args: &Args, rt: &rolp::runtime::JvmRuntime) -> Option<CrashG
         args.metrics_interval,
         &rt.vm.env.telemetry,
     )
-}
-
-/// `--verify-determinism`: run racy multi-threaded mutators + parallel GC
-/// workers with private OLD tables against the single-threaded reference,
-/// and check the §7.6 contract — parallel counts never exceed the
-/// reference, and the total deviation stays within the *measured* number
-/// of increments lost to the unsynchronized age-0 updates.
-fn verify_determinism(args: &Args) -> Result<(), String> {
-    use rolp::concurrent::{compare_to_reference, run_concurrent, run_reference, ConcurrentConfig};
-
-    let config = ConcurrentConfig {
-        mutator_threads: args.mutator_threads.max(1) as usize,
-        gc_workers: args.gc_workers.unwrap_or(4).max(1),
-        ..Default::default()
-    };
-    println!(
-        "determinism check [relaxed shared table]: {} mutator thread(s), {} GC worker(s), {} epoch(s) x {} allocs/thread",
-        config.mutator_threads,
-        config.gc_workers,
-        config.epochs,
-        config.allocs_per_thread_per_epoch
-    );
-
-    let run = run_concurrent(&config);
-    let reference = run_reference(&config);
-    for r in &run.reconciliations {
-        println!(
-            "  epoch {:>2}: intended {:>8}  recorded {:>8}  lost {:>6}",
-            r.epoch, r.intended, r.recorded, r.lost
-        );
-    }
-    let merged: u64 = run.merges.iter().map(|m| m.total).sum();
-    println!(
-        "merges: {} safepoint(s), {} worker record(s) applied via sorted merge",
-        run.merges.len(),
-        merged
-    );
-
-    let report = compare_to_reference(&run.histograms, &reference);
-    println!(
-        "deviation vs reference: {} over {} row(s); cells exceeding reference: {}; measured loss: {} of {} increments",
-        report.total_abs_dev, report.rows, report.cells_exceeding, run.total_lost, run.total_intended
-    );
-    if report.within_bound(run.total_lost) {
-        println!("OK: merged histograms are within the measured loss bound");
-        Ok(())
-    } else {
-        Err(format!(
-            "determinism check FAILED: deviation {} exceeds measured loss {} (or {} cell(s) over-counted)",
-            report.total_abs_dev, run.total_lost, report.cells_exceeding
-        ))
-    }
 }
 
 /// Writes the `--trace-out` / `--stats-json` / `--metrics-*` sinks, if

@@ -38,6 +38,15 @@ pub fn tss_of(context: u32) -> u16 {
     context as u16
 }
 
+/// Whether `context`'s site half is an assigned profile id: site ids are
+/// handed out densely from 1, so this is a bound check against the id
+/// space the JIT has handed out so far.
+#[inline]
+pub fn context_known(context: u32, max_profile_id: u16) -> bool {
+    let site = site_of(context);
+    site != 0 && site <= max_profile_id
+}
+
 /// Saturating allocator for the 16-bit site-id space.
 ///
 /// Ids are handed out sequentially starting at 1 and are never reused;
@@ -108,6 +117,13 @@ mod tests {
         assert_eq!(c, 7 << 16);
         assert_eq!(site_of(c), 7);
         assert_eq!(tss_of(c), 0);
+    }
+
+    #[test]
+    fn context_known_bounds_check() {
+        assert!(!context_known(pack(0, 0), 100));
+        assert!(context_known(pack(100, 5), 100));
+        assert!(!context_known(pack(101, 0), 100));
     }
 
     /// Regression for the silent 16-bit wrap: a `wrapping_add(1)` id

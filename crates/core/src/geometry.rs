@@ -1,35 +1,5 @@
-//! Shared OLD-table geometry and the [`LifetimeTable`] backend trait.
-//!
-//! The paper has *one* Object Lifetime Distribution table (§3.3, §7.5);
-//! this repo has two implementations of it — [`crate::OldTable`]
-//! (sequential, exact: the table the runtime profiles into, at every
-//! guest thread count) and [`crate::SharedOldTable`] (relaxed-atomic: the
-//! real §7.6 fast path, raced by OS threads only in the
-//! [`crate::concurrent`] harness). Everything they share that is *not*
-//! about synchronization lives here:
-//!
-//! - [`TableGeometry`] — row counts, masking, row keying, and the §7.5
-//!   memory accounting, written once.
-//! - [`LifetimeTable`] — the backend trait the profiler pipeline
-//!   (worker-table merge, inference, conflict resolution, §7.6 loss
-//!   reconciliation) is written against, so the logic exists once and the
-//!   backends differ only in how cells are updated.
-//!
-//! # The `clear_counts` contract
-//!
-//! The backends historically diverged here, so the contract is now
-//! explicit and observational. After [`LifetimeTable::clear_counts`]:
-//!
-//! 1. every row's histogram reads all-zero (however the backend gets
-//!    there — the sequential table zeroes only rows it tracked as
-//!    touched, the shared table sweeps every cell);
-//! 2. [`LifetimeTable::touched_rows`] is empty and
-//!    [`LifetimeTable::age0_total`] is zero;
-//! 3. expansion blocks are **retained**: `is_expanded`/`expansions` and
-//!    the §7.5 memory footprint are unchanged, and subsequent records to
-//!    an expanded site still split by thread stack state.
-//!
-//! Callers may only invoke it at a safepoint (no concurrent recorders).
+//! The OLD table's §7.5 shape: row counts, masking, row keying and
+//! memory accounting for [`crate::OldTable`].
 
 use crate::context::{site_of, tss_of};
 use crate::old_table::AGE_COLUMNS;
@@ -118,92 +88,6 @@ impl TableGeometry {
 impl Default for TableGeometry {
     fn default() -> Self {
         Self::full_scale()
-    }
-}
-
-/// The OLD-table backend contract the profiler data plane is written
-/// against.
-///
-/// Both backends must agree on the *observable* state: identical event
-/// streams (single-threaded) produce identical histograms, touched rows,
-/// and memory accounting — the differential property test in
-/// `crates/core/tests/prop_table_diff.rs` holds them to it.
-///
-/// All methods are safepoint-or-single-thread semantics at the trait
-/// level; [`crate::SharedOldTable`] additionally exposes `&self` inherent
-/// methods for the genuinely concurrent paths (racy age-0 increments from
-/// mutator threads), which the trait impl delegates to.
-pub trait LifetimeTable {
-    /// The table's §7.5 shape.
-    fn geometry(&self) -> &TableGeometry;
-
-    /// One object allocated through `context`: age-0 increment.
-    fn record_allocation(&mut self, context: u32);
-
-    /// `n` objects allocated through `context`: the batched age-0 ingest
-    /// behind the safepoint flush of the per-thread delta buffers. Must
-    /// be observationally identical to `n` calls of
-    /// [`LifetimeTable::record_allocation`]; backends override it to pay
-    /// the row lookup once instead of `n` times.
-    fn record_allocations(&mut self, context: u32, n: u32) {
-        for _ in 0..n {
-            self.record_allocation(context);
-        }
-    }
-
-    /// One object allocated through `context` survived at `age`, moving
-    /// to `age + 1` (both clamped to the last column).
-    fn record_survival(&mut self, context: u32, age: u8);
-
-    /// Grows the table with a per-stack-state block for a conflicted
-    /// site (§7.5). Idempotent. Counts already aggregated in the site's
-    /// base row stay there until the next clear.
-    fn expand_site(&mut self, site: u16);
-
-    /// True if `site` has its own per-stack-state expansion block.
-    fn is_expanded(&self, site: u16) -> bool;
-
-    /// Number of expansion blocks (== resolved-or-pending conflicts).
-    fn expansions(&self) -> usize;
-
-    /// The (masked) site rows holding expansion blocks, in ascending
-    /// order — what the decision snapshot builder needs to reproduce the
-    /// table's row keying.
-    fn expanded_sites(&self) -> Vec<u16>;
-
-    /// The age histogram of a context's row.
-    fn histogram(&self, context: u32) -> [u32; AGE_COLUMNS];
-
-    /// Row keys with recorded counts since the last clear, in **ascending
-    /// order** — the ordering contract is what makes inference and
-    /// conflict processing backend-independent.
-    fn touched_rows(&self) -> Vec<u32>;
-
-    /// Sum of all age-0 cells (the §7.6 reconciliation's observed side).
-    fn age0_total(&self) -> u64;
-
-    /// Resets all counts per the module-level contract: histograms read
-    /// zero, touched rows empty, expansion blocks retained.
-    fn clear_counts(&mut self);
-
-    /// The row key a context resolves to under the current expansion
-    /// state.
-    #[inline]
-    fn row_key(&self, context: u32) -> u32 {
-        self.geometry().row_key(context, self.is_expanded(site_of(context)))
-    }
-
-    /// Memory footprint per §7.5.
-    fn memory_bytes(&self) -> u64 {
-        self.geometry().memory_bytes(self.expansions())
-    }
-
-    /// Whether `context`'s site half is a plausible (assigned) profile
-    /// id. Rows are dense, so this is a bound check against the id space
-    /// the JIT has handed out.
-    fn context_known(&self, context: u32, max_profile_id: u16) -> bool {
-        let site = site_of(context);
-        site != 0 && site <= max_profile_id
     }
 }
 

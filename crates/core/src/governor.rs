@@ -40,8 +40,7 @@ use rolp_telemetry::Bucket;
 use rolp_vm::VmEnv;
 
 use crate::conflicts::ConflictResolver;
-use crate::geometry::LifetimeTable;
-use crate::old_table::{merge_worker_tables, MergeSummary, OldTable, WorkerTable};
+use crate::old_table::{OldTable, WorkerTable};
 
 /// The degradation states, most to least profiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -324,14 +323,15 @@ impl Policy {
     /// records into `old` — land first, so every injected record is part
     /// of the same epoch a real record of that cycle would; a drop fault
     /// then discards the buffered records, a delay fault leaves them
-    /// buffered until the next cycle. Returns the merge, if one ran.
+    /// buffered until the next cycle. Returns the number of records
+    /// merged, if a merge ran.
     pub fn safepoint(
         &mut self,
         env: &mut VmEnv,
         cycle: u64,
         survivors: &mut WorkerTable,
         old: &mut OldTable,
-    ) -> Option<MergeSummary> {
+    ) -> Option<u64> {
         let faults = match self.faults.as_mut() {
             Some(f) => f.on_cycle(cycle),
             None => CycleFaults::default(),
@@ -365,7 +365,7 @@ impl Policy {
             self.delayed_merges += 1;
             None
         } else {
-            Some(merge_worker_tables(std::slice::from_mut(survivors), old))
+            Some(old.merge_survivals(survivors))
         }
     }
 

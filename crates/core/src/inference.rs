@@ -11,8 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::geometry::LifetimeTable;
-use crate::old_table::AGE_COLUMNS;
+use crate::old_table::{OldTable, AGE_COLUMNS};
 
 /// Minimum samples in a row before inference trusts it.
 pub const MIN_SAMPLES: u32 = 32;
@@ -150,9 +149,9 @@ pub struct InferenceOutcome {
 
 /// Runs inference over every touched row of the table (the §4 periodic
 /// pass). Does not clear the table — the caller does, after acting on the
-/// outcome. Written once against [`LifetimeTable`]; the trait's sorted
-/// `touched_rows` contract makes the outcome backend-independent.
-pub fn infer<T: LifetimeTable + ?Sized>(table: &T) -> InferenceOutcome {
+/// outcome. Rows are visited in [`OldTable::touched_rows`]' ascending
+/// order.
+pub fn infer(table: &OldTable) -> InferenceOutcome {
     let mut out = InferenceOutcome::default();
     for key in table.touched_rows() {
         out.rows_examined += 1;
@@ -229,7 +228,6 @@ pub fn learn(
 mod tests {
     use super::*;
     use crate::context::pack;
-    use crate::old_table::OldTable;
 
     fn hist(pairs: &[(usize, u32)]) -> [u32; AGE_COLUMNS] {
         let mut h = [0u32; AGE_COLUMNS];

@@ -17,7 +17,6 @@ use std::collections::HashSet;
 use rolp_vm::{JitState, Program};
 
 use crate::context::site_of;
-use crate::geometry::LifetimeTable;
 use crate::old_table::AGE_COLUMNS;
 use crate::profiler::RolpProfiler;
 

@@ -13,19 +13,12 @@
 //! Module map (paper section in parentheses):
 //!
 //! - [`context`] — the 32-bit allocation context (§3.1).
-//! - [`geometry`] — the shared §7.5 table shape and the [`LifetimeTable`]
-//!   backend trait the profiler data plane is written against.
+//! - [`geometry`] — the §7.5 table shape.
 //! - [`old_table`] — the Object Lifetime Distribution table (§3.3, §7.5,
 //!   §7.6): the exact table the runtime profiles into at every guest
-//!   thread count.
-//! - [`shared_table`] — its concurrent twin with relaxed-atomic age-0
-//!   increments (§7.6's unsynchronized fast path, for real), raced by OS
-//!   threads in the [`concurrent`] harness.
+//!   thread count, and its sorted safepoint merge of survival records.
 //! - [`fleet`] — multi-runtime profile aggregation: confidence-weighted
 //!   consensus over `rolp-profile-v1` exports.
-//! - [`concurrent`] — mutator/GC-worker OS-thread harness: worker tables
-//!   handed back at the scope join, sorted safepoint merge,
-//!   measured-loss reconciliation (§5.2, §7.6).
 //! - [`inference`] — lifetime inference, conflict detection (§4), and the
 //!   pure [`learn`] step (upward merge, §6 demotion).
 //! - [`conflicts`] — the call-site-enabling conflict resolver (§5).
@@ -77,7 +70,6 @@
 //! assert!(report.ops == 1_000);
 //! ```
 
-pub mod concurrent;
 pub mod conflicts;
 pub mod context;
 pub mod filters;
@@ -91,7 +83,6 @@ pub mod old_table;
 pub mod profiler;
 pub mod report;
 pub mod runtime;
-pub mod shared_table;
 pub mod survivor;
 pub mod warm_start;
 
@@ -100,7 +91,7 @@ pub use conflicts::{
 };
 pub use filters::PackageFilters;
 pub use fleet::{FleetAggregator, FleetConsensus, SubmissionOutcome};
-pub use geometry::{LifetimeTable, TableGeometry, FULL_SCALE_ROWS};
+pub use geometry::{TableGeometry, FULL_SCALE_ROWS};
 pub use governor::{EpochCost, Governor, GovernorConfig, GovernorState, GovernorTransition};
 pub use inference::{classify_row, find_peaks, infer, learn, InferenceOutcome, RowVerdict};
 pub use leak::{LeakReport, LeakSuspect};
@@ -108,9 +99,8 @@ pub use offline::{
     program_fingerprint, CallSiteEntry, DecisionProfile, ProfileEntry, ProfileParseError,
     ProfileValidation, ResolvedProfile, PROFILE_FORMAT_V1,
 };
-pub use old_table::{merge_worker_tables, MergeSummary, OldTable, WorkerTable, AGE_COLUMNS};
+pub use old_table::{OldTable, WorkerTable, AGE_COLUMNS};
 pub use profiler::{ProfilingLevel, RolpConfig, RolpProfiler, RolpStats, TableBackend};
 pub use report::{render_decisions, render_summary, render_telemetry, stats_json};
 pub use runtime::{CollectorKind, JvmRuntime, RunReport, RuntimeConfig};
-pub use shared_table::SharedOldTable;
 pub use survivor::SurvivorTracking;

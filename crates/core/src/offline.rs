@@ -59,7 +59,6 @@ use std::str::FromStr;
 use rolp_vm::{AllocSiteId, CallSiteId, JitState, Program};
 
 use crate::context::{site_of, tss_of};
-use crate::geometry::LifetimeTable;
 use crate::profiler::RolpProfiler;
 
 /// The current on-disk format version line.

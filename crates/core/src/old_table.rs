@@ -3,30 +3,28 @@
 //! The paper's central data structure (§3.3, §7.5, §7.6): per allocation
 //! context, the number of objects currently known at each age (0..=15).
 //! Application threads bump the age-0 cell at allocation; the collector
-//! moves survivors from age `a` to `a+1` through a [`WorkerTable`] buffer
-//! merged at the end of each collection (one per GC worker thread in the
-//! §7.6 harness).
+//! buffers survivors moving from age `a` to `a+1` in a [`WorkerTable`]
+//! that [`OldTable::merge_survivals`] applies at the end of each
+//! collection.
 //!
-//! Sizing follows §7.5 exactly via the shared [`TableGeometry`]: the
-//! table starts with 2^16 rows — one per possible allocation-site
-//! identifier, with every thread stack state *aliasing* into its site's
-//! row (≈4 MB). When a conflict is detected on a site, the table grows by
-//! another 2^16 rows for that site so each thread stack state gets its
-//! own row (another 4 MB per conflict): `4 * (1 + N) MB` for `N`
-//! conflicts.
+//! Sizing follows §7.5 exactly via [`TableGeometry`]: the table starts
+//! with 2^16 rows — one per possible allocation-site identifier, with
+//! every thread stack state *aliasing* into its site's row (≈4 MB). When
+//! a conflict is detected on a site, the table grows by another 2^16 rows
+//! for that site so each thread stack state gets its own row (another
+//! 4 MB per conflict): `4 * (1 + N) MB` for `N` conflicts.
 //!
 //! §7.6's unsynchronized application-thread increments can lose counts;
 //! this table is exact. The runtime profiles into it at every guest
 //! thread count: guest mutators share one OS thread and age-0 records are
-//! batched to the safepoint, so nothing races it. The concurrent twin
-//! ([`crate::SharedOldTable`]) runs the real racy increments in the
-//! [`crate::concurrent`] harness, where the loss is *measured* against
-//! this table by per-epoch reconciliation instead of being simulated with
-//! a probability knob. Both implement [`LifetimeTable`].
+//! batched to the safepoint, so nothing races it. The lost-update race
+//! itself is measured on real OS threads by the `rolp-bench` harness,
+//! against this table as the reference.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::geometry::{LifetimeTable, TableGeometry};
+use crate::context::site_of;
+use crate::geometry::TableGeometry;
 
 /// Number of age columns (objects stop aging at 15; §4).
 pub const AGE_COLUMNS: usize = 16;
@@ -53,7 +51,7 @@ impl OldTable {
     }
 
     /// Creates the table with an explicit geometry (scaled-down tests
-    /// alias ids into rows by masking, like the shared backend).
+    /// alias ids into rows by masking).
     pub fn with_geometry(geometry: TableGeometry) -> Self {
         OldTable {
             geometry,
@@ -86,24 +84,25 @@ impl OldTable {
             self.touched.push(key);
         }
     }
-}
 
-impl LifetimeTable for OldTable {
-    fn geometry(&self) -> &TableGeometry {
+    /// The table's §7.5 shape.
+    pub fn geometry(&self) -> &TableGeometry {
         &self.geometry
     }
 
     /// Application-thread path: one object allocated through `context`
-    /// (age-0 increment; exact here — the racy flavor lives in
-    /// [`crate::SharedOldTable::record_allocation`]).
-    fn record_allocation(&mut self, context: u32) {
+    /// (age-0 increment; exact here, unlike §7.6's racy increment).
+    pub fn record_allocation(&mut self, context: u32) {
         self.touch(context);
         let row = self.row_mut(context);
         row[0] = row[0].saturating_add(1);
     }
 
-    /// Batched age-0 ingest: one row lookup for the whole run-length.
-    fn record_allocations(&mut self, context: u32, n: u32) {
+    /// `n` objects allocated through `context`: the batched age-0 ingest
+    /// behind the safepoint flush of the per-thread delta buffers, equal
+    /// to `n` calls of [`OldTable::record_allocation`] with one row
+    /// lookup for the whole run-length.
+    pub fn record_allocations(&mut self, context: u32, n: u32) {
         if n == 0 {
             return;
         }
@@ -112,9 +111,10 @@ impl LifetimeTable for OldTable {
         row[0] = row[0].saturating_add(n);
     }
 
-    /// GC-side path (normally via a [`WorkerTable`]): one object allocated
-    /// through `context` survived at `age`, moving to `age + 1`.
-    fn record_survival(&mut self, context: u32, age: u8) {
+    /// GC-side path (normally via [`OldTable::merge_survivals`]): one
+    /// object allocated through `context` survived at `age`, moving to
+    /// `age + 1` (both clamped to the last column).
+    pub fn record_survival(&mut self, context: u32, age: u8) {
         let age = (age as usize).min(AGE_COLUMNS - 1);
         let next = (age + 1).min(AGE_COLUMNS - 1);
         self.touch(context);
@@ -123,55 +123,98 @@ impl LifetimeTable for OldTable {
         row[next] = row[next].saturating_add(1);
     }
 
+    /// Applies (and drains) a pause's buffered survival records sorted by
+    /// `(context, age)` and returns how many it applied. The apply order
+    /// matters because under-counted rows saturate at zero; sorting makes
+    /// the result independent of the order the collector found survivors
+    /// in.
+    pub fn merge_survivals(&mut self, survivors: &mut WorkerTable) -> u64 {
+        let mut records = survivors.drain_entries();
+        records.sort_unstable();
+        for &(context, age) in &records {
+            self.record_survival(context, age);
+        }
+        records.len() as u64
+    }
+
     /// Grows the table by an expansion block for a conflicted site
-    /// (§7.5). Counts already aggregated in the site's base row stay
-    /// there; they are discarded at the next periodic clear.
-    fn expand_site(&mut self, site: u16) {
+    /// (§7.5). Idempotent. Counts already aggregated in the site's base
+    /// row stay there; they are discarded at the next periodic clear.
+    pub fn expand_site(&mut self, site: u16) {
         let row = self.geometry.site_row((site as u32) << 16) as u16;
         let rows = self.geometry.tss_rows();
         self.expanded.entry(row).or_insert_with(|| vec![[0; AGE_COLUMNS]; rows]);
     }
 
-    fn is_expanded(&self, site: u16) -> bool {
+    /// True if `site` has its own per-stack-state expansion block.
+    pub fn is_expanded(&self, site: u16) -> bool {
         self.expanded.contains_key(&(self.geometry.site_row((site as u32) << 16) as u16))
     }
 
-    fn expansions(&self) -> usize {
+    /// Number of expansion blocks (== resolved-or-pending conflicts).
+    pub fn expansions(&self) -> usize {
         self.expanded.len()
     }
 
-    fn expanded_sites(&self) -> Vec<u16> {
+    /// The (masked) site rows holding expansion blocks, in ascending
+    /// order — what the decision snapshot builder needs to reproduce the
+    /// table's row keying.
+    pub fn expanded_sites(&self) -> Vec<u16> {
         let mut sites: Vec<u16> = self.expanded.keys().copied().collect();
         sites.sort_unstable();
         sites
     }
 
-    fn histogram(&self, context: u32) -> [u32; AGE_COLUMNS] {
+    /// The age histogram of a context's row.
+    pub fn histogram(&self, context: u32) -> [u32; AGE_COLUMNS] {
         *self.row(context)
     }
 
-    fn touched_rows(&self) -> Vec<u32> {
+    /// Row keys with recorded counts since the last clear, in ascending
+    /// order, so inference and conflict processing visit rows in a fixed
+    /// order.
+    pub fn touched_rows(&self) -> Vec<u32> {
         let mut rows = self.touched.clone();
         rows.sort_unstable();
         rows
     }
 
-    fn age0_total(&self) -> u64 {
+    /// Sum of all age-0 cells (the §7.6 reconciliation's observed side).
+    pub fn age0_total(&self) -> u64 {
         // Row keys double as contexts, so each touched row reads back
         // through the normal lookup.
         self.touched.iter().map(|&key| self.row(key)[0] as u64).sum()
     }
 
-    /// Clears all counts (the §4 freshness reset after inference) per the
-    /// [`crate::geometry`] contract; expansion blocks are kept. Only rows
-    /// tracked as touched can be nonzero, so only they are zeroed.
-    fn clear_counts(&mut self) {
+    /// Clears all counts: the §4 freshness reset after inference. Only
+    /// rows tracked as touched can be nonzero, so only they are zeroed.
+    /// Call it only at a safepoint. Afterwards:
+    ///
+    /// 1. every row's histogram reads all-zero;
+    /// 2. [`OldTable::touched_rows`] is empty and
+    ///    [`OldTable::age0_total`] is zero;
+    /// 3. expansion blocks are **retained**: `is_expanded`/`expansions`
+    ///    and the §7.5 memory footprint are unchanged, and later records
+    ///    to an expanded site still split by thread stack state.
+    pub fn clear_counts(&mut self) {
         for i in 0..self.touched.len() {
             let key = self.touched[i];
             *self.row_mut(key) = [0; AGE_COLUMNS];
         }
         self.touched.clear();
         self.touched_set.clear();
+    }
+
+    /// The row key a context resolves to under the current expansion
+    /// state.
+    #[inline]
+    pub fn row_key(&self, context: u32) -> u32 {
+        self.geometry.row_key(context, self.is_expanded(site_of(context)))
+    }
+
+    /// Memory footprint per §7.5.
+    pub fn memory_bytes(&self) -> u64 {
+        self.geometry.memory_bytes(self.expansions())
     }
 }
 
@@ -210,53 +253,10 @@ impl WorkerTable {
         self.entries.is_empty()
     }
 
-    /// Merges (and drains) the buffer into a global table.
-    pub fn merge_into<T: LifetimeTable + ?Sized>(&mut self, table: &mut T) {
-        for (context, age) in self.entries.drain(..) {
-            table.record_survival(context, age);
-        }
-    }
-
-    /// Drains the buffered records (used by the deterministic merge).
+    /// Drains the buffered records.
     pub fn drain_entries(&mut self) -> Vec<(u32, u8)> {
         std::mem::take(&mut self.entries)
     }
-}
-
-/// What a safepoint merge of per-worker tables applied (§5.2): per-worker
-/// record counts for the `rolp-trace` merge event, plus the total.
-#[derive(Debug, Clone, Default)]
-pub struct MergeSummary {
-    /// Records each worker contributed, in worker-index order.
-    pub per_worker: Vec<u64>,
-    /// Total records merged this safepoint.
-    pub total: u64,
-}
-
-/// Merges (and drains) every worker's private table into the global table
-/// **deterministically**: all records are collected and sorted by
-/// `(context, age)` before being applied, so the merged histograms do not
-/// depend on how survivor work was distributed across GC workers. (The
-/// apply order matters because under-counted rows saturate at zero.)
-/// Written once against [`LifetimeTable`], so the sequential reference
-/// and the concurrent backend share the safepoint protocol.
-pub fn merge_worker_tables<T: LifetimeTable + ?Sized>(
-    workers: &mut [WorkerTable],
-    table: &mut T,
-) -> MergeSummary {
-    let mut summary = MergeSummary::default();
-    let mut records: Vec<(u32, u8)> = Vec::new();
-    for worker in workers.iter_mut() {
-        let entries = worker.drain_entries();
-        summary.per_worker.push(entries.len() as u64);
-        summary.total += entries.len() as u64;
-        records.extend(entries);
-    }
-    records.sort_unstable();
-    for (context, age) in records {
-        table.record_survival(context, age);
-    }
-    summary
 }
 
 #[cfg(test)]
@@ -359,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_tables_merge_after_collection() {
+    fn survivals_merge_after_collection() {
         let mut t = OldTable::new();
         let c = pack(2, 0);
         t.record_allocation(c);
@@ -368,7 +368,7 @@ mod tests {
         w.record_survival(c, 0);
         w.record_survival(c, 0);
         assert_eq!(t.histogram(c)[1], 0, "not visible until merge");
-        w.merge_into(&mut t);
+        assert_eq!(t.merge_survivals(&mut w), 2);
         assert!(w.is_empty());
         let h = t.histogram(c);
         assert_eq!(h[0], 0);
@@ -376,10 +376,10 @@ mod tests {
     }
 
     #[test]
-    fn sorted_merge_is_independent_of_worker_assignment() {
-        // The same survival records split across workers two different
-        // ways must produce identical histograms after the deterministic
-        // merge — including rows that saturate at zero.
+    fn sorted_merge_is_independent_of_record_order() {
+        // The same survival records buffered in two different orders must
+        // produce identical histograms after the sorted merge — including
+        // rows that saturate at zero.
         let records = [
             (pack(2, 0), 0u8),
             (pack(2, 0), 1),
@@ -387,33 +387,21 @@ mod tests {
             (pack(2, 0), 0),
             (pack(7, 3), 5), // under-counted: saturates row 5 at zero
         ];
-        let run = |assignment: &[usize]| {
+        let run = |order: &[usize]| {
             let mut t = OldTable::new();
             t.record_allocation(pack(2, 0));
             t.record_allocation(pack(2, 0));
             t.record_allocation(pack(7, 3));
-            let mut workers = vec![WorkerTable::new(); 3];
-            for (i, &(c, a)) in records.iter().enumerate() {
-                workers[assignment[i]].record_survival(c, a);
+            let mut w = WorkerTable::new();
+            for &i in order {
+                let (c, a) = records[i];
+                w.record_survival(c, a);
             }
-            let summary = merge_worker_tables(&mut workers, &mut t);
-            assert_eq!(summary.total, records.len() as u64);
-            assert!(workers.iter().all(WorkerTable::is_empty));
-            (t.histogram(pack(2, 0)), t.histogram(pack(7, 3)), summary.per_worker)
+            assert_eq!(t.merge_survivals(&mut w), records.len() as u64);
+            (t.histogram(pack(2, 0)), t.histogram(pack(7, 3)))
         };
-        let (a2, a7, a_per) = run(&[0, 0, 1, 2, 2]);
-        let (b2, b7, b_per) = run(&[2, 1, 0, 1, 0]);
-        assert_eq!(a2, b2);
-        assert_eq!(a7, b7);
-        assert_eq!(a_per, vec![2, 1, 2]);
-        assert_eq!(b_per, vec![2, 2, 1]);
-    }
-
-    #[test]
-    fn context_known_bounds_check() {
-        let t = OldTable::new();
-        assert!(!t.context_known(pack(0, 0), 100));
-        assert!(t.context_known(pack(100, 5), 100));
-        assert!(!t.context_known(pack(101, 0), 100));
+        // Applied unsorted, the second order would hit the age-1 record
+        // before any object reached age 1 and saturate it away.
+        assert_eq!(run(&[0, 1, 2, 3, 4]), run(&[1, 4, 3, 2, 0]));
     }
 }

@@ -52,9 +52,8 @@ use rolp_vm::{
 use rolp_faults::FaultPlan;
 
 use crate::conflicts::{ConflictConfig, ConflictResolver, ConflictStats};
-use crate::context::pack;
+use crate::context::{context_known, pack};
 use crate::filters::PackageFilters;
-use crate::geometry::LifetimeTable;
 use crate::governor::{GovernorConfig, GovernorState, Policy};
 use crate::inference::InferenceOutcome;
 use crate::offline::ProfileValidation;
@@ -117,7 +116,7 @@ pub struct RolpConfig {
     /// Batch age-0 recording: [`VmProfiler::on_alloc`] appends the
     /// context to a per-thread delta buffer instead of touching the
     /// shared OLD table, and the buffers are flushed (sorted, run-length
-    /// encoded, applied via [`LifetimeTable::record_allocations`]) at the
+    /// encoded, applied via [`OldTable::record_allocations`]) at the
     /// safepoint opening every pause. Increments are commutative between
     /// safepoints, so the table state at every read point (inference,
     /// blend decay, reconciliation — all safepoint-side) is identical to
@@ -214,12 +213,17 @@ pub struct RolpStats {
 }
 
 /// The OLD table a runtime-assembled profiler runs on, at every guest
-/// thread count.
+/// thread count. Kept only because `rolpbench/src/trace.rs` names
+/// `RolpProfiler<TableBackend>`; it goes with the rolpbench update in
+/// ROADMAP item 6.
 pub type TableBackend = OldTable;
 
 /// The runtime object lifetime profiler (see the module-level pipeline
-/// description). It always profiles into an [`OldTable`].
-pub struct RolpProfiler<T: LifetimeTable = OldTable> {
+/// description). It always profiles into an [`OldTable`]. The unbounded
+/// `T` is kept only because `rolpbench/src/trace.rs` names
+/// `RolpProfiler<TableBackend>`; it goes with the rolpbench update in
+/// ROADMAP item 6.
+pub struct RolpProfiler<T = OldTable> {
     config: RolpConfig,
     /// The global OLD table.
     pub old: T,
@@ -579,7 +583,7 @@ impl RolpProfiler {
     /// Drains every thread's age-0 delta buffer into the OLD table and
     /// counts the records in `telemetry`: contexts are sorted and
     /// run-length encoded, then applied through
-    /// [`LifetimeTable::record_allocations`] — one row lookup per distinct
+    /// [`OldTable::record_allocations`] — one row lookup per distinct
     /// context instead of one per allocation. Age-0 increments commute, so
     /// the table state every safepoint-side reader sees is identical to
     /// the per-allocation path regardless of how threads interleaved since
@@ -702,7 +706,7 @@ impl GcHooks for RolpProfiler {
         let Some(context) = header.allocation_context() else {
             return;
         };
-        if !self.old.context_known(context, self.max_profile_id) {
+        if !context_known(context, self.max_profile_id) {
             return;
         }
         self.survivors.record_survival(context, header.age());
@@ -740,18 +744,18 @@ impl GcHooks for RolpProfiler {
         }
         // Pipeline stage 2 (§7.6): merge the pause's survival records at
         // the safepoint, sorted by (context, age).
-        if let Some(merge) =
+        if let Some(merged) =
             self.policy.safepoint(env, info.cycle, &mut self.survivors, &mut self.old)
         {
             // Modeled merge cost: the safepoint-side fold is priced per
             // record like the survivor path that produced them.
-            env.telemetry.add(Bucket::ProfilerMerge, merge.total * env.cost.profile_survivor_ns);
-            if env.trace.is_enabled() && merge.total > 0 {
+            env.telemetry.add(Bucket::ProfilerMerge, merged * env.cost.profile_survivor_ns);
+            if env.trace.is_enabled() && merged > 0 {
                 env.trace.emit_global(
                     env.clock.now(),
                     rolp_trace::EventKind::OldTableMerge {
                         cycle: info.cycle,
-                        total_records: merge.total,
+                        total_records: merged,
                     },
                 );
             }

@@ -12,7 +12,6 @@ use rolp_trace::json::JsonObject;
 use rolp_vm::{JitState, Program};
 
 use crate::context::{site_of, tss_of};
-use crate::geometry::LifetimeTable;
 use crate::profiler::RolpProfiler;
 use crate::runtime::RunReport;
 

@@ -15,7 +15,6 @@ use rolp_vm::{
     CollectorApi, CostModel, JitConfig, MutatorCtx, NullProfiler, Program, ThreadId, Vm, VmEnv,
 };
 
-use crate::geometry::LifetimeTable;
 use crate::profiler::{ProfilingLevel, RolpConfig, RolpProfiler, RolpStats};
 
 /// The five evaluated runtime configurations (paper §8).

@@ -25,7 +25,6 @@ use std::collections::{BTreeMap, HashMap};
 
 use rolp_vm::{AllocSiteId, CallSiteId, Program};
 
-use crate::geometry::LifetimeTable;
 use crate::offline::{DecisionProfile, ProfileValidation, DEFAULT_CONFIDENCE};
 use crate::old_table::OldTable;
 

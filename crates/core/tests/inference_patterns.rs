@@ -2,7 +2,7 @@
 //! sketches, end to end through the OLD table + classifier.
 
 use rolp::inference::{classify_row, infer, RowVerdict};
-use rolp::{LifetimeTable, OldTable};
+use rolp::OldTable;
 
 /// Simulates a cohort of `n` objects allocated through `ctx` that all die
 /// at exactly `death_age` (survive that many cycles first).

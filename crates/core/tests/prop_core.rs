@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rolp::inference::{classify_row, find_peaks, quantile_age, RowVerdict};
-use rolp::{LifetimeTable, OldTable, SurvivorTracking, WorkerTable, AGE_COLUMNS};
+use rolp::{OldTable, SurvivorTracking, WorkerTable, AGE_COLUMNS};
 
 /// One OLD-table event.
 #[derive(Debug, Clone, Copy)]
@@ -81,9 +81,10 @@ proptest! {
             }
         }
         // NOTE: ordering differs (all survivals after all allocations in
-        // the buffered table), so saturating decrements can differ. Only
-        // compare totals, which are order-independent.
-        worker.merge_into(&mut buffered);
+        // the buffered table, sorted by context and age), so saturating
+        // decrements can differ. Only compare totals, which are
+        // order-independent.
+        buffered.merge_survivals(&mut worker);
         for site in 1u16..6 {
             let c = (site as u32) << 16;
             let a: u64 = direct.histogram(c).iter().map(|&x| x as u64).sum();

@@ -58,8 +58,9 @@ pub trait GcHooks {
     /// One object survived a collection; `header` is its pre-copy header
     /// (context + age before the increment), `from` the kind of region it
     /// was copied out of. `worker` is always 0: the collector runs on the
-    /// runtime's one OS thread (the parameter is kept for implementors
-    /// outside this workspace). Note that, as in HotSpot, only
+    /// runtime's one OS thread. The parameter is kept only because
+    /// `rolpbench/src/trace.rs` forwards it; it goes with the rolpbench
+    /// update in ROADMAP item 6. Note that, as in HotSpot, only
     /// young-generation copies advance an object's age — once promoted or
     /// pretenured, an object's recorded age freezes, which is why the
     /// paper corrects shrinking lifetimes through fragmentation (§6)

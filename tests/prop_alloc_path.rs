@@ -19,7 +19,6 @@
 
 use proptest::prelude::*;
 use rolp::runtime::{CollectorKind, JvmRuntime, RunReport, RuntimeConfig};
-use rolp::LifetimeTable;
 use rolp_heap::{HeapConfig, RegionKind};
 use rolp_vm::{AllocSiteId, CallSiteId, ProgramBuilder, ThreadId};
 
