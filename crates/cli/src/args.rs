@@ -137,9 +137,9 @@ OPTIONS:
                         parallel GC work by this width  [default: 4]
     --fault-plan <SPEC> inject deterministic profiler faults and engage
                         the overhead governor. SPEC is a canned plan
-                        (pressure-spike | id-exhaustion | merge-chaos) or
-                        a `;`-separated list of atoms, e.g.
-                        \"seed=7;burst@16..64x200000;drop-merge%3\"
+                        (pressure-spike | id-exhaustion) or a
+                        `;`-separated list of atoms, e.g.
+                        \"exhaust-ids@24;burst@16..48x3000000\"
     --tlab-size <BYTES> per-thread allocation buffer (TLAB) chunk size;
                         each mutator bump-allocates privately from a
                         chunk of this size per space and refills under
@@ -348,12 +348,16 @@ mod tests {
 
     #[test]
     fn fault_plan_flag_parses_and_validates() {
-        let a = parse(&argv("--fault-plan merge-chaos")).expect("canned name parses");
-        assert_eq!(a.fault_plan.as_deref(), Some("merge-chaos"));
-        let a = parse(&argv("--fault-plan seed=7;burst@16..64x1000")).expect("spec parses");
+        for name in ["pressure-spike", "id-exhaustion"] {
+            let a = parse(&argv(&format!("--fault-plan {name}"))).expect("canned name parses");
+            assert_eq!(a.fault_plan.as_deref(), Some(name));
+        }
+        let a = parse(&argv("--fault-plan exhaust-ids@8;burst@16..64x1000")).expect("spec parses");
         assert!(a.fault_plan.is_some());
-        let err = parse(&argv("--fault-plan no-such-plan")).unwrap_err();
-        assert!(err.contains("pressure-spike"), "error lists canned plans: {err}");
+        for bad in ["no-such-plan", "merge-chaos", "seed=7;burst@16..64x1000", "drop-merge%3"] {
+            let err = parse(&argv(&format!("--fault-plan {bad}"))).unwrap_err();
+            assert!(err.contains("pressure-spike"), "{bad}: error lists canned plans: {err}");
+        }
         assert_eq!(parse(&[]).unwrap().fault_plan, None);
     }
 

@@ -78,9 +78,8 @@ fn run(args: Args) -> Result<(), String> {
     if let Some(spec) = &args.fault_plan {
         let plan = rolp_faults::FaultPlan::parse(spec).expect("validated at parse time");
         println!(
-            "fault plan: {} (seed {}, {} fault(s)) — overhead governor engaged",
+            "fault plan: {} ({} fault(s)) — overhead governor engaged",
             plan.name,
-            plan.seed,
             plan.faults.len()
         );
         config.rolp.fault_plan = Some(plan);

@@ -99,7 +99,8 @@ OPTIONS:
     --profile-in <FILE> warm-start from a rolp-profile-v1 (canary blend)
     --profile-out <FILE>  export the decisions this run learned, so the
                         next serving run can warm-start from them
-    --governor          engage the measured-overhead governor
+    --governor          turn profiling off while its measured overhead
+                        exceeds 5% of busy mutator time
     --inference-period <N>  run inference every N GC cycles (short smoke
                         runs shrink this so epochs fit the schedule)
     --seed <N>          arrival + runtime seed             [default: 42]

@@ -181,8 +181,8 @@ impl ConflictResolver {
     }
 
     /// Re-applies the resolver's intended call-site-profiling state to the
-    /// JIT after the governor bulk-disabled it (`Reduced` and below shed
-    /// all call-site profiling): frozen distinguishing sets (§5) and the
+    /// JIT after the governor bulk-disabled it (its `Off` state sheds all
+    /// call-site profiling): frozen distinguishing sets (§5) and the
     /// in-flight probe batch are re-enabled so resolution resumes exactly
     /// where it paused.
     pub fn reapply_to_jit(&self, jit: &mut JitState) {
@@ -482,7 +482,7 @@ mod tests {
         r.on_inference(&program, &mut jit, &[3], &[]);
         let enabled = jit.enabled_call_sites();
         assert!(enabled > 0);
-        // Governor sheds all call-site profiling (Reduced state)...
+        // Governor sheds all call-site profiling (Off state)...
         for cs in program.call_sites() {
             jit.disable_call_profiling(cs);
         }

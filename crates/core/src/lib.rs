@@ -24,8 +24,8 @@
 //! - [`conflicts`] — the call-site-enabling conflict resolver (§5).
 //! - [`filters`] — package filters (§7.3).
 //! - [`survivor`] — survivor-tracking shutdown (§7.4).
-//! - [`governor`] — the overhead governor: graceful degradation when a
-//!   profiling budget blows (Full → Reduced → SitesOnly → Off).
+//! - [`governor`] — the overhead governor: profiling turns off when its
+//!   measured overhead exceeds the budget (Full ↔ Off).
 //! - [`warm_start`] — the imported offline profile, blended with live
 //!   evidence.
 //! - [`profiler`] — the assembled profiler (§3, §6, §7), a shell over the
@@ -92,7 +92,7 @@ pub use conflicts::{
 pub use filters::PackageFilters;
 pub use fleet::{FleetAggregator, FleetConsensus, SubmissionOutcome};
 pub use geometry::{TableGeometry, FULL_SCALE_ROWS};
-pub use governor::{EpochCost, Governor, GovernorConfig, GovernorState, GovernorTransition};
+pub use governor::{Governor, GovernorConfig, GovernorState, GovernorTransition};
 pub use inference::{classify_row, find_peaks, infer, learn, InferenceOutcome, RowVerdict};
 pub use leak::{LeakReport, LeakSuspect};
 pub use offline::{

@@ -189,10 +189,6 @@ pub struct RolpStats {
     pub profile_id_overflows: u64,
     /// Synthetic record-path events charged by the fault injector.
     pub injected_fault_events: u64,
-    /// Survivor records discarded by injected merge drops.
-    pub dropped_merge_records: u64,
-    /// Safepoint merges postponed by injected merge delays.
-    pub delayed_merges: u64,
     /// Offline-profile import validation (`None` when no profile was
     /// imported this run).
     pub profile_import: Option<ProfileValidation>,
@@ -351,8 +347,6 @@ impl RolpProfiler {
             governor_transitions: governor.map_or(0, |g| g.transitions()),
             profile_id_overflows: jit.profile_id_overflows(),
             injected_fault_events: self.policy.injected_records,
-            dropped_merge_records: self.policy.dropped_merge_records,
-            delayed_merges: self.policy.delayed_merges,
             profile_import: self.warm.validation,
             profile_blend_decays: self.warm.decays,
             profile_rows_released: self.warm.released,
@@ -373,7 +367,7 @@ impl RolpProfiler {
         for &site in &outcome.new_conflicts {
             self.old.expand_site(site);
         }
-        if self.config.level == ProfilingLevel::Real && !self.policy.call_shed() {
+        if self.config.level == ProfilingLevel::Real && !self.policy.profiling_off() {
             let program = std::rc::Rc::clone(&env.program);
             self.resolver.on_inference(
                 &program,
@@ -382,7 +376,7 @@ impl RolpProfiler {
                 &outcome.unresolved_conflicts,
             );
         } else {
-            // Other levels — and a governor-`Reduced` profiler, whose
+            // Other levels — and a governor-`Off` profiler, whose
             // call-site profiling is shed — only count conflicts; no
             // resolution.
             self.resolver.note_detected_only(&outcome.new_conflicts);
@@ -423,8 +417,7 @@ impl RolpProfiler {
         let mut new_conflicts = 0u64;
         let mut unresolved_conflicts = 0u64;
 
-        let records = self.profiled_allocations + self.survivor_records;
-        self.policy.end_epoch(env, records, self.old.memory_bytes(), &self.resolver);
+        self.policy.end_epoch(env, &self.resolver);
         let off = self.policy.profiling_off();
 
         // With survivor tracking off (§7.4), the window's table holds only
@@ -620,7 +613,7 @@ impl VmProfiler for RolpProfiler {
             // conflicted contexts separate from epoch 0 instead of
             // re-probing.
             self.resolver.import_frozen(call_sites);
-            if self.config.level == ProfilingLevel::Real && !self.policy.call_shed() {
+            if self.config.level == ProfilingLevel::Real && !self.policy.profiling_off() {
                 self.resolver.reapply_to_jit(jit);
             }
         }
@@ -644,7 +637,7 @@ impl VmProfiler for RolpProfiler {
             // the next inference epoch.
             self.publish();
         }
-        if self.config.level == ProfilingLevel::SlowCallProfiling && !self.policy.call_shed() {
+        if self.config.level == ProfilingLevel::SlowCallProfiling && !self.policy.profiling_off() {
             for &cs in program.call_sites_of(method) {
                 jit.enable_call_profiling(cs);
             }
@@ -652,7 +645,7 @@ impl VmProfiler for RolpProfiler {
     }
 
     fn on_alloc(&mut self, site_profile_id: u16, tss: u16, thread: ThreadId) -> u32 {
-        let context = pack(site_profile_id, self.policy.context_tss(tss));
+        let context = pack(site_profile_id, tss);
         // `Off` normally never reaches here (the JIT gate patches the
         // profiling instructions out); direct-driven calls still must not
         // feed the table.
@@ -742,23 +735,19 @@ impl GcHooks for RolpProfiler {
                 );
             }
         }
-        // Pipeline stage 2 (§7.6): merge the pause's survival records at
-        // the safepoint, sorted by (context, age).
-        if let Some(merged) =
-            self.policy.safepoint(env, info.cycle, &mut self.survivors, &mut self.old)
-        {
-            // Modeled merge cost: the safepoint-side fold is priced per
-            // record like the survivor path that produced them.
-            env.telemetry.add(Bucket::ProfilerMerge, merged * env.cost.profile_survivor_ns);
-            if env.trace.is_enabled() && merged > 0 {
-                env.trace.emit_global(
-                    env.clock.now(),
-                    rolp_trace::EventKind::OldTableMerge {
-                        cycle: info.cycle,
-                        total_records: merged,
-                    },
-                );
-            }
+        // Pipeline stage 2 (§7.6): this cycle's injected faults, then the
+        // merge of the pause's survival records at the safepoint, sorted
+        // by (context, age).
+        self.policy.inject(env, info.cycle);
+        let merged = self.old.merge_survivals(&mut self.survivors);
+        // Modeled merge cost: the safepoint-side fold is priced per
+        // record like the survivor path that produced them.
+        env.telemetry.add(Bucket::ProfilerMerge, merged * env.cost.profile_survivor_ns);
+        if env.trace.is_enabled() && merged > 0 {
+            env.trace.emit_global(
+                env.clock.now(),
+                rolp_trace::EventKind::OldTableMerge { cycle: info.cycle, total_records: merged },
+            );
         }
 
         // §7.2.3: verify/repair every thread's stack state against the
@@ -986,87 +975,51 @@ mod tests {
     }
 
     #[test]
-    fn governor_degrades_to_off_then_recovers_without_remapping() {
+    fn governor_turns_off_then_recovers_without_remapping() {
+        // The burst starts after the first epoch, so epoch 1 learns the
+        // decision before the measured overhead trips.
         let (mut env, mut p) = compiled(RolpConfig {
-            governor: Some(GovernorConfig {
-                max_record_events_per_epoch: 10,
-                calm_epochs_to_recover: 2,
-                ..Default::default()
-            }),
+            governor: Some(GovernorConfig::default()),
+            fault_plan: Some(FaultPlan::parse("burst@17..48x1000").unwrap()),
             survivor_shutdown: false,
             ..Default::default()
         });
 
-        // Epoch 1 learns the decision *and* blows the record budget.
         drive_hot(&mut p, &mut env, 1..=16, 1);
-        assert_eq!(p.governor_state(), Some(GovernorState::Reduced));
-        assert_eq!(p.advise(pack(1, 0)), Some(2), "decision published before degrading further");
+        assert_eq!(p.governor_state(), Some(GovernorState::Full));
+        assert_eq!(p.advise(pack(1, 0)), Some(2), "decision published while Full");
 
-        // Two more hot epochs walk the machine down to Off.
+        // Hot epochs: all busy time is injected profiling work.
         drive_hot(&mut p, &mut env, 17..=48, 1);
         assert_eq!(p.governor_state(), Some(GovernorState::Off));
         assert!(!env.jit.alloc_profiling_enabled(), "fast path gated in Off");
         assert_eq!(p.advise(pack(1, 0)), None, "Off publishes the all-gen-0 table");
         assert!(!p.decisions().is_empty(), "working set retained for recovery");
 
-        // Calm epochs: hysteresis climbs back and republishes the same
-        // decision — the context was demoted, never remapped.
+        // Two calm epochs bring profiling back and republish the same
+        // decision: the context was demoted, never remapped.
         for cycle in 49..=80u64 {
             p.on_gc_end(&mut env, &cycle_info(cycle));
         }
-        assert!(p.governor_state() < Some(GovernorState::Off));
+        assert_eq!(p.governor_state(), Some(GovernorState::Full));
         assert!(env.jit.alloc_profiling_enabled());
         assert_eq!(p.advise(pack(1, 0)), Some(2), "same decision back after recovery");
         let stats = stats(&p, &env);
-        assert!(stats.governor_transitions >= 4);
-        assert_eq!(stats.governor_state, Some(p.governor_state().unwrap().label()));
+        assert_eq!(stats.governor_transitions, 2);
+        assert_eq!(stats.governor_state, Some("full"));
+        assert_eq!(stats.injected_fault_events, 31 * 1000);
     }
 
     #[test]
-    fn sites_only_state_strips_the_stack_state_hash() {
-        let mut p = RolpProfiler::new(RolpConfig {
-            governor: Some(GovernorConfig {
-                start_state: GovernorState::SitesOnly,
-                ..Default::default()
-            }),
-            ..Default::default()
-        });
-        assert_eq!(p.on_alloc(7, 0x1234, ThreadId(0)), pack(7, 0), "TSS forced to 0");
-    }
-
-    #[test]
-    fn fault_plan_forces_id_exhaustion_and_tss_collisions() {
-        use rolp_faults::FaultKind;
+    fn fault_plan_forces_id_exhaustion() {
         let (mut env, mut p) = compiled(RolpConfig {
-            fault_plan: Some(FaultPlan {
-                name: "test".into(),
-                seed: 1,
-                faults: vec![
-                    FaultKind::SiteIdExhaustion { at_cycle: 1 },
-                    FaultKind::TssCollision { from_cycle: 2, tss: 0xAA },
-                ],
-            }),
+            fault_plan: Some(FaultPlan::parse("exhaust-ids@2").unwrap()),
             ..Default::default()
         });
         p.on_gc_end(&mut env, &cycle_info(1));
-        assert!(env.jit.profile_ids_exhausted());
+        assert!(!env.jit.profile_ids_exhausted());
         p.on_gc_end(&mut env, &cycle_info(2));
-        assert_eq!(p.on_alloc(1, 0x5555, ThreadId(0)), pack(1, 0xAA), "collided TSS is sticky");
-    }
-
-    #[test]
-    fn merge_chaos_drops_and_delays_without_panicking() {
-        let (mut env, mut p) = compiled(RolpConfig {
-            fault_plan: Some(FaultPlan::named("merge-chaos").unwrap()),
-            governor: Some(GovernorConfig::default()),
-            ..Default::default()
-        });
-        drive_hot(&mut p, &mut env, 1..=64, 1);
-        let stats = stats(&p, &env);
-        assert!(stats.dropped_merge_records > 0, "drop-merge%3 fired");
-        assert!(stats.delayed_merges > 0, "delay-merge%5 fired");
-        assert!(stats.injected_fault_events > 0, "burst charged the record budget");
-        assert!(stats.governor_state.is_some());
+        assert!(env.jit.profile_ids_exhausted());
     }
 
     #[test]

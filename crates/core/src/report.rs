@@ -116,15 +116,8 @@ pub fn render_summary(profiler: &RolpProfiler, program: &Program, jit: &JitState
             stats.profile_id_overflows
         );
     }
-    if stats.injected_fault_events > 0
-        || stats.dropped_merge_records > 0
-        || stats.delayed_merges > 0
-    {
-        let _ = writeln!(
-            out,
-            "  faults injected:  {} events, {} merge records dropped, {} merges delayed",
-            stats.injected_fault_events, stats.dropped_merge_records, stats.delayed_merges
-        );
+    if stats.injected_fault_events > 0 {
+        let _ = writeln!(out, "  faults injected:  {} events", stats.injected_fault_events);
     }
     if let Some(v) = stats.profile_import {
         let fp = if !v.fingerprint_checked {
@@ -268,8 +261,6 @@ pub fn stats_json(report: &RunReport, pauses: &PauseRecorder) -> String {
             .u64("governor_transitions", s.governor_transitions)
             .u64("profile_id_overflows", s.profile_id_overflows)
             .u64("injected_fault_events", s.injected_fault_events)
-            .u64("dropped_merge_records", s.dropped_merge_records)
-            .u64("delayed_merges", s.delayed_merges)
             .u64("profile_blend_decays", s.profile_blend_decays)
             .u64("profile_rows_released", s.profile_rows_released)
             .u64("profile_rows_active", s.profile_rows_active)

@@ -1,9 +1,8 @@
 //! Regression test for the governor's *measured* overhead feedback loop
-//! (DESIGN.md §14): under a `pressure-spike` fault plan, the telemetry
-//! plane's self-observed profiling overhead — not the cost-model
-//! estimate — must walk the degradation ladder Full → Reduced →
-//! SitesOnly, with every degrading transition attributed to the
-//! `overhead-budget` reason.
+//! (DESIGN.md §13, §14): under a `pressure-spike` fault plan, the
+//! telemetry plane's self-observed profiling overhead turns profiling
+//! `Off` (reason `overhead-budget`), and once the burst subsides the
+//! governor returns to `Full`.
 
 use rolp::governor::GovernorConfig;
 use rolp::runtime::{CollectorKind, JvmRuntime, RunReport, RuntimeConfig};
@@ -25,7 +24,7 @@ fn run_traced(config: RuntimeConfig) -> (RunReport, Vec<TraceEvent>) {
     let mut rt = JvmRuntime::new(config, program);
     let class = rt.vm.env.heap.classes.register("app.Item");
     let mut ring = std::collections::VecDeque::new();
-    for _ in 0..60_000u64 {
+    for _ in 0..150_000u64 {
         let mut ctx = rt.ctx(ThreadId(0));
         ctx.call(call, |ctx| {
             let h = ctx.alloc(site, class, 0, 4);
@@ -35,6 +34,9 @@ fn run_traced(config: RuntimeConfig) -> (RunReport, Vec<TraceEvent>) {
             if ring.len() > 64 {
                 ctx.release(ring.pop_front().unwrap());
             }
+            // Some computation per op, so profiling the two allocations
+            // costs well under the 5% budget outside the spike.
+            ctx.work(200);
             ctx.complete_ops(1);
         });
     }
@@ -44,55 +46,51 @@ fn run_traced(config: RuntimeConfig) -> (RunReport, Vec<TraceEvent>) {
 }
 
 #[test]
-fn pressure_spike_degrades_via_measured_overhead() {
+fn pressure_spike_turns_profiling_off_via_measured_overhead() {
     let mut cfg = RuntimeConfig {
         collector: CollectorKind::RolpNg2c,
         heap: rolp_heap::HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 18 },
         trace_enabled: true,
         ..Default::default()
     };
-    // Loosen every budget except the measured-overhead one so the ladder
-    // can only be driven by the telemetry signal.
-    cfg.rolp.governor = Some(GovernorConfig {
-        max_record_events_per_epoch: u64::MAX,
-        max_table_bytes: u64::MAX,
-        max_call_overhead_ns_per_epoch: u64::MAX,
-        ..Default::default()
-    });
+    cfg.rolp.governor = Some(GovernorConfig::default());
     cfg.rolp.fault_plan = Some(FaultPlan::named("pressure-spike").unwrap());
     cfg.rolp.survivor_shutdown = false;
     let (report, trace) = run_traced(cfg);
 
     let stats = report.rolp.as_ref().expect("rolp stats");
+    assert!(
+        report.gc_cycles >= 80,
+        "past the burst (cycles 16..48) and two calm epochs: {}",
+        report.gc_cycles
+    );
     assert!(stats.injected_fault_events > 0, "the spike fired");
 
-    // Every degrading transition came from the measured signal, and the
-    // ladder reached at least SitesOnly.
-    let transitions: Vec<(&str, &str, &str)> = trace
+    // The spike turned profiling off on the measured signal, and the
+    // calm epochs after it turned profiling back on.
+    let transitions: Vec<(&str, &str, &str, u64, u64)> = trace
         .iter()
         .filter_map(|e| match e.kind {
-            EventKind::GovernorTransition { from, to, reason, .. } => Some((from, to, reason)),
+            EventKind::GovernorTransition { from, to, reason, profiling_ns, mutator_ns } => {
+                Some((from, to, reason, profiling_ns, mutator_ns))
+            }
             _ => None,
         })
         .collect();
-    assert!(
-        transitions
-            .iter()
-            .any(|&(from, to, r)| (from, to, r) == ("full", "reduced", "overhead-budget")),
-        "Full -> Reduced from measured overhead; got {transitions:?}"
+    let steps: Vec<(&str, &str, &str)> = transitions.iter().map(|t| (t.0, t.1, t.2)).collect();
+    assert_eq!(
+        steps,
+        [("full", "off", "overhead-budget"), ("off", "full", "recovered")],
+        "one trip on measured overhead, one recovery"
     );
-    assert!(
-        transitions
-            .iter()
-            .any(|&(from, to, r)| (from, to, r) == ("reduced", "sites-only", "overhead-budget")),
-        "Reduced -> SitesOnly from measured overhead; got {transitions:?}"
-    );
-    for &(_, _, reason) in &transitions {
-        assert!(
-            reason == "overhead-budget" || reason == "recovered",
-            "only the measured budget may degrade this run, got {reason}"
-        );
-    }
+    // Each event carries the measurement behind it: over 5% of busy
+    // mutator time when tripping, at most 5% when recovering.
+    let (_, _, _, prof, busy) = transitions[0];
+    assert!(prof * 20 > busy, "trip at {prof} / {busy} ns");
+    let (_, _, _, prof, busy) = transitions[1];
+    assert!(prof * 20 <= busy, "recovery at {prof} / {busy} ns");
+    assert_eq!(stats.governor_state, Some("full"));
+    assert_eq!(stats.governor_transitions, 2);
 
     // The final snapshot carries the overhead the governor acted on.
     let json = rolp::stats_json(&report, &rolp_metrics::PauseRecorder::new());

@@ -2,10 +2,10 @@
 //!
 //! Two guarantees (DESIGN.md §13):
 //!
-//! 1. **Degradation never remaps a context.** Whatever the governor sheds,
-//!    a surviving allocation context either keeps its published meaning or
-//!    falls back to gen-0 semantics (no decision) — it is never advised to
-//!    a *different* generation than the working set holds for it.
+//! 1. **Turning profiling off never remaps a context.** A surviving
+//!    allocation context either keeps its published meaning or falls back
+//!    to gen-0 semantics (no decision) — it is never advised to a
+//!    *different* generation than the working set holds for it.
 //! 2. **`Off` is the disabled profiler, bit for bit.** A governor pinned
 //!    in `Off` produces exactly the run a profiler that matches nothing
 //!    produces: same clock, same pauses, same placement, same watermarks.
@@ -35,17 +35,9 @@ fn cycle_info(cycle: u64) -> GcCycleInfo {
 fn fault_strategy() -> impl Strategy<Value = FaultKind> {
     prop_oneof![
         (1u64..48).prop_map(|at_cycle| FaultKind::SiteIdExhaustion { at_cycle }),
-        (1u64..48, 0u16..u16::MAX)
-            .prop_map(|(from_cycle, tss)| FaultKind::TssCollision { from_cycle, tss }),
-        (1u64..48, 1u32..64).prop_map(|(from_cycle, rows_per_cycle)| FaultKind::RowFlood {
-            from_cycle,
-            rows_per_cycle
-        }),
-        (1u64..32, 1u64..32, 1u64..300_000).prop_map(|(from_cycle, len, events_per_cycle)| {
+        (1u64..48, 1u64..32, 1u64..300_000).prop_map(|(from_cycle, len, events_per_cycle)| {
             FaultKind::AllocBurst { from_cycle, until_cycle: from_cycle + len, events_per_cycle }
         }),
-        (1u64..8).prop_map(|every| FaultKind::MergeDrop { every }),
-        (1u64..8).prop_map(|every| FaultKind::MergeDelay { every }),
     ]
 }
 
@@ -53,15 +45,14 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Drive a governed profiler through 64 GC cycles of load under an
-    /// arbitrary fault plan and an arbitrary (possibly hair-trigger)
-    /// record budget. Nothing may panic, the site's profile id may never
-    /// change, and published advice may never contradict the retained
-    /// working set.
+    /// arbitrary fault plan. The driver charges no mutator time, so every
+    /// cycle a burst covers is all profiling: bursts turn profiling off,
+    /// and calm epochs after them turn it back on. Nothing may panic, the
+    /// site's profile id may never change, and published advice may never
+    /// contradict the retained working set.
     #[test]
     fn surviving_contexts_never_change_meaning(
-        seed in 0u64..1_000,
         faults in prop::collection::vec(fault_strategy(), 0..4),
-        record_budget in prop_oneof![Just(50u64), Just(5_000), Just(2_000_000)],
     ) {
         let mut b = ProgramBuilder::new();
         let m = b.method("app.data.Maker::make", 100, false);
@@ -75,11 +66,8 @@ proptest! {
         let program = std::rc::Rc::clone(&env.program);
 
         let mut p = RolpProfiler::new(RolpConfig {
-            governor: Some(GovernorConfig {
-                max_record_events_per_epoch: record_budget,
-                ..Default::default()
-            }),
-            fault_plan: Some(FaultPlan { name: "prop".into(), seed, faults }),
+            governor: Some(GovernorConfig::default()),
+            fault_plan: Some(FaultPlan { name: "prop".into(), faults }),
             survivor_shutdown: false,
             ..Default::default()
         });
@@ -89,7 +77,7 @@ proptest! {
         for cycle in 1..=64u64 {
             for i in 0..8u16 {
                 let ctx = p.on_alloc(pid, i % 2, ThreadId(0));
-                prop_assert_eq!(site_of(ctx), pid, "degradation must not remap the site id");
+                prop_assert_eq!(site_of(ctx), pid, "the governor must not remap the site id");
                 let h = ObjectHeader::new(1).with_allocation_context(ctx);
                 p.on_survivor(h, RegionKind::Eden, 0);
                 p.on_survivor(h.with_age(1), RegionKind::Eden, 1);
@@ -103,7 +91,7 @@ proptest! {
         let state = p.governor_state().expect("governed run reports a state");
         for (&ctx, &gen) in p.decisions() {
             match p.advise(ctx) {
-                // Demoted to gen-0 semantics: allowed (that's degradation).
+                // Demoted to gen-0 semantics: allowed (that is `Off`).
                 None => {}
                 // Still published: must mean exactly what the working set
                 // says — never remapped to another generation.
@@ -160,8 +148,8 @@ fn run_workload_n(config: rolp::runtime::RuntimeConfig, iters: u64) -> rolp::run
     report
 }
 
-/// Guarantee 2: a governor pinned in `Off` (zero budgets, `Off` start
-/// state) is indistinguishable from a profiler whose filters match
+/// Guarantee 2: a governor started (and so pinned) in `Off` is
+/// indistinguishable from a profiler whose filters match
 /// nothing — identical clock, pauses, heap watermarks, and throughput.
 /// Checked in both allocation modes: the TLAB + micro-cache fast path
 /// (the default) and the shared slow path, since governor `Off` patches
@@ -179,13 +167,7 @@ fn assert_governor_off_is_disabled_profiler(tlab_bytes: usize, microcache: bool)
     };
 
     let mut governed_cfg = base();
-    governed_cfg.rolp.governor = Some(GovernorConfig {
-        start_state: GovernorState::Off,
-        max_record_events_per_epoch: 0,
-        max_table_bytes: 0,
-        max_call_overhead_ns_per_epoch: 0,
-        calm_epochs_to_recover: 2,
-    });
+    governed_cfg.rolp.governor = Some(GovernorConfig { start_state: GovernorState::Off });
     let governed = run_workload(governed_cfg);
 
     let mut disabled_cfg = base();
@@ -219,14 +201,15 @@ fn governor_off_is_bit_for_bit_the_disabled_profiler_without_fast_path() {
     assert_governor_off_is_disabled_profiler(0, false);
 }
 
-/// Canned fault plans with the allocation fast path enabled: the
-/// governed degradation ladder (`Full → … → Off → recover`) must never
-/// corrupt the heap or disturb TLAB/batched-flush bookkeeping. Mirrors
-/// the fault-matrix CI job, which drives the same canned plans through
-/// the CLI with TLABs both on and off.
+/// Canned fault plans with the allocation fast path enabled: turning
+/// profiling `Off` and back on must never corrupt the heap or disturb
+/// TLAB/batched-flush bookkeeping. Mirrors the fault-matrix CI job, which
+/// drives the same canned plans through the CLI with TLABs both on and
+/// off, and checks the same: the final state is `full` or `off`, and
+/// `pressure-spike` reaches `Off` and recovers.
 #[test]
 fn canned_fault_plans_survive_with_tlabs_enabled() {
-    for plan in ["pressure-spike", "merge-chaos"] {
+    for &plan in FaultPlan::canned_names() {
         let mut cfg = rolp::runtime::RuntimeConfig {
             collector: rolp::runtime::CollectorKind::RolpNg2c,
             heap: rolp_heap::HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 },
@@ -237,14 +220,22 @@ fn canned_fault_plans_survive_with_tlabs_enabled() {
         cfg.rolp.fault_plan = Some(FaultPlan::parse(plan).expect("canned plan"));
         cfg.rolp.governor = Some(GovernorConfig::default());
 
-        // Long enough to reach the plans' burst windows (cycles 16..64);
-        // the heap is verified at the end-of-run safepoint.
-        let report = run_workload_n(cfg, 60_000);
+        // Long enough to pass the burst window (cycles 16..48) and the
+        // two calm epochs after it; the heap is verified at the end-of-run
+        // safepoint.
+        let report = run_workload_n(cfg, 400_000);
         let stats = report.rolp.expect("rolp stats");
-        assert!(stats.governor_state.is_some(), "{plan}: governed run must report a final state");
+        assert!(
+            matches!(stats.governor_state, Some("full" | "off")),
+            "{plan}: governed run must report a final state: {stats:?}"
+        );
         assert!(report.gc_cycles > 0, "{plan}: the plan must exercise collections");
-        let fault_activity =
-            stats.injected_fault_events + stats.dropped_merge_records + stats.delayed_merges;
-        assert!(fault_activity > 0, "{plan}: faults must actually fire: {stats:?}");
+        if plan == "pressure-spike" {
+            assert!(stats.injected_fault_events > 0, "{plan}: the burst must fire: {stats:?}");
+            assert!(
+                stats.governor_transitions >= 2,
+                "{plan}: must reach Off and recover: {stats:?}"
+            );
+        }
     }
 }

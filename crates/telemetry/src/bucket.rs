@@ -211,8 +211,7 @@ pub enum GaugeId {
     HeapCommittedBytes,
     /// Version of the currently published decision table.
     DecisionVersion,
-    /// Overhead-governor state, encoded 0 = Full, 1 = Reduced,
-    /// 2 = SitesOnly, 3 = Off.
+    /// Overhead-governor state, encoded 0 = Full, 1 = Off.
     GovernorState,
 }
 

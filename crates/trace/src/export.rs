@@ -91,20 +91,12 @@ pub fn event_to_json(event: &TraceEvent) -> String {
                 .u64("changed_rows", *changed_rows)
                 .u64("decisions", *decisions);
         }
-        EventKind::GovernorTransition {
-            from,
-            to,
-            reason,
-            record_events,
-            table_bytes,
-            call_overhead_ns,
-        } => {
+        EventKind::GovernorTransition { from, to, reason, profiling_ns, mutator_ns } => {
             obj.str("from", from)
                 .str("to", to)
                 .str("reason", reason)
-                .u64("record_events", *record_events)
-                .u64("table_bytes", *table_bytes)
-                .u64("call_overhead_ns", *call_overhead_ns);
+                .u64("profiling_ns", *profiling_ns)
+                .u64("mutator_ns", *mutator_ns);
         }
         EventKind::ProfileImport {
             entries,
@@ -159,14 +151,17 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
 
 /// Maps a parsed label back to the `&'static str` the event model uses.
 ///
-/// All labels the runtime emits are in the table; an unknown label (e.g. a
-/// hand-edited log) is leaked once so parsing still succeeds.
+/// The table holds exactly the labels the runtime emits; an unknown label
+/// (e.g. from a hand-edited log) is leaked on each parse so parsing still
+/// succeeds.
 fn intern(s: &str) -> &'static str {
     const KNOWN: &[&str] = &[
+        // Pause kinds (`full` is also a governor state).
         "young",
         "mixed",
         "full",
         "handshake",
+        // Pause causes.
         "eden-full",
         "alloc-failure",
         "evac-failure",
@@ -175,24 +170,20 @@ fn intern(s: &str) -> &'static str {
         "remark",
         "relocate",
         "occupancy",
-        "mixed-followup",
         "allocation",
+        // Conflict-batch actions.
         "enable",
         "shrink",
         "disable",
         "freeze",
+        // Decision-change reasons.
         "inferred",
         "demoted",
         "released",
-        "offline",
-        "reduced",
-        "sites-only",
+        // Governor states and transition reasons.
         "off",
-        "record-budget",
-        "table-budget",
-        "call-budget",
+        "overhead-budget",
         "recovered",
-        "forced",
     ];
     for k in KNOWN {
         if *k == s {
@@ -300,9 +291,8 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceEvent>, String> {
                     from: get_label(&map, "from")?,
                     to: get_label(&map, "to")?,
                     reason: get_label(&map, "reason")?,
-                    record_events: get_u64(&map, "record_events")?,
-                    table_bytes: get_u64(&map, "table_bytes")?,
-                    call_overhead_ns: get_u64(&map, "call_overhead_ns")?,
+                    profiling_ns: get_u64(&map, "profiling_ns")?,
+                    mutator_ns: get_u64(&map, "mutator_ns")?,
                 },
                 "profile_import" => EventKind::ProfileImport {
                     entries: get_u64(&map, "entries")?,
@@ -563,11 +553,10 @@ mod tests {
                 seq: 9,
                 kind: EventKind::GovernorTransition {
                     from: "full",
-                    to: "reduced",
-                    reason: "call-budget",
-                    record_events: 120_000,
-                    table_bytes: 4 << 20,
-                    call_overhead_ns: 9_000_000,
+                    to: "off",
+                    reason: "overhead-budget",
+                    profiling_ns: 9_000_000,
+                    mutator_ns: 120_000_000,
                 },
             },
             TraceEvent {
@@ -633,6 +622,15 @@ mod tests {
         let input = format!("{good}\n{{\"type\":\"nope\"}}\n");
         let err = parse_jsonl(&input).unwrap_err();
         assert!(err.contains("line 2"), "got: {err}");
+    }
+
+    #[test]
+    fn governor_labels_intern_without_leaking() {
+        // A leaked label gets a fresh allocation on every parse; a known
+        // one is the table's own `&'static str` each time.
+        for label in ["full", "off", "overhead-budget", "recovered"] {
+            assert!(std::ptr::eq(intern(label), intern(label)), "{label} is not interned");
+        }
     }
 
     #[test]

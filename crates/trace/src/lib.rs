@@ -120,8 +120,8 @@ pub enum EventKind {
         from_gen: u8,
         /// New target generation.
         to_gen: u8,
-        /// `inferred` (§4), `demoted` (§6), `released` (an imported prior
-        /// the blend decay dropped), or `offline` (warm start).
+        /// `inferred` (§4), `demoted` (§6), or `released` (an imported
+        /// prior the blend decay dropped).
         reason: &'static str,
     },
     /// Survivor tracking was switched on or off (§7.4).
@@ -148,23 +148,19 @@ pub enum EventKind {
         /// Active decisions in the snapshot.
         decisions: u64,
     },
-    /// The overhead governor changed its degradation state.
+    /// The overhead governor turned profiling off or back on.
     GovernorTransition {
-        /// State before the transition (`full` / `reduced` / `sites-only`
-        /// / `off`).
+        /// State before the transition (`full` / `off`).
         from: &'static str,
         /// State after the transition.
         to: &'static str,
-        /// Budget that tripped (`record-budget` / `table-budget` /
-        /// `call-budget` / `overhead-budget`) or `recovered` when
-        /// pressure subsided.
+        /// `overhead-budget` when the measured overhead tripped, or
+        /// `recovered` when pressure subsided.
         reason: &'static str,
-        /// Record-path events charged to the closing epoch.
-        record_events: u64,
-        /// OLD-table footprint in bytes at evaluation time.
-        table_bytes: u64,
-        /// Estimated call-site-profiling overhead (ns) for the epoch.
-        call_overhead_ns: u64,
+        /// Measured profiling time of the closing epoch, in ns.
+        profiling_ns: u64,
+        /// Measured busy mutator time of the closing epoch, in ns.
+        mutator_ns: u64,
     },
     /// An offline decision profile was imported and validated against the
     /// running program at startup (warm start).

@@ -123,13 +123,12 @@ pub struct JitState {
     /// saturate-and-report discipline: ids are never wrapped or reused).
     profile_id_overflows: u64,
     /// Whether the per-allocation profiling instructions are live. The
-    /// degradation governor clears this in its `Off` state so the
+    /// overhead governor clears this in its `Off` state so the
     /// allocation fast path degenerates to the single `profile_id`
     /// branch — no OLD-table increment, no context install, no charge.
     alloc_profiling_enabled: bool,
     compiles: u64,
     osr_compiles: u64,
-    total_invocations: u64,
     /// When set, call-profiling toggles are appended to `toggle_log` for
     /// the flight recorder to drain at the next GC safepoint (the same
     /// unsynchronized-then-merge discipline the OLD table uses, §7.6).
@@ -151,7 +150,6 @@ impl JitState {
             alloc_profiling_enabled: true,
             compiles: 0,
             osr_compiles: 0,
-            total_invocations: 0,
             log_toggles: false,
             toggle_log: Vec::new(),
         }
@@ -204,11 +202,6 @@ impl JitState {
         self.osr_compiles
     }
 
-    /// Total (non-inlined) method invocations observed.
-    pub fn total_invocations(&self) -> u64 {
-        self.total_invocations
-    }
-
     /// Counts a method entry; returns a compile event when the threshold
     /// trips.
     pub fn note_entry(
@@ -217,7 +210,6 @@ impl JitState {
         m: MethodId,
         rng: &mut StdRng,
     ) -> Option<JitEvent> {
-        self.total_invocations += 1;
         let st = &mut self.methods[m.0 as usize];
         st.invocations += 1;
         if !st.compiled && st.invocations >= self.config.compile_threshold {

@@ -88,12 +88,12 @@ fn sustained_kv_load_keeps_the_heap_valid() {
     }
 }
 
-/// Fault-plan soak: a sustained allocation burst pushes the governor all
-/// the way down (`Full → Reduced → SitesOnly → Off`), then subsides so
-/// the hysteresis climbs back to `Full` — with whole-heap verification
-/// running throughout. Exercises the ISSUE acceptance path end to end:
-/// degradation under injected pressure never corrupts the heap and the
-/// profiler recovers on its own.
+/// Fault-plan soak: a sustained allocation burst pushes the measured
+/// profiling overhead over budget, so the governor turns profiling `Off`;
+/// the burst then subsides and calm epochs bring it back to `Full` — with
+/// whole-heap verification running throughout. Turning profiling off
+/// under injected pressure never corrupts the heap, and the profiler
+/// recovers on its own.
 #[test]
 fn fault_plan_soak_cycles_full_to_off_and_back() {
     let mut w = soak_workload();
@@ -104,14 +104,14 @@ fn fault_plan_soak_cycles_full_to_off_and_back() {
         seed: SOAK_SEED,
         ..Default::default()
     };
-    // 500k injected events/cycle for cycles 24..80 blows the 2M/epoch
-    // record budget (16-cycle epochs see 8M), stepping the governor down
-    // one state per hot epoch; after cycle 80 the plan is quiet, so each
-    // calm epoch climbs one state back up.
+    // 500k injected events/cycle for cycles 24..80, each priced like a
+    // profiled allocation, put the measured profiling overhead far over
+    // its 5% budget: the epoch ending at cycle 32 turns profiling off.
+    // After cycle 80 the plan is quiet, and two calm epochs turn it back
+    // on.
     config.rolp.fault_plan =
-        Some(rolp_faults::FaultPlan::parse("seed=5;burst@24..80x500000").expect("valid plan"));
-    config.rolp.governor =
-        Some(GovernorConfig { calm_epochs_to_recover: 1, ..GovernorConfig::default() });
+        Some(rolp_faults::FaultPlan::parse("burst@24..80x500000").expect("valid plan"));
+    config.rolp.governor = Some(GovernorConfig::default());
 
     let program = w.build_program();
     let mut rt = JvmRuntime::new(config, program);
@@ -121,8 +121,9 @@ fn fault_plan_soak_cycles_full_to_off_and_back() {
     let mut seen_states = std::collections::BTreeSet::new();
     let mut last_verified = 0;
     let mut i = 0u64;
-    // Run until the governor has had time to fall and climb back
-    // (~150 cycles at 16-cycle epochs), bounded by 2x the soak budget.
+    // Run until the governor has had time to turn off and back on
+    // (recovery at cycle 112 with 16-cycle epochs), bounded by 2x the
+    // soak budget.
     while rt.vm.collector.gc_cycles() < 160 && i < iters * 2 {
         let mut ctx = rt.ctx(ThreadId((i % 2) as u32));
         w.tick(&mut ctx);
@@ -149,15 +150,15 @@ fn fault_plan_soak_cycles_full_to_off_and_back() {
         rt.vm.collector.gc_cycles()
     );
 
-    // The governor visited Off and came all the way back.
+    // The governor visited Off and came back.
     assert!(seen_states.contains("off"), "states seen: {seen_states:?}");
     assert!(seen_states.contains("full"));
     let final_state = rt.profiler.as_ref().unwrap().borrow().governor_state().expect("governed");
-    assert_eq!(final_state, GovernorState::Full, "hysteresis climbed back after the burst");
+    assert_eq!(final_state, GovernorState::Full, "profiling came back after the burst");
 
     let report = rt.report();
     let stats = report.rolp.expect("rolp stats");
-    assert!(stats.governor_transitions >= 6, "3 down + 3 up, got {}", stats.governor_transitions);
+    assert_eq!(stats.governor_transitions, 2, "Full -> Off -> Full");
     assert!(stats.injected_fault_events > 0);
 
     // The heap survived the whole ride.
