@@ -1,7 +1,7 @@
 //! Shared output sinks for the CLI binaries.
 //!
-//! Every binary (`rolp-sim`, `rolp-serve`, `rolp-fleet`) writes its
-//! machine-readable artifacts through the same two mechanisms:
+//! Both binaries (`rolp-sim`, `rolp-serve`) write their machine-readable
+//! artifacts through the same two mechanisms:
 //!
 //! - [`write_atomic`] — temp file + rename, so a reader (or a crash)
 //!   never observes a half-written file;

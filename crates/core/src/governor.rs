@@ -15,9 +15,11 @@
 //!
 //! An epoch whose measured overhead exceeds [`MAX_MEASURED_OVERHEAD`]
 //! turns profiling `Off`; `Off` is NG2C's fallback, where unprofiled
-//! allocation goes to gen 0. After a fixed number of consecutive calm
-//! epochs the governor returns to `Full`, so a transient burst does not
-//! strand the profiler. Every transition is emitted as a
+//! allocation goes to gen 0. After enough consecutive calm epochs the
+//! governor returns to `Full`, so a transient burst does not strand the
+//! profiler. Each trip doubles the calm streak the next recovery needs,
+//! so a steady overhead just over budget does not flap `Full ↔ Off`
+//! every few epochs. Every transition is emitted as a
 //! `governor_transition` trace event by the profiler.
 //!
 //! Turning profiling off never *remaps* an allocation context: the
@@ -63,7 +65,7 @@ impl GovernorState {
 pub const MAX_MEASURED_OVERHEAD: f64 = 0.05;
 
 /// Consecutive calm epochs after which an `Off` governor returns to
-/// `Full`.
+/// `Full` on its first trip; each later trip doubles it.
 const CALM_EPOCHS_TO_RECOVER: u32 = 2;
 
 /// Governor settings.
@@ -120,8 +122,9 @@ impl Governor {
     /// Feeds one epoch's measured profiling and busy mutator time;
     /// returns the transition to apply, if the state changed. Over budget
     /// in `Full`: turn `Off` at once. In `Off`: a hot epoch restarts the
-    /// calm streak, and `CALM_EPOCHS_TO_RECOVER` calm ones in a row
-    /// return to `Full`. An epoch with no mutator time is calm.
+    /// calm streak, and `CALM_EPOCHS_TO_RECOVER << (trips - 1)` calm ones
+    /// in a row (saturating) return to `Full`. An epoch with no mutator
+    /// time is calm.
     pub fn evaluate(&mut self, profiling_ns: u64, mutator_ns: u64) -> Option<GovernorTransition> {
         if self.pinned {
             return None;
@@ -137,7 +140,11 @@ impl Governor {
             }
             (GovernorState::Off, false) => {
                 self.calm_epochs += 1;
-                if self.calm_epochs < CALM_EPOCHS_TO_RECOVER {
+                // `transitions` is odd while `Off`: trip k (0-based) is
+                // transition 2k + 1.
+                let trip = u32::try_from(self.transitions / 2).unwrap_or(u32::MAX);
+                let needed = CALM_EPOCHS_TO_RECOVER.saturating_mul(2u32.saturating_pow(trip));
+                if self.calm_epochs < needed {
                     return None;
                 }
                 self.calm_epochs = 0;
@@ -319,6 +326,26 @@ mod tests {
         );
         assert_eq!(eval(&mut g, CALM), None, "Full and calm: steady state");
         assert_eq!(g.transitions(), 2);
+    }
+
+    #[test]
+    fn steady_overhead_just_over_budget_backs_off_instead_of_flapping() {
+        // 6% while profiling, nothing while off: a fixed 2-epoch recovery
+        // re-trips every third epoch (67 transitions in 100 epochs).
+        let mut g = Governor::new(GovernorConfig::default());
+        let mut recoveries = Vec::new();
+        for epoch in 1..=100 {
+            let profiling = if g.state() == GovernorState::Full { 6_000 } else { 0 };
+            if let Some(t) = g.evaluate(profiling, 100_000) {
+                if t.to == GovernorState::Full {
+                    recoveries.push(epoch);
+                }
+            }
+        }
+        assert!(g.transitions() <= 12, "flapped {} times", g.transitions());
+        // The first trip still recovers after 2 calm epochs; each later
+        // one waits twice as long as the one before.
+        assert_eq!(recoveries, [3, 8, 17, 34, 67]);
     }
 
     #[test]

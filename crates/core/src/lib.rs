@@ -17,8 +17,6 @@
 //! - [`old_table`] — the Object Lifetime Distribution table (§3.3, §7.5,
 //!   §7.6): the exact table the runtime profiles into at every guest
 //!   thread count, and its sorted safepoint merge of survival records.
-//! - [`fleet`] — multi-runtime profile aggregation: confidence-weighted
-//!   consensus over `rolp-profile-v1` exports.
 //! - [`inference`] — lifetime inference, conflict detection (§4), and the
 //!   pure [`learn`] step (upward merge, §6 demotion).
 //! - [`conflicts`] — the call-site-enabling conflict resolver (§5).
@@ -73,7 +71,6 @@
 pub mod conflicts;
 pub mod context;
 pub mod filters;
-pub mod fleet;
 pub mod geometry;
 pub mod governor;
 pub mod inference;
@@ -90,7 +87,6 @@ pub use conflicts::{
     worst_case_resolution_time_ms, ConflictConfig, ConflictResolver, ConflictStats,
 };
 pub use filters::PackageFilters;
-pub use fleet::{FleetAggregator, FleetConsensus, SubmissionOutcome};
 pub use geometry::{TableGeometry, FULL_SCALE_ROWS};
 pub use governor::{Governor, GovernorConfig, GovernorState, GovernorTransition};
 pub use inference::{classify_row, find_peaks, infer, learn, InferenceOutcome, RowVerdict};

@@ -119,17 +119,6 @@ pub fn event_to_json(event: &TraceEvent) -> String {
                 .u64("released", *released)
                 .u64("remaining", *remaining);
         }
-        EventKind::FleetSubmission { instance, epochs, entries, accepted } => {
-            obj.u64("instance", *instance as u64)
-                .u64("epochs", *epochs)
-                .u64("entries", *entries)
-                .bool("accepted", *accepted);
-        }
-        EventKind::FleetConsensus { instances, entries, contested } => {
-            obj.u64("instances", *instances as u64)
-                .u64("entries", *entries)
-                .u64("contested", *contested);
-        }
         EventKind::ServePhaseShift { phase, rate_rps, requests_before } => {
             obj.u64("phase", *phase as u64)
                 .u64("rate_rps", *rate_rps)
@@ -308,17 +297,6 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceEvent>, String> {
                     released: get_u64(&map, "released")?,
                     remaining: get_u64(&map, "remaining")?,
                 },
-                "fleet_submission" => EventKind::FleetSubmission {
-                    instance: get_u64(&map, "instance")? as u32,
-                    epochs: get_u64(&map, "epochs")?,
-                    entries: get_u64(&map, "entries")?,
-                    accepted: get_bool(&map, "accepted")?,
-                },
-                "fleet_consensus" => EventKind::FleetConsensus {
-                    instances: get_u64(&map, "instances")? as u32,
-                    entries: get_u64(&map, "entries")?,
-                    contested: get_u64(&map, "contested")?,
-                },
                 "serve_phase_shift" => EventKind::ServePhaseShift {
                     phase: get_u64(&map, "phase")? as u32,
                     rate_rps: get_u64(&map, "rate_rps")?,
@@ -402,8 +380,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     EventKind::GovernorTransition { .. } => "governor transition",
                     EventKind::ProfileImport { .. } => "profile import",
                     EventKind::ProfileBlend { .. } => "profile blend",
-                    EventKind::FleetSubmission { .. } => "fleet submission",
-                    EventKind::FleetConsensus { .. } => "fleet consensus",
                     EventKind::ServePhaseShift { .. } => "serve phase shift",
                     _ => unreachable!("pause and watermark handled above"),
                 };
@@ -582,23 +558,6 @@ mod tests {
                 ts: t(14_000),
                 thread: GLOBAL_THREAD,
                 seq: 12,
-                kind: EventKind::FleetSubmission {
-                    instance: 2,
-                    epochs: 6,
-                    entries: 11,
-                    accepted: true,
-                },
-            },
-            TraceEvent {
-                ts: t(15_000),
-                thread: GLOBAL_THREAD,
-                seq: 13,
-                kind: EventKind::FleetConsensus { instances: 3, entries: 12, contested: 1 },
-            },
-            TraceEvent {
-                ts: t(16_000),
-                thread: GLOBAL_THREAD,
-                seq: 14,
                 kind: EventKind::ServePhaseShift {
                     phase: 1,
                     rate_rps: 12_000,

@@ -191,27 +191,6 @@ pub enum EventKind {
         /// Imported rows still held after this epoch.
         remaining: u64,
     },
-    /// A fleet instance submitted (or refreshed) its profile to the
-    /// aggregator.
-    FleetSubmission {
-        /// Instance index within the simulated fleet.
-        instance: u32,
-        /// Inference epochs backing the submitted profile.
-        epochs: u64,
-        /// Decision entries in the submitted profile.
-        entries: u64,
-        /// The aggregator's fingerprint validation accepted it.
-        accepted: bool,
-    },
-    /// The fleet aggregator published a consensus profile.
-    FleetConsensus {
-        /// Instances that contributed.
-        instances: u32,
-        /// Decision entries in the consensus profile.
-        entries: u64,
-        /// Locations resolved by weighted majority (instances disagreed).
-        contested: u64,
-    },
     /// The open-loop service harness (`rolp-serve`) entered a new traffic
     /// phase (diurnal rate ramp and/or hot-tenant migration).
     ServePhaseShift {
@@ -242,8 +221,6 @@ impl EventKind {
             EventKind::GovernorTransition { .. } => "governor_transition",
             EventKind::ProfileImport { .. } => "profile_import",
             EventKind::ProfileBlend { .. } => "profile_blend",
-            EventKind::FleetSubmission { .. } => "fleet_submission",
-            EventKind::FleetConsensus { .. } => "fleet_consensus",
             EventKind::ServePhaseShift { .. } => "serve_phase_shift",
         }
     }

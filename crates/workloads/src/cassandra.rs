@@ -182,7 +182,7 @@ impl CassandraWorkload {
     }
 
     /// The parameters this workload was built with (e.g. to derive a
-    /// seed-offset sibling instance for fleet simulation).
+    /// variant workload from a preset's parameters).
     pub fn params(&self) -> &CassandraParams {
         &self.params
     }

@@ -5,7 +5,9 @@
 use rolp::runtime::{CollectorKind, JvmRuntime, RuntimeConfig};
 use rolp::DecisionProfile;
 use rolp_heap::{HeapConfig, RegionKind};
-use rolp_vm::{ProgramBuilder, ThreadId};
+use rolp_metrics::{SimScale, SimTime};
+use rolp_vm::{CostModel, ProgramBuilder, ThreadId};
+use rolp_workloads::{presets, CassandraMix, RunBudget};
 
 /// A program with one hot method allocating middle-lived objects.
 fn program() -> (rolp_vm::Program, rolp_vm::CallSiteId, rolp_vm::AllocSiteId) {
@@ -214,4 +216,56 @@ fn stale_profile_entries_are_ignored() {
     let used_dynamic: usize =
         (1u8..=14).map(|g| rt.vm.env.heap.num_of_kind(RegionKind::Dynamic(g))).sum();
     assert!(used_dynamic > 0);
+}
+
+/// Cassandra WI at 1/1024 of the paper's testbed, its preset seed offset
+/// by `seed`, under ROLP with two guest threads.
+fn cassandra_run(
+    seed: u64,
+    secs: u64,
+    profile: Option<DecisionProfile>,
+    on_end: impl FnOnce(&mut JvmRuntime),
+) -> (rolp::RolpStats, f64) {
+    let scale = SimScale::new(1024);
+    let mut workload = presets::cassandra(CassandraMix::WriteIntensive, scale);
+    workload.params_mut().seed = workload.params().seed.wrapping_add(seed);
+    let mut config = RuntimeConfig {
+        collector: CollectorKind::RolpNg2c,
+        heap: presets::bigdata_heap(scale),
+        cost: CostModel::scaled(scale),
+        threads: 2,
+        side_table_scale: scale.divisor(),
+        ..Default::default()
+    };
+    config.rolp.offline_profile = profile;
+    let budget = RunBudget {
+        sim_time: SimTime::from_secs(secs),
+        warmup_discard: SimTime::ZERO,
+        max_ops: u64::MAX,
+    };
+    let out = rolp_workloads::execute_hooked(&mut workload, config, &budget, |_| {}, on_end);
+    (out.report.rolp.expect("rolp stats"), out.pauses.percentile_ms(99.0))
+}
+
+/// A profile learned under one instance's traffic warm-starts another
+/// instance running the same program on different traffic (another
+/// workload seed): the joiner publishes its final decisions at epoch 0
+/// and its p99 beats a cold start's, which re-learns over several epochs.
+#[test]
+fn profile_learned_on_one_seed_warm_starts_a_joiner_on_another() {
+    let mut profile = DecisionProfile::default();
+    let (learned, _) = cassandra_run(0, 10, None, |rt| {
+        let p = rt.profiler.as_ref().expect("rolp").borrow();
+        profile = DecisionProfile::from_profiler(&p, &rt.vm.env.program, &rt.vm.env.jit);
+    });
+    assert!(learned.decisions > 0 && !profile.is_empty(), "learning run exported: {profile}");
+
+    let (cold, cold_p99) = cassandra_run(1, 8, None, |_| {});
+    let (warm, warm_p99) = cassandra_run(1, 8, Some(profile), |_| {});
+    assert!(cold.last_change_epoch >= 1, "cold joiner must learn: {cold:?}");
+    assert_eq!(warm.last_change_epoch, 0, "warm joiner changed decisions: {warm:?}");
+    assert!(
+        warm_p99 < cold_p99,
+        "warm joiner p99 {warm_p99:.2} ms must beat cold {cold_p99:.2} ms"
+    );
 }
