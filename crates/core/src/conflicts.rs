@@ -15,7 +15,10 @@
 //!    every call site has been tried.
 //!
 //! Convergence is linear in `jitted_call_sites / P` rounds of 16 GC cycles
-//! each, which is what the paper's Fig. 7 plots as the worst case.
+//! each, which is what the paper's Fig. 7 plots as the worst case. A
+//! multimodal site that only one declared call path reaches never gets
+//! here: no call site could split it, so the profiler decides it at once
+//! (DESIGN §6 item 9) and only counts it in [`ConflictStats::single_path`].
 
 use std::collections::HashSet;
 
@@ -54,6 +57,10 @@ pub struct ConflictStats {
     pub probe_rounds: u64,
     /// Call sites currently kept enabled as part of a distinguishing set.
     pub frozen_sites: u64,
+    /// Multimodal sites decided at once, without a conflict, because one
+    /// declared call path reaches them (no call site could separate
+    /// their contexts).
+    pub single_path: u64,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,6 +148,13 @@ impl ConflictResolver {
                 self.stats.detected += 1;
             }
         }
+    }
+
+    /// Counts a multimodal site the profiler decided at once instead of
+    /// handing it over: one declared call path reaches it, so no probing
+    /// batch could separate its contexts.
+    pub fn note_single_path(&mut self) {
+        self.stats.single_path += 1;
     }
 
     /// Current statistics.

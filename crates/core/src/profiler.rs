@@ -55,7 +55,7 @@ use crate::conflicts::{ConflictConfig, ConflictResolver, ConflictStats};
 use crate::context::{context_known, pack};
 use crate::filters::PackageFilters;
 use crate::governor::{GovernorConfig, GovernorState, Policy};
-use crate::inference::InferenceOutcome;
+use crate::inference::{quantile_age, InferenceOutcome, DECISION_QUANTILE};
 use crate::offline::ProfileValidation;
 use crate::old_table::{OldTable, WorkerTable};
 use crate::survivor::SurvivorTracking;
@@ -361,6 +361,32 @@ impl RolpProfiler {
         self.policy.governor().map(|g| g.state())
     }
 
+    /// Pipeline stage 4, before the resolver: a fresh conflict on a site
+    /// whose method one declared call path reaches cannot be split by any
+    /// call site, so probing for it would be wasted. If its context has
+    /// no decision yet, it is decided at once with the lifetime estimator
+    /// ([`DECISION_QUANTILE`]) and leaves `new_conflicts`: no expansion,
+    /// no probe. A context that already holds a decision keeps the §5
+    /// path (DESIGN §6 item 9).
+    fn decide_single_path(&mut self, program: &Program, outcome: &mut InferenceOutcome) {
+        let mut conflicts = std::mem::take(&mut outcome.new_conflicts);
+        conflicts.retain(|&site| {
+            // Scaled geometries mask the site, so key by the table's row.
+            let key = self.old.row_key(pack(site, 0));
+            let single = !self.decisions.contains_key(&key)
+                && self.pid_to_site.get(&site).is_some_and(|&alloc| {
+                    program.single_call_path(program.alloc_site(alloc).method)
+                });
+            if single {
+                let age = quantile_age(&self.old.histogram(key), DECISION_QUANTILE);
+                outcome.decisions.push((key, age));
+                self.resolver.note_single_path();
+            }
+            !single
+        });
+        outcome.new_conflicts = conflicts;
+    }
+
     /// Pipeline stage 4, first half: grow the table for fresh conflicts
     /// (§7.5) and engage the §5 resolver.
     fn resolve_conflicts(&mut self, env: &mut VmEnv, outcome: &InferenceOutcome) {
@@ -435,7 +461,8 @@ impl RolpProfiler {
 
         if tracking_active {
             let touched = self.old.touched_rows().len() as u64;
-            let outcome = crate::inference::infer(&self.old);
+            let mut outcome = crate::inference::infer(&self.old);
+            self.decide_single_path(&env.program, &mut outcome);
             new_conflicts = outcome.new_conflicts.len() as u64;
             unresolved_conflicts = outcome.unresolved_conflicts.len() as u64;
             infer_ns = touched * env.cost.profile_alloc_ns;

@@ -84,11 +84,12 @@ pub fn render_summary(profiler: &RolpProfiler, program: &Program, jit: &JitState
     );
     let _ = writeln!(
         out,
-        "  conflicts:        {} detected, {} resolved, {} exhausted, {} frozen sites",
+        "  conflicts:        {} detected, {} resolved, {} exhausted, {} frozen sites, {} single-path",
         stats.conflicts.detected,
         stats.conflicts.resolved,
         stats.conflicts.exhausted,
-        stats.conflicts.frozen_sites
+        stats.conflicts.frozen_sites,
+        stats.conflicts.single_path
     );
     let _ = writeln!(
         out,
@@ -247,6 +248,7 @@ pub fn stats_json(report: &RunReport, pauses: &PauseRecorder) -> String {
             .u64("conflicts_exhausted", s.conflicts.exhausted)
             .u64("probe_rounds", s.conflicts.probe_rounds)
             .u64("frozen_sites", s.conflicts.frozen_sites)
+            .u64("single_path", s.conflicts.single_path)
             .u64("inferences", s.inferences)
             .u64("decisions", s.decisions as u64)
             .u64("decision_version", s.decision_version)

@@ -133,6 +133,35 @@ impl Program {
     pub fn alloc_sites(&self) -> impl Iterator<Item = AllocSiteId> {
         (0..self.alloc_sites.len() as u32).map(AllocSiteId)
     }
+
+    /// Whether every stack that can run `m` holds the same call-site
+    /// chain. Walks callers from `m`: each method on the way must have
+    /// exactly one incoming call site, up to a root (a method no call
+    /// site targets). A method with two or more incoming sites, any
+    /// polymorphic site in the program, or a cycle answers `false`.
+    ///
+    /// This reads the *declared* graph, not the calls a workload makes:
+    /// a workload may call a site outside its declared caller (Cassandra
+    /// calls `cs_write_buf` outside `Memtable::insert`), and such a call
+    /// is invisible here.
+    pub fn single_call_path(&self, m: MethodId) -> bool {
+        if self.call_sites.iter().any(|cs| cs.callee.is_none()) {
+            return false;
+        }
+        let mut visited = vec![false; self.methods.len()];
+        let mut current = m;
+        loop {
+            if std::mem::replace(&mut visited[current.0 as usize], true) {
+                return false;
+            }
+            let mut incoming = self.call_sites.iter().filter(|cs| cs.callee == Some(current));
+            match (incoming.next(), incoming.next()) {
+                (None, _) => return true,
+                (Some(cs), None) => current = cs.caller,
+                (Some(_), Some(_)) => return false,
+            }
+        }
+    }
 }
 
 /// Builder for [`Program`].
@@ -216,6 +245,55 @@ mod tests {
         assert_eq!(p.call_site(cs).callee, Some(helper));
         assert_eq!(p.call_site(vs).callee, None);
         assert_eq!(p.alloc_site(s1).bci, 3);
+    }
+
+    #[test]
+    fn single_call_path_follows_the_declared_callers() {
+        // A chain: root -> mid -> leaf.
+        let mut b = ProgramBuilder::new();
+        let root = b.method("app.Main::run", 100, false);
+        let mid = b.method("app.Worker::step", 80, false);
+        let leaf = b.method("app.Factory::make", 60, false);
+        b.call_site(root, mid);
+        b.call_site(mid, leaf);
+        let p = b.build();
+        assert!(p.single_call_path(leaf));
+        assert!(p.single_call_path(mid));
+        assert!(p.single_call_path(root), "a root is its own single path");
+
+        // Two callers, like Cassandra's `Buffer::allocate` under `get` and
+        // `insert`; a method above the join still has one path.
+        let mut b = ProgramBuilder::new();
+        let handle = b.method("db.Handler::handle", 100, false);
+        let get = b.method("db.Table::get", 80, false);
+        let insert = b.method("db.Memtable::insert", 80, false);
+        let buf = b.method("db.Buffer::allocate", 60, false);
+        b.call_site(handle, get);
+        b.call_site(handle, insert);
+        b.call_site(get, buf);
+        b.call_site(insert, buf);
+        let p = b.build();
+        assert!(!p.single_call_path(buf));
+        assert!(p.single_call_path(insert));
+
+        // Any polymorphic site makes the declared graph incomplete.
+        let mut b = ProgramBuilder::new();
+        let root = b.method("app.Main::run", 100, false);
+        let leaf = b.method("app.Factory::make", 60, false);
+        b.call_site(root, leaf);
+        b.virtual_call_site(root);
+        let p = b.build();
+        assert!(!p.single_call_path(leaf));
+
+        // Recursion: leaf's one caller is reached from leaf itself.
+        let mut b = ProgramBuilder::new();
+        let a = b.method("app.A::walk", 100, false);
+        let leaf = b.method("app.B::make", 60, false);
+        b.call_site(a, leaf);
+        b.call_site(leaf, a);
+        let p = b.build();
+        assert!(!p.single_call_path(leaf));
+        assert!(!p.single_call_path(a));
     }
 
     #[test]
