@@ -4,10 +4,11 @@
 //! reference on the same machine in the same process:
 //!
 //! - **ns/alloc** — the full mutator allocation path through the
-//!   runtime. Fast: TLAB bump + decision micro-cache + batched age-0
-//!   recording (the defaults). Reference: shared-frontier allocation, a
-//!   `DecisionStore` table load per allocation, and a per-alloc
-//!   OLD-table increment (`--tlab-size 0 --no-microcache` semantics).
+//!   runtime. Fast: TLAB bump + decision micro-cache (the defaults).
+//!   Reference: shared-frontier allocation and a `DecisionStore` table
+//!   load per allocation (`--tlab-size 0 --no-microcache` semantics).
+//!   Both sides record age 0 with one OLD-table increment per
+//!   allocation.
 //! - **ns/decision-lookup** — the decision consult alone. Fast: a
 //!   `DecisionCache` hit (validate against the store version, decode the
 //!   cached slot byte). Reference: the uncached path (table load +
@@ -65,7 +66,6 @@ fn alloc_ns_per_op(fast: bool) -> f64 {
         // The pre-TLAB reference path.
         config.tlab_bytes = 0;
         config.microcache = false;
-        config.rolp.batch_age0 = false;
     }
 
     let mut rt = JvmRuntime::new(config, program);

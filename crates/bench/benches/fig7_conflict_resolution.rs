@@ -9,7 +9,7 @@
 //! conflict-bearing benchmark.
 
 use rolp::runtime::{CollectorKind, RuntimeConfig};
-use rolp::{worst_case_resolution_time_ms, ConflictConfig};
+use rolp::{worst_case_resolution_time_ms, P_FRACTION};
 use rolp_bench::{banner, scale, TextTable};
 use rolp_vm::CostModel;
 use rolp_workloads::{all_benchmarks, benchmark, execute, DacapoBench, DacapoSpec, RunBudget};
@@ -68,18 +68,18 @@ fn main() {
     let ops = 16_000_000 / scale.divisor();
     let spec = DacapoSpec { ops, ..benchmark("pmd").expect("pmd exists") };
     let mut bench = DacapoBench::new(spec.clone(), 7);
-    let mut config = RuntimeConfig {
+    let config = RuntimeConfig {
         collector: CollectorKind::RolpNg2c,
         heap: spec.heap_config(scale),
         cost: CostModel::scaled(scale),
         ..Default::default()
     };
-    config.rolp.conflict = ConflictConfig { p_fraction: 0.20, shrink: true };
     let out = execute(&mut bench, config, &RunBudget::smoke(spec.ops));
     let rolp = out.report.rolp.expect("rolp stats");
     println!(
-        "cross-check [pmd, P=20%]: detected {} conflict site(s), resolved {}, \
+        "cross-check [pmd, P={:.0}%]: detected {} conflict site(s), resolved {}, \
          {} probe rounds, over {} GC cycles ({} elapsed)",
+        P_FRACTION * 100.0,
         rolp.conflicts.detected,
         rolp.conflicts.resolved,
         rolp.conflicts.probe_rounds,

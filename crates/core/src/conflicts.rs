@@ -28,21 +28,10 @@ use rand::SeedableRng;
 
 use rolp_vm::{CallSiteId, JitState, Program};
 
-/// Resolver tunables.
-#[derive(Debug, Clone)]
-pub struct ConflictConfig {
-    /// Fraction of jitted call sites enabled per probing round (`P`).
-    pub p_fraction: f64,
-    /// Whether to shrink the batch towards a minimal set after resolution
-    /// (disable-and-watch halving).
-    pub shrink: bool,
-}
-
-impl Default for ConflictConfig {
-    fn default() -> Self {
-        ConflictConfig { p_fraction: 0.20, shrink: true }
-    }
-}
+/// Fraction of jitted call sites enabled per probing round (`P`): the
+/// paper's recommended upper bound of 20%. Fig. 7's sweep over `P` runs
+/// through [`worst_case_resolution_time_ms`], not the resolver.
+pub const P_FRACTION: f64 = 0.20;
 
 /// Resolver statistics (feeds Tables 1 and 2).
 #[derive(Debug, Clone, Copy, Default)]
@@ -82,7 +71,6 @@ enum Phase {
 /// P divided down to one set (the paper itself recommends reducing P as
 /// parallel conflicts increase).
 pub struct ConflictResolver {
-    config: ConflictConfig,
     rng: StdRng,
     /// Call sites already tried *for the active conflict*.
     tried: HashSet<CallSiteId>,
@@ -104,9 +92,8 @@ pub struct ConflictResolver {
 
 impl ConflictResolver {
     /// Creates a resolver.
-    pub fn new(config: ConflictConfig, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         ConflictResolver {
-            config,
             rng: StdRng::seed_from_u64(seed),
             tried: HashSet::new(),
             active_batch: Vec::new(),
@@ -241,12 +228,7 @@ impl ConflictResolver {
                     // inside the active batch.
                     self.stats.resolved += 1;
                     self.active_conflict = None;
-                    if self.config.shrink {
-                        self.shrink_step(jit);
-                    } else {
-                        self.freeze_batch();
-                        self.next_conflict(program, jit);
-                    }
+                    self.shrink_step(jit);
                 }
             }
             Phase::Shrinking(last_disabled) => {
@@ -297,8 +279,7 @@ impl ConflictResolver {
             return;
         }
         let total = jit.profilable_call_sites(program).len();
-        let batch_size =
-            ((total as f64 * self.config.p_fraction).ceil() as usize).clamp(1, candidates.len());
+        let batch_size = ((total as f64 * P_FRACTION).ceil() as usize).clamp(1, candidates.len());
         let mut pool = candidates;
         pool.shuffle(&mut self.rng);
         pool.truncate(batch_size);
@@ -385,7 +366,7 @@ mod tests {
     #[test]
     fn probe_enables_p_fraction_of_sites() {
         let (program, mut jit) = world(20);
-        let mut r = ConflictResolver::new(ConflictConfig::default(), 7);
+        let mut r = ConflictResolver::new(7);
         r.on_inference(&program, &mut jit, &[5], &[]);
         assert_eq!(jit.enabled_call_sites(), 4, "20 sites * 20% = 4");
         assert_eq!(r.stats().detected, 1);
@@ -395,7 +376,7 @@ mod tests {
     #[test]
     fn failed_probes_try_fresh_batches_until_exhausted() {
         let (program, mut jit) = world(10);
-        let mut r = ConflictResolver::new(ConflictConfig::default(), 7);
+        let mut r = ConflictResolver::new(7);
         r.on_inference(&program, &mut jit, &[5], &[]);
         let mut seen: HashSet<usize> = HashSet::new();
         // Keep reporting "unresolved" until the candidate pool drains.
@@ -416,7 +397,7 @@ mod tests {
     #[test]
     fn resolution_then_shrink_converges_to_small_frozen_set() {
         let (program, mut jit) = world(16);
-        let mut r = ConflictResolver::new(ConflictConfig::default(), 7);
+        let mut r = ConflictResolver::new(7);
         r.on_inference(&program, &mut jit, &[3], &[]);
         assert!(jit.enabled_call_sites() > 0);
         // Conflict resolves immediately; shrink rounds all report "still
@@ -436,7 +417,7 @@ mod tests {
     #[test]
     fn shrink_restores_half_when_conflict_reappears() {
         let (program, mut jit) = world(16);
-        let mut r = ConflictResolver::new(ConflictConfig::default(), 7);
+        let mut r = ConflictResolver::new(7);
         r.on_inference(&program, &mut jit, &[3], &[]);
         let batch = jit.enabled_call_sites();
         // Resolved -> first shrink step happens (half disabled).
@@ -451,21 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn without_shrink_the_whole_batch_freezes() {
-        let (program, mut jit) = world(10);
-        let cfg = ConflictConfig { shrink: false, ..Default::default() };
-        let mut r = ConflictResolver::new(cfg, 7);
-        r.on_inference(&program, &mut jit, &[1], &[]);
-        let batch = jit.enabled_call_sites();
-        r.on_inference(&program, &mut jit, &[], &[]);
-        assert_eq!(r.stats().frozen_sites as usize, batch);
-        assert_eq!(jit.enabled_call_sites(), batch);
-    }
-
-    #[test]
     fn batch_log_records_probe_shrink_and_freeze_transitions() {
         let (program, mut jit) = world(16);
-        let mut r = ConflictResolver::new(ConflictConfig::default(), 7);
+        let mut r = ConflictResolver::new(7);
         r.set_batch_logging(true);
         r.on_inference(&program, &mut jit, &[3], &[]);
         // Failed probe -> disable + fresh enable; then resolution ->
@@ -484,7 +453,7 @@ mod tests {
 
         // Off by default: nothing accumulates.
         let (program2, mut jit2) = world(8);
-        let mut quiet = ConflictResolver::new(ConflictConfig::default(), 7);
+        let mut quiet = ConflictResolver::new(7);
         quiet.on_inference(&program2, &mut jit2, &[1], &[]);
         assert!(quiet.take_batch_log().is_empty());
     }
@@ -492,7 +461,7 @@ mod tests {
     #[test]
     fn reapply_restores_probe_batch_and_frozen_sets_after_bulk_disable() {
         let (program, mut jit) = world(16);
-        let mut r = ConflictResolver::new(ConflictConfig::default(), 7);
+        let mut r = ConflictResolver::new(7);
         r.on_inference(&program, &mut jit, &[3], &[]);
         let enabled = jit.enabled_call_sites();
         assert!(enabled > 0);
@@ -509,7 +478,7 @@ mod tests {
     #[test]
     fn imported_frozen_sets_dedupe_and_reapply() {
         let (program, mut jit) = world(4);
-        let mut r = ConflictResolver::new(ConflictConfig::default(), 7);
+        let mut r = ConflictResolver::new(7);
         let sites: Vec<CallSiteId> = program.call_sites().collect();
         r.import_frozen([sites[0], sites[1], sites[0]]);
         assert_eq!(r.frozen_sites(), &[sites[0], sites[1]]);

@@ -181,9 +181,6 @@ mod tests {
         for _ in 0..50 {
             p.on_alloc(3, 0, ThreadId(0));
         }
-        // Leak reports are gathered at safepoints, after the batched
-        // age-0 deltas have landed in the table.
-        p.flush_age0(&rolp_telemetry::Telemetry::default());
         for _ in 0..40 {
             for age in 0..15 {
                 p.old.record_survival(pack(3, 0), age);

@@ -16,10 +16,10 @@
 //!
 //! §7.6's unsynchronized application-thread increments can lose counts;
 //! this table is exact. The runtime profiles into it at every guest
-//! thread count: guest mutators share one OS thread and age-0 records are
-//! batched to the safepoint, so nothing races it. The lost-update race
-//! itself is measured on real OS threads by the `rolp-bench` harness,
-//! against this table as the reference.
+//! thread count: guest mutators share one OS thread, so each allocation's
+//! age-0 increment lands in the table directly and nothing races it. The
+//! lost-update race itself is measured on real OS threads by the
+//! `rolp-bench` harness, against this table as the reference.
 
 use std::collections::{HashMap, HashSet};
 
@@ -96,19 +96,6 @@ impl OldTable {
         self.touch(context);
         let row = self.row_mut(context);
         row[0] = row[0].saturating_add(1);
-    }
-
-    /// `n` objects allocated through `context`: the batched age-0 ingest
-    /// behind the safepoint flush of the per-thread delta buffers, equal
-    /// to `n` calls of [`OldTable::record_allocation`] with one row
-    /// lookup for the whole run-length.
-    pub fn record_allocations(&mut self, context: u32, n: u32) {
-        if n == 0 {
-            return;
-        }
-        self.touch(context);
-        let row = self.row_mut(context);
-        row[0] = row[0].saturating_add(n);
     }
 
     /// GC-side path (normally via [`OldTable::merge_survivals`]): one

@@ -43,7 +43,7 @@ use std::rc::Rc;
 
 use rolp_gc::{GcCycleInfo, GcHooks};
 use rolp_heap::{ObjectHeader, RegionKind};
-use rolp_telemetry::{Bucket, CounterId, HistId, Telemetry};
+use rolp_telemetry::{Bucket, CounterId, HistId};
 use rolp_vm::{
     AllocSiteId, CallSiteId, DecisionStore, DecisionTable, JitState, MethodId, Program, ThreadId,
     VmEnv, VmProfiler,
@@ -51,7 +51,7 @@ use rolp_vm::{
 
 use rolp_faults::FaultPlan;
 
-use crate::conflicts::{ConflictConfig, ConflictResolver, ConflictStats};
+use crate::conflicts::{ConflictResolver, ConflictStats};
 use crate::context::{context_known, pack};
 use crate::filters::PackageFilters;
 use crate::governor::{GovernorConfig, GovernorState, Policy};
@@ -88,8 +88,6 @@ pub struct RolpConfig {
     pub filters: PackageFilters,
     /// GC cycles between inference passes (§4: the max object age, 16).
     pub inference_period: u64,
-    /// Conflict-resolution tunables (§5).
-    pub conflict: ConflictConfig,
     /// Survivor-tracking shutdown enabled (§7.4).
     pub survivor_shutdown: bool,
     /// Optional offline decision profile (POLM2-style warm start; see
@@ -113,17 +111,6 @@ pub struct RolpConfig {
     /// Deterministic fault-injection plan (`None` = no injection). See
     /// [`rolp_faults`].
     pub fault_plan: Option<FaultPlan>,
-    /// Batch age-0 recording: [`VmProfiler::on_alloc`] appends the
-    /// context to a per-thread delta buffer instead of touching the
-    /// shared OLD table, and the buffers are flushed (sorted, run-length
-    /// encoded, applied via [`OldTable::record_allocations`]) at the
-    /// safepoint opening every pause. Increments are commutative between
-    /// safepoints, so the table state at every read point (inference,
-    /// blend decay, reconciliation — all safepoint-side) is identical to
-    /// the per-allocation path; what changes is that the §7.6 racy
-    /// increment window disappears. `false` restores the per-allocation
-    /// reference path the differential suite compares against.
-    pub batch_age0: bool,
 }
 
 impl Default for RolpConfig {
@@ -132,14 +119,12 @@ impl Default for RolpConfig {
             level: ProfilingLevel::Real,
             filters: PackageFilters::all(),
             inference_period: 16,
-            conflict: ConflictConfig::default(),
             survivor_shutdown: true,
             offline_profile: None,
             blend: true,
             seed: 0x0517,
             governor: None,
             fault_plan: None,
-            batch_age0: true,
         }
     }
 }
@@ -244,10 +229,6 @@ pub struct RolpProfiler<T = OldTable> {
     max_profile_id: u16,
     /// Governor and fault-injection effects.
     policy: Policy,
-    /// Per-thread age-0 delta buffers (contexts recorded since the last
-    /// safepoint), indexed by thread id; grown on demand. Drained by
-    /// [`Self::flush_age0`] at the safepoint opening every pause.
-    pending_age0: Vec<Vec<u32>>,
     // counters
     profiled_allocations: u64,
     unprofiled_allocations: u64,
@@ -271,7 +252,7 @@ impl RolpProfiler {
         RolpProfiler {
             old,
             survivors: WorkerTable::new(),
-            resolver: ConflictResolver::new(config.conflict.clone(), config.seed),
+            resolver: ConflictResolver::new(config.seed),
             decisions: BTreeMap::new(),
             store: Rc::new(store),
             survivor: SurvivorTracking::new(),
@@ -280,7 +261,6 @@ impl RolpProfiler {
             warm: WarmStart::default(),
             max_profile_id: 0,
             policy: Policy::new(config.governor.clone(), config.fault_plan.clone()),
-            pending_age0: Vec::new(),
             profiled_allocations: 0,
             unprofiled_allocations: 0,
             survivor_records: 0,
@@ -599,29 +579,6 @@ impl RolpProfiler {
         self.old.clear_counts();
         self.inferences += 1;
     }
-
-    /// Drains every thread's age-0 delta buffer into the OLD table and
-    /// counts the records in `telemetry`: contexts are sorted and
-    /// run-length encoded, then applied through
-    /// [`OldTable::record_allocations`] — one row lookup per distinct
-    /// context instead of one per allocation. Age-0 increments commute, so
-    /// the table state every safepoint-side reader sees is identical to
-    /// the per-allocation path regardless of how threads interleaved since
-    /// the last flush.
-    pub fn flush_age0(&mut self, telemetry: &Telemetry) {
-        let mut batch: Vec<u32> = Vec::new();
-        for buf in &mut self.pending_age0 {
-            batch.append(buf);
-        }
-        if batch.is_empty() {
-            return;
-        }
-        batch.sort_unstable();
-        for run in batch.chunk_by(|a, b| a == b) {
-            self.old.record_allocations(run[0], run.len() as u32);
-        }
-        telemetry.bump(CounterId::Age0Flushed, batch.len() as u64);
-    }
 }
 
 impl VmProfiler for RolpProfiler {
@@ -671,24 +628,13 @@ impl VmProfiler for RolpProfiler {
         }
     }
 
-    fn on_alloc(&mut self, site_profile_id: u16, tss: u16, thread: ThreadId) -> u32 {
+    fn on_alloc(&mut self, site_profile_id: u16, tss: u16, _thread: ThreadId) -> u32 {
         let context = pack(site_profile_id, tss);
         // `Off` normally never reaches here (the JIT gate patches the
         // profiling instructions out); direct-driven calls still must not
         // feed the table.
         if !self.policy.profiling_off() {
-            if self.config.batch_age0 {
-                // Batched path: append to the thread's private delta
-                // buffer; the shared table is untouched until the next
-                // safepoint flush.
-                let t = thread.0 as usize;
-                if t >= self.pending_age0.len() {
-                    self.pending_age0.resize_with(t + 1, Vec::new);
-                }
-                self.pending_age0[t].push(context);
-            } else {
-                self.old.record_allocation(context);
-            }
+            self.old.record_allocation(context);
             self.profiled_allocations += 1;
         }
         context
@@ -741,9 +687,6 @@ impl GcHooks for RolpProfiler {
     }
 
     fn on_gc_end(&mut self, env: &mut VmEnv, info: &GcCycleInfo) {
-        // Safepoint flush of the batched age-0 deltas — before anything
-        // this pause reads from or merges into the OLD table.
-        self.flush_age0(&env.telemetry);
         // Flush the import note recorded at JIT-compile time (no trace or
         // telemetry handle exists inside `on_jit_compile`).
         if let Some(v) = self.warm.take_import_note() {

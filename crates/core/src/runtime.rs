@@ -163,8 +163,8 @@ pub struct JvmRuntime {
     pub vm: Vm,
     /// The ROLP profiler instance, when the configuration uses one. It
     /// profiles into the exact [`crate::OldTable`] at every guest thread
-    /// count: guest mutators share one OS thread and age-0 records are
-    /// batched to the safepoint, so nothing races the table.
+    /// count: guest mutators share one OS thread, so nothing races the
+    /// table.
     pub profiler: Option<Rc<RefCell<RolpProfiler>>>,
     kind: CollectorKind,
     side_table_scale: u64,
@@ -301,13 +301,9 @@ impl JvmRuntime {
     /// snapshot).
     pub fn report(&mut self) -> RunReport {
         // End-of-run safepoint for the allocation fast path: retire every
-        // TLAB (frontiers exact before the final memory sample), drain
-        // the micro-cache counters, and land any still-buffered age-0
-        // deltas so the final stats see every record.
+        // TLAB (frontiers exact before the final memory sample) and drain
+        // the micro-cache counters.
         self.vm.env.safepoint_flush_alloc_path();
-        if let Some(p) = &self.profiler {
-            p.borrow_mut().flush_age0(&self.vm.env.telemetry);
-        }
         self.sample_side_tables();
         self.vm.env.sample_memory();
         let telemetry = self.publish_metrics();

@@ -147,10 +147,10 @@ fn shrink_back_converges_to_a_minimal_set_end_to_end() {
     // Section 5 end to end: conflict detected *by inference on real age
     // histograms*, probed, separated by TSS tracking, then shrunk back
     // until only a minimal distinguishing set stays enabled.
-    use rolp::{ConflictConfig, ConflictResolver};
+    use rolp::ConflictResolver;
 
     let (program, mut jit) = probe_world(12);
-    let mut resolver = ConflictResolver::new(ConflictConfig::default(), 42);
+    let mut resolver = ConflictResolver::new(42);
     let mut t = OldTable::new();
     let site = 7u16;
 
@@ -202,10 +202,10 @@ fn shrink_back_restores_the_disabled_half_when_separation_degrades() {
     // The other shrink-back arm: disabling half the batch collapses the
     // paths onto one TSS row again (the sub-row goes bimodal), so the
     // half comes back and the whole set freezes.
-    use rolp::{ConflictConfig, ConflictResolver};
+    use rolp::ConflictResolver;
 
     let (program, mut jit) = probe_world(12);
-    let mut resolver = ConflictResolver::new(ConflictConfig::default(), 42);
+    let mut resolver = ConflictResolver::new(42);
     let mut t = OldTable::new();
     let site = 9u16;
 

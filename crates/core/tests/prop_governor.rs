@@ -203,7 +203,7 @@ fn governor_off_is_bit_for_bit_the_disabled_profiler_without_fast_path() {
 
 /// Canned fault plans with the allocation fast path enabled: turning
 /// profiling `Off` and back on must never corrupt the heap or disturb
-/// TLAB/batched-flush bookkeeping. Mirrors the fault-matrix CI job, which
+/// TLAB bookkeeping. Mirrors the fault-matrix CI job, which
 /// drives the same canned plans through the CLI with TLABs both on and
 /// off, and checks the same: the final state is `full` or `off`, and
 /// `pressure-spike` reaches `Off` and recovers.

@@ -148,14 +148,11 @@ pub enum CounterId {
     /// Decision micro-cache misses (first-touch or version-invalidated
     /// lookups that fell back to the table load).
     MicrocacheMisses,
-    /// Age-0 OLD-table records flushed from per-thread batch buffers at
-    /// safepoints (batched counterpart of per-alloc increments).
-    Age0Flushed,
 }
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 12;
 
     /// Every counter, in index order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -171,7 +168,6 @@ impl CounterId {
         CounterId::TlabRefills,
         CounterId::MicrocacheHits,
         CounterId::MicrocacheMisses,
-        CounterId::Age0Flushed,
     ];
 
     /// Dense array index.
@@ -195,7 +191,6 @@ impl CounterId {
             CounterId::TlabRefills => "tlab_refills",
             CounterId::MicrocacheHits => "microcache_hits",
             CounterId::MicrocacheMisses => "microcache_misses",
-            CounterId::Age0Flushed => "age0_flushed",
         }
     }
 }

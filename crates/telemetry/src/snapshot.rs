@@ -108,8 +108,8 @@ impl MetricsSnapshot {
 
     /// Renders the snapshot as one flat JSON object (a JSONL stream row).
     ///
-    /// All keys are scalar so the row parses with
-    /// `rolp_trace::json::parse_flat_object` as well as any JSON reader.
+    /// All values are scalar, so any JSON reader takes the row as one flat
+    /// object.
     pub fn to_jsonl(&self) -> String {
         let mut obj = JsonObject::new();
         obj.str("schema", "rolp-metrics-v1")
@@ -185,7 +185,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rolp_trace::json::parse_flat_object;
 
     fn sample() -> MetricsSnapshot {
         let mut time = [0u64; Bucket::COUNT];
@@ -219,18 +218,27 @@ mod tests {
 
     #[test]
     fn jsonl_row_is_flat_and_parseable() {
-        let s = sample();
-        let row = s.to_jsonl();
-        let map = parse_flat_object(&row).expect("flat JSON");
-        assert_eq!(map["schema"].as_str(), Some("rolp-metrics-v1"));
-        assert_eq!(map["version"].as_u64(), Some(7));
-        assert_eq!(map["at_ns"].as_u64(), Some(12_000));
-        assert_eq!(map["time_mutator_app_ns"].as_u64(), Some(9_000));
-        assert_eq!(map["count_jit_compiles"].as_u64(), Some(3));
-        assert_eq!(map["heap_used_bytes"].as_u64(), Some(4096));
-        assert_eq!(map["gc_pause_ns_count"].as_u64(), Some(1));
-        assert!(map.contains_key("gc_pause_ns_p99"));
-        assert!(map.contains_key("profiling_overhead"));
+        let row = sample().to_jsonl();
+        // One object on one line with scalar values only, so splitting on
+        // `,` and the first `:` recovers every field.
+        assert!(row.starts_with('{') && row.ends_with('}'), "{row}");
+        let body = &row[1..row.len() - 1];
+        assert!(!body.contains(['{', '}', '[', ']', '\n']), "not flat: {row}");
+        let fields: std::collections::BTreeMap<&str, &str> = body
+            .split(',')
+            .map(|kv| kv.split_once(':').expect("\"key\":value"))
+            .map(|(k, v)| (k.trim_matches('"'), v))
+            .collect();
+        assert_eq!(fields.len(), body.split(',').count(), "keys are unique");
+        assert_eq!(fields["schema"], "\"rolp-metrics-v1\"");
+        assert_eq!(fields["version"], "7");
+        assert_eq!(fields["at_ns"], "12000");
+        assert_eq!(fields["time_mutator_app_ns"], "9000");
+        assert_eq!(fields["count_jit_compiles"], "3");
+        assert_eq!(fields["heap_used_bytes"], "4096");
+        assert_eq!(fields["gc_pause_ns_count"], "1");
+        assert!(fields.contains_key("gc_pause_ns_p99"));
+        assert_eq!(fields["profiling_overhead"], "0.05");
     }
 
     #[test]

@@ -1,26 +1,21 @@
 //! Trace exporters: JSONL event log and Chrome `trace_event` format.
 //!
-//! - [`to_jsonl`] writes one flat JSON object per event per line; the log
-//!   round-trips through [`parse_jsonl`] (used by tests and analysis
-//!   scripts).
+//! - [`to_jsonl`] writes one flat JSON object per event per line: the
+//!   `type`/`ts_ns`/`thread`/`seq` envelope, then the event's payload.
 //! - [`to_chrome_trace`] writes the Trace Event Format consumed by
 //!   `chrome://tracing` and Perfetto: GC pauses become complete (`"X"`)
 //!   slices with real durations, heap watermarks become counter (`"C"`)
-//!   tracks, and everything else becomes instant (`"i"`) markers.
+//!   tracks, and everything else becomes instant (`"i"`) markers whose
+//!   `args` hold the same payload fields as the JSONL line.
 
-use crate::json::{parse_flat_object, JsonObject, JsonValue};
+use crate::json::JsonObject;
 use crate::{EventKind, TraceEvent, GLOBAL_THREAD};
-use rolp_metrics::SimTime;
-use std::collections::BTreeMap;
 
-/// Renders one event as a flat JSON object.
-pub fn event_to_json(event: &TraceEvent) -> String {
-    let mut obj = JsonObject::new();
-    obj.str("type", event.kind.type_name())
-        .u64("ts_ns", event.ts.as_nanos())
-        .u64("thread", event.thread as u64)
-        .u64("seq", event.seq);
-    match &event.kind {
+/// Writes an event's payload fields into `obj`: every field of the kind,
+/// none of the envelope. The JSONL line and the Chrome instant's `args`
+/// both come from here.
+fn write_payload(kind: &EventKind, obj: &mut JsonObject) {
+    match kind {
         EventKind::GcPause {
             kind,
             cause,
@@ -125,6 +120,16 @@ pub fn event_to_json(event: &TraceEvent) -> String {
                 .u64("requests_before", *requests_before);
         }
     }
+}
+
+/// Renders one event as a flat JSON object.
+pub fn event_to_json(event: &TraceEvent) -> String {
+    let mut obj = JsonObject::new();
+    obj.str("type", event.kind.type_name())
+        .u64("ts_ns", event.ts.as_nanos())
+        .u64("thread", event.thread as u64)
+        .u64("seq", event.seq);
+    write_payload(&event.kind, &mut obj);
     obj.finish()
 }
 
@@ -136,187 +141,6 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Maps a parsed label back to the `&'static str` the event model uses.
-///
-/// The table holds exactly the labels the runtime emits; an unknown label
-/// (e.g. from a hand-edited log) is leaked on each parse so parsing still
-/// succeeds.
-fn intern(s: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        // Pause kinds (`full` is also a governor state).
-        "young",
-        "mixed",
-        "full",
-        "handshake",
-        // Pause causes.
-        "eden-full",
-        "alloc-failure",
-        "evac-failure",
-        "heap-full",
-        "initial-mark",
-        "remark",
-        "relocate",
-        "occupancy",
-        "allocation",
-        // Conflict-batch actions.
-        "enable",
-        "shrink",
-        "disable",
-        "freeze",
-        // Decision-change reasons.
-        "inferred",
-        "demoted",
-        "released",
-        // Governor states and transition reasons.
-        "off",
-        "overhead-budget",
-        "recovered",
-    ];
-    for k in KNOWN {
-        if *k == s {
-            return k;
-        }
-    }
-    Box::leak(s.to_owned().into_boxed_str())
-}
-
-fn get_u64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
-    map.get(key).and_then(JsonValue::as_u64).ok_or_else(|| format!("missing u64 field '{key}'"))
-}
-
-fn get_bool(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<bool, String> {
-    map.get(key).and_then(JsonValue::as_bool).ok_or_else(|| format!("missing bool field '{key}'"))
-}
-
-fn get_label(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<&'static str, String> {
-    map.get(key)
-        .and_then(JsonValue::as_str)
-        .map(intern)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-/// Parses a JSONL event log back into events (inverse of [`to_jsonl`]).
-pub fn parse_jsonl(input: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut events = Vec::new();
-    for (lineno, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let map = parse_flat_object(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let ty = map
-            .get("type")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("line {}: missing 'type'", lineno + 1))?
-            .to_owned();
-        let kind = (|| -> Result<EventKind, String> {
-            Ok(match ty.as_str() {
-                "gc_pause" => {
-                    let mut gen_bytes = [0u64; 16];
-                    if let Some(JsonValue::UintArray(xs)) = map.get("gen_bytes") {
-                        for (i, v) in xs.iter().take(16).enumerate() {
-                            gen_bytes[i] = *v;
-                        }
-                    }
-                    EventKind::GcPause {
-                        kind: get_label(&map, "kind")?,
-                        cause: get_label(&map, "cause")?,
-                        duration_ns: get_u64(&map, "duration_ns")?,
-                        bytes_copied: get_u64(&map, "bytes_copied")?,
-                        survivors: get_u64(&map, "survivors")?,
-                        regions_in_cset: get_u64(&map, "regions_in_cset")?,
-                        regions_released: get_u64(&map, "regions_released")?,
-                        regions_fully_dead: get_u64(&map, "regions_fully_dead")?,
-                        gen_bytes,
-                    }
-                }
-                "heap_watermark" => EventKind::HeapWatermark {
-                    used_bytes: get_u64(&map, "used_bytes")?,
-                    committed_bytes: get_u64(&map, "committed_bytes")?,
-                    free_regions: get_u64(&map, "free_regions")?,
-                    total_regions: get_u64(&map, "total_regions")?,
-                },
-                "jit_compile" => EventKind::JitCompile {
-                    method: get_u64(&map, "method")? as u32,
-                    osr: get_bool(&map, "osr")?,
-                },
-                "call_profiling" => EventKind::CallProfiling {
-                    call_site: get_u64(&map, "call_site")? as u32,
-                    enabled: get_bool(&map, "enabled")?,
-                },
-                "profiler_inference" => EventKind::ProfilerInference {
-                    epoch: get_u64(&map, "epoch")?,
-                    old_rows: get_u64(&map, "old_rows")?,
-                    old_bytes: get_u64(&map, "old_bytes")?,
-                    new_conflicts: get_u64(&map, "new_conflicts")?,
-                    unresolved_conflicts: get_u64(&map, "unresolved_conflicts")?,
-                    decisions: get_u64(&map, "decisions")?,
-                    demotions: get_u64(&map, "demotions")?,
-                },
-                "conflict_batch" => EventKind::ConflictBatch {
-                    action: get_label(&map, "action")?,
-                    size: get_u64(&map, "size")?,
-                },
-                "decision_change" => EventKind::DecisionChange {
-                    context: get_u64(&map, "context")? as u32,
-                    from_gen: get_u64(&map, "from_gen")? as u8,
-                    to_gen: get_u64(&map, "to_gen")? as u8,
-                    reason: get_label(&map, "reason")?,
-                },
-                "survivor_tracking" => {
-                    EventKind::SurvivorTracking { enabled: get_bool(&map, "enabled")? }
-                }
-                "old_table_merge" => EventKind::OldTableMerge {
-                    cycle: get_u64(&map, "cycle")?,
-                    total_records: get_u64(&map, "total_records")?,
-                },
-                "decision_publish" => EventKind::DecisionPublish {
-                    version: get_u64(&map, "version")?,
-                    changed_rows: get_u64(&map, "changed_rows")?,
-                    decisions: get_u64(&map, "decisions")?,
-                },
-                "governor_transition" => EventKind::GovernorTransition {
-                    from: get_label(&map, "from")?,
-                    to: get_label(&map, "to")?,
-                    reason: get_label(&map, "reason")?,
-                    profiling_ns: get_u64(&map, "profiling_ns")?,
-                    mutator_ns: get_u64(&map, "mutator_ns")?,
-                },
-                "profile_import" => EventKind::ProfileImport {
-                    entries: get_u64(&map, "entries")?,
-                    applied: get_u64(&map, "applied")?,
-                    rejected: get_u64(&map, "rejected")?,
-                    call_sites: get_u64(&map, "call_sites")?,
-                    had_fingerprint: get_bool(&map, "had_fingerprint")?,
-                    fingerprint_matched: get_bool(&map, "fingerprint_matched")?,
-                },
-                "profile_blend" => EventKind::ProfileBlend {
-                    epoch: get_u64(&map, "epoch")?,
-                    decayed: get_u64(&map, "decayed")?,
-                    released: get_u64(&map, "released")?,
-                    remaining: get_u64(&map, "remaining")?,
-                },
-                "serve_phase_shift" => EventKind::ServePhaseShift {
-                    phase: get_u64(&map, "phase")? as u32,
-                    rate_rps: get_u64(&map, "rate_rps")?,
-                    requests_before: get_u64(&map, "requests_before")?,
-                },
-                other => return Err(format!("unknown event type '{other}'")),
-            })
-        })()
-        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        events.push(TraceEvent {
-            ts: SimTime::from_nanos(
-                get_u64(&map, "ts_ns").map_err(|e| format!("line {}: {e}", lineno + 1))?,
-            ),
-            thread: get_u64(&map, "thread").map_err(|e| format!("line {}: {e}", lineno + 1))?
-                as u32,
-            seq: get_u64(&map, "seq").map_err(|e| format!("line {}: {e}", lineno + 1))?,
-            kind,
-        });
-    }
-    Ok(events)
 }
 
 /// Display track for an event in the Chrome trace: GC/profiler events on
@@ -383,22 +207,8 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     EventKind::ServePhaseShift { .. } => "serve phase shift",
                     _ => unreachable!("pause and watermark handled above"),
                 };
-                // Strip the envelope fields the JSONL form carries; the
-                // instant's args keep the payload for inspection.
-                let full = parse_flat_object(&event_to_json(e)).expect("own output parses");
                 let mut args = JsonObject::new();
-                for (k, v) in &full {
-                    if matches!(k.as_str(), "type" | "ts_ns" | "thread" | "seq") {
-                        continue;
-                    }
-                    match v {
-                        JsonValue::Str(s) => args.str(k, s),
-                        JsonValue::Uint(n) => args.u64(k, *n),
-                        JsonValue::Float(f) => args.f64(k, *f),
-                        JsonValue::Bool(b) => args.bool(k, *b),
-                        JsonValue::UintArray(xs) => args.u64_array(k, xs),
-                    };
-                }
+                write_payload(other, &mut args);
                 obj.str("name", name)
                     .str("ph", "i")
                     .str("s", "g")
@@ -427,6 +237,7 @@ fn return_batch_name(action: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rolp_metrics::SimTime;
 
     fn sample_events() -> Vec<TraceEvent> {
         let t = SimTime::from_nanos;
@@ -567,29 +378,30 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn jsonl_round_trips_every_event_kind() {
-        let events = sample_events();
-        let jsonl = to_jsonl(&events);
-        let parsed = parse_jsonl(&jsonl).expect("parse");
-        assert_eq!(parsed, events);
-    }
+    /// The exact JSONL log of [`sample_events`]: one line per event kind.
+    const GOLDEN_JSONL: &str = r#"{"type":"gc_pause","ts_ns":1000,"thread":4294967295,"seq":0,"kind":"young","cause":"eden-full","duration_ns":2500000,"bytes_copied":5242880,"survivors":123,"regions_in_cset":9,"regions_released":8,"regions_fully_dead":3,"gen_bytes":[1024,0,4096,0,0,0,0,0,0,0,0,0,0,0,0,7]}
+{"type":"heap_watermark","ts_ns":2000,"thread":4294967295,"seq":1,"used_bytes":104857600,"committed_bytes":209715200,"free_regions":40,"total_regions":128}
+{"type":"jit_compile","ts_ns":3000,"thread":2,"seq":0,"method":17,"osr":true}
+{"type":"call_profiling","ts_ns":4000,"thread":4294967295,"seq":2,"call_site":99,"enabled":true}
+{"type":"profiler_inference","ts_ns":5000,"thread":4294967295,"seq":3,"epoch":1,"old_rows":42,"old_bytes":2688,"new_conflicts":2,"unresolved_conflicts":1,"decisions":5,"demotions":0}
+{"type":"conflict_batch","ts_ns":6000,"thread":4294967295,"seq":4,"action":"shrink","size":8}
+{"type":"decision_change","ts_ns":7000,"thread":4294967295,"seq":5,"context":2882338819,"from_gen":0,"to_gen":2,"reason":"inferred"}
+{"type":"survivor_tracking","ts_ns":8000,"thread":4294967295,"seq":6,"enabled":false}
+{"type":"old_table_merge","ts_ns":9000,"thread":4294967295,"seq":7,"cycle":12,"total_records":46}
+{"type":"decision_publish","ts_ns":10000,"thread":4294967295,"seq":8,"version":3,"changed_rows":5,"decisions":17}
+{"type":"governor_transition","ts_ns":11000,"thread":4294967295,"seq":9,"from":"full","to":"off","reason":"overhead-budget","profiling_ns":9000000,"mutator_ns":120000000}
+{"type":"profile_import","ts_ns":12000,"thread":4294967295,"seq":10,"entries":12,"applied":10,"rejected":2,"call_sites":3,"had_fingerprint":true,"fingerprint_matched":false}
+{"type":"profile_blend","ts_ns":13000,"thread":4294967295,"seq":11,"epoch":4,"decayed":3,"released":1,"remaining":9}
+{"type":"serve_phase_shift","ts_ns":14000,"thread":4294967295,"seq":12,"phase":1,"rate_rps":12000,"requests_before":240000}
+"#;
 
     #[test]
-    fn jsonl_reports_line_numbers_on_errors() {
-        let good = event_to_json(&sample_events()[2]);
-        let input = format!("{good}\n{{\"type\":\"nope\"}}\n");
-        let err = parse_jsonl(&input).unwrap_err();
-        assert!(err.contains("line 2"), "got: {err}");
-    }
-
-    #[test]
-    fn governor_labels_intern_without_leaking() {
-        // A leaked label gets a fresh allocation on every parse; a known
-        // one is the table's own `&'static str` each time.
-        for label in ["full", "off", "overhead-budget", "recovered"] {
-            assert!(std::ptr::eq(intern(label), intern(label)), "{label} is not interned");
+    fn jsonl_lines_are_golden_for_every_event_kind() {
+        let jsonl = to_jsonl(&sample_events());
+        for (line, want) in jsonl.lines().zip(GOLDEN_JSONL.lines()) {
+            assert_eq!(line, want);
         }
+        assert_eq!(jsonl, GOLDEN_JSONL, "one line per event, newline-terminated");
     }
 
     #[test]
@@ -608,11 +420,11 @@ mod tests {
         // The watermark is a counter track.
         assert!(trace.contains("\"ph\":\"C\""));
         assert!(trace.contains("\"used_mb\":100"));
-        // Instants carry their payload in args.
+        // Instants carry their JSONL payload, without the envelope, in
+        // args.
         assert!(trace.contains("\"name\":\"JIT OSR compile\""));
         assert!(trace.contains("\"ph\":\"i\""));
-        // Every line between the brackets is valid flat-ish JSON: check a
-        // couple parse (instants/counters are flat except the args object).
+        assert!(trace.contains("\"ts\":3,\"args\":{\"method\":17,\"osr\":true}}"));
         assert!(trace.contains("\"cat\":\"profiler_inference\""));
     }
 

@@ -1,11 +1,10 @@
-//! Minimal hand-rolled JSON support.
+//! Minimal hand-rolled JSON writer.
 //!
 //! The build environment is offline, so instead of `serde` the exporters
-//! use a tiny flat-object writer plus a parser for the same subset
-//! (strings, unsigned integers, floats, bools, and arrays of unsigned
-//! integers). This is all the event log and run-summary formats need.
-
-use std::collections::BTreeMap;
+//! use a tiny flat-object writer (strings, unsigned integers, floats,
+//! bools, arrays of unsigned integers, and pre-rendered nested values).
+//! This is all the event log and run-summary formats need; nothing in the
+//! workspace reads them back.
 
 /// Escapes `s` into `out` as JSON string contents (no surrounding quotes).
 pub fn escape_into(out: &mut String, s: &str) {
@@ -115,224 +114,6 @@ impl JsonObject {
     }
 }
 
-/// A value the flat-object parser can represent.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A string.
-    Str(String),
-    /// An unsigned integer.
-    Uint(u64),
-    /// A float (anything with `.`, `e`, or a sign).
-    Float(f64),
-    /// A boolean.
-    Bool(bool),
-    /// An array of unsigned integers.
-    UintArray(Vec<u64>),
-}
-
-impl JsonValue {
-    /// The value as `&str`, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as `u64`, if it is an unsigned integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Uint(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as `bool`, if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek().ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or("truncated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                b => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match b {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let chunk = self.bytes.get(start..start + len).ok_or("truncated UTF-8")?;
-                        out.push_str(std::str::from_utf8(chunk).map_err(|_| "bad UTF-8")?);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_number_token(&mut self) -> Result<&'a str, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number".into())
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek().ok_or("unexpected end of input")? {
-            b'"' => Ok(JsonValue::Str(self.parse_string()?)),
-            b't' => {
-                self.take_literal("true")?;
-                Ok(JsonValue::Bool(true))
-            }
-            b'f' => {
-                self.take_literal("false")?;
-                Ok(JsonValue::Bool(false))
-            }
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::UintArray(items));
-                }
-                loop {
-                    let tok = self.parse_number_token()?;
-                    items.push(tok.parse::<u64>().map_err(|_| "non-u64 array element")?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::UintArray(items));
-                        }
-                        _ => return Err("expected ',' or ']' in array".into()),
-                    }
-                }
-            }
-            _ => {
-                let tok = self.parse_number_token()?;
-                if let Ok(v) = tok.parse::<u64>() {
-                    Ok(JsonValue::Uint(v))
-                } else {
-                    tok.parse::<f64>()
-                        .map(JsonValue::Float)
-                        .map_err(|_| format!("bad number '{tok}'"))
-                }
-            }
-        }
-    }
-
-    fn take_literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected '{lit}' at byte {}", self.pos))
-        }
-    }
-}
-
-/// Parses one flat JSON object (no nested objects) into a key → value map.
-pub fn parse_flat_object(input: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut cur = Cursor { bytes: input.as_bytes(), pos: 0 };
-    cur.expect(b'{')?;
-    let mut map = BTreeMap::new();
-    cur.skip_ws();
-    if cur.peek() == Some(b'}') {
-        return Ok(map);
-    }
-    loop {
-        cur.skip_ws();
-        let key = cur.parse_string()?;
-        cur.expect(b':')?;
-        let value = cur.parse_value()?;
-        map.insert(key, value);
-        cur.skip_ws();
-        match cur.peek() {
-            Some(b',') => cur.pos += 1,
-            Some(b'}') => return Ok(map),
-            _ => return Err("expected ',' or '}' in object".into()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,35 +133,5 @@ mod tests {
             "{\"name\":\"a \\\"quoted\\\"\\nvalue\",\"count\":18446744073709551615,\
              \"ratio\":0.5,\"ok\":true,\"xs\":[1,2,3],\"nested\":{\"k\":1}}"
         );
-    }
-
-    #[test]
-    fn parser_round_trips_writer_output() {
-        let mut obj = JsonObject::new();
-        obj.str("s", "tab\there")
-            .u64("n", 12345678901234567890)
-            .bool("b", false)
-            .u64_array("a", &[9, 8]);
-        let rendered = obj.finish();
-        let map = parse_flat_object(&rendered).expect("parse");
-        assert_eq!(map["s"].as_str(), Some("tab\there"));
-        assert_eq!(map["n"].as_u64(), Some(12345678901234567890));
-        assert_eq!(map["b"].as_bool(), Some(false));
-        assert_eq!(map["a"], JsonValue::UintArray(vec![9, 8]));
-    }
-
-    #[test]
-    fn parser_handles_empty_object_and_whitespace() {
-        assert!(parse_flat_object("{ }").expect("parse").is_empty());
-        let map = parse_flat_object("{ \"k\" : 7 , \"u\" : \"\\u0041\" }").expect("parse");
-        assert_eq!(map["k"].as_u64(), Some(7));
-        assert_eq!(map["u"].as_str(), Some("A"));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_flat_object("not json").is_err());
-        assert!(parse_flat_object("{\"k\":}").is_err());
-        assert!(parse_flat_object("{\"k\":1").is_err());
     }
 }

@@ -23,9 +23,10 @@
 //!   by (timestamp, thread id, per-thread sequence number), a key unique
 //!   per event, so a run's trace is bit-reproducible for a fixed seed.
 //!
-//! Exporters live in [`export`]: a JSONL event log (one object per line,
-//! round-trippable through [`export::parse_jsonl`]) and the Chrome
-//! `trace_event` format loadable in `chrome://tracing` or Perfetto.
+//! Exporters live in [`export`]: a JSONL event log (one flat object per
+//! line) and the Chrome `trace_event` format loadable in
+//! `chrome://tracing` or Perfetto. One payload writer feeds both, so an
+//! instant's Chrome `args` hold exactly its JSONL payload fields.
 
 pub mod export;
 pub mod json;

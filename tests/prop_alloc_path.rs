@@ -1,17 +1,16 @@
 //! Differential test plane for the allocation fast path.
 //!
-//! The TLAB + decision-micro-cache + batched-age-0 path is an
-//! *optimization*, not a semantic change: any allocation stream replayed
-//! through the fast path must be observationally identical to the
-//! per-allocation reference path (TLABs disabled, micro-cache disabled,
-//! unbatched OLD-table increments). This suite generates arbitrary
-//! streams and holds the fast path to that contract at one and at two
-//! guest threads:
+//! The TLAB + decision-micro-cache path is an *optimization*, not a
+//! semantic change: any allocation stream replayed through the fast path
+//! must be observationally identical to the per-allocation reference
+//! path (TLABs disabled, micro-cache disabled). This suite generates
+//! arbitrary streams and holds the fast path to that contract at one and
+//! at two guest threads:
 //!
 //! - published `DecisionTable` digests are identical (the micro-cache
 //!   never serves stale advice that changes an outcome),
 //! - OLD-table contents (touched rows and full age histograms) are
-//!   identical (batched flushing loses nothing the reference records),
+//!   identical,
 //! - GC scheduling is identical (the fast path declines exactly when the
 //!   slow path would have collected), and
 //! - with a single mutator thread, heap object *placement* is bit-exact
@@ -82,11 +81,10 @@ fn replay(stream: &[Op], rounds: usize, threads: u32, fast: bool) -> Observation
         ..Default::default()
     };
     if !fast {
-        // The reference path: shared-state lookup and a per-allocation
-        // OLD-table increment on every single allocation.
+        // The reference path: shared-state lookup on every single
+        // allocation.
         config.tlab_bytes = 0;
         config.microcache = false;
-        config.rolp.batch_age0 = false;
     }
 
     let mut rt = JvmRuntime::new(config, program);
