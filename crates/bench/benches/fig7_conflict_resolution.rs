@@ -9,7 +9,7 @@
 //! conflict-bearing benchmark.
 
 use rolp::runtime::{CollectorKind, RuntimeConfig};
-use rolp::{worst_case_resolution_time_ms, P_FRACTION};
+use rolp::worst_case_resolution_time_ms;
 use rolp_bench::{banner, scale, TextTable};
 use rolp_vm::CostModel;
 use rolp_workloads::{all_benchmarks, benchmark, execute, DacapoBench, DacapoSpec, RunBudget};
@@ -77,9 +77,8 @@ fn main() {
     let out = execute(&mut bench, config, &RunBudget::smoke(spec.ops));
     let rolp = out.report.rolp.expect("rolp stats");
     println!(
-        "cross-check [pmd, P={:.0}%]: detected {} conflict site(s), resolved {}, \
+        "cross-check [pmd, P=20%]: detected {} conflict site(s), resolved {}, \
          {} probe rounds, over {} GC cycles ({} elapsed)",
-        P_FRACTION * 100.0,
         rolp.conflicts.detected,
         rolp.conflicts.resolved,
         rolp.conflicts.probe_rounds,

@@ -31,7 +31,7 @@ use rolp_vm::{CallSiteId, JitState, Program};
 /// Fraction of jitted call sites enabled per probing round (`P`): the
 /// paper's recommended upper bound of 20%. Fig. 7's sweep over `P` runs
 /// through [`worst_case_resolution_time_ms`], not the resolver.
-pub const P_FRACTION: f64 = 0.20;
+pub(crate) const P_FRACTION: f64 = 0.20;
 
 /// Resolver statistics (feeds Tables 1 and 2).
 #[derive(Debug, Clone, Copy, Default)]

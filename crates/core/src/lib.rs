@@ -83,7 +83,7 @@ pub mod runtime;
 pub mod survivor;
 pub mod warm_start;
 
-pub use conflicts::{worst_case_resolution_time_ms, ConflictResolver, ConflictStats, P_FRACTION};
+pub use conflicts::{worst_case_resolution_time_ms, ConflictResolver, ConflictStats};
 pub use filters::PackageFilters;
 pub use geometry::{TableGeometry, FULL_SCALE_ROWS};
 pub use governor::{Governor, GovernorConfig, GovernorState, GovernorTransition};

@@ -93,9 +93,14 @@ impl OldTable {
     /// Application-thread path: one object allocated through `context`
     /// (age-0 increment; exact here, unlike §7.6's racy increment).
     pub fn record_allocation(&mut self, context: u32) {
-        self.touch(context);
         let row = self.row_mut(context);
+        let first = row[0] == 0;
         row[0] = row[0].saturating_add(1);
+        // Only touched rows can be nonzero, so the touch set is consulted
+        // when the age-0 cell leaves zero, not on every allocation.
+        if first {
+            self.touch(context);
+        }
     }
 
     /// GC-side path (normally via [`OldTable::merge_survivals`]): one
@@ -334,6 +339,20 @@ mod tests {
         assert!(t.is_expanded(4));
         assert!(t.touched_rows().is_empty());
         assert_eq!(t.age0_total(), 0);
+    }
+
+    #[test]
+    fn rows_are_tracked_once_and_again_after_a_clear() {
+        let mut t = OldTable::new();
+        let c = pack(6, 0);
+        t.record_allocation(c);
+        t.record_survival(c, 0); // the age-0 cell drains back to zero
+        t.record_allocation(c);
+        assert_eq!(t.touched_rows(), vec![c], "tracked once");
+        t.clear_counts();
+        t.record_allocation(c);
+        assert_eq!(t.touched_rows(), vec![c], "tracked again after the clear");
+        assert_eq!(t.age0_total(), 1);
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn write_payload(kind: &EventKind, obj: &mut JsonObject) {
 }
 
 /// Renders one event as a flat JSON object.
-pub fn event_to_json(event: &TraceEvent) -> String {
+fn event_to_json(event: &TraceEvent) -> String {
     let mut obj = JsonObject::new();
     obj.str("type", event.kind.type_name())
         .u64("ts_ns", event.ts.as_nanos())

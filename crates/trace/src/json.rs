@@ -3,8 +3,8 @@
 //! The build environment is offline, so instead of `serde` the exporters
 //! use a tiny flat-object writer (strings, unsigned integers, floats,
 //! bools, arrays of unsigned integers, and pre-rendered nested values).
-//! This is all the event log and run-summary formats need; nothing in the
-//! workspace reads them back.
+//! This is all the event log and run-summary formats need; no Rust code
+//! here reads them back.
 
 /// Escapes `s` into `out` as JSON string contents (no surrounding quotes).
 pub fn escape_into(out: &mut String, s: &str) {
