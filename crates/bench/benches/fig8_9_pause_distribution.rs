@@ -327,14 +327,17 @@ fn main() {
     }
 
     // Service-mode rows (quick mode): the open-loop rolp-serve harness
-    // under ROLP and G1 on the same diurnal schedule, gated on primary
-    // SLO attainment and corrected p99 so service tail latency regresses
-    // as loudly as batch pause percentiles do.
+    // under ROLP and G1 on the same diurnal schedule, pooled over a fixed
+    // seed set and gated on primary SLO attainment and corrected p99 so
+    // service tail latency regresses as loudly as batch pause
+    // percentiles do.
     if quick {
         let served = rolp_bench::run_served(scale);
         println!(
-            "--- service mode: open-loop SLO comparison (1/{} scale) ---",
-            scale.divisor() * 8
+            "--- service mode: open-loop SLO comparison (1/{} scale, pooled over seeds {}-{}) ---",
+            scale.divisor() * 8,
+            rolp_bench::SERVED_SEEDS.start(),
+            rolp_bench::SERVED_SEEDS.end()
         );
         for row in &served {
             println!(

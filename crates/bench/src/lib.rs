@@ -228,60 +228,98 @@ pub fn warmup_p99_ms(out: &RunOutcome, window: SimTime) -> f64 {
     ms[idx.saturating_sub(1).min(ms.len() - 1)]
 }
 
+/// The run seeds the served rows pool (see [`run_served`]).
+pub const SERVED_SEEDS: std::ops::RangeInclusive<u64> = 1..=32;
+
 /// One service-mode gate row: SLO attainment and served tail latency
-/// from an open-loop `rolp-serve` run (quick-mode Fig. 8/9 only).
+/// pooled over the open-loop `rolp-serve` runs of a seed set (quick-mode
+/// Fig. 8/9 only).
 pub struct ServedRow {
     /// Gate label (`ROLP (served)` / `G1 (served)`).
     pub collector: &'static str,
-    /// Requests completed by the schedule.
+    /// Requests completed, summed over the pool.
     pub requests: u64,
-    /// GC pauses observed.
+    /// GC pauses observed, summed over the pool.
     pub pauses: usize,
-    /// GC cycles completed.
+    /// GC cycles completed, summed over the pool.
     pub gc_cycles: u64,
-    /// Guest operations completed.
+    /// Guest operations completed, summed over the pool.
     pub ops: u64,
-    /// Self-measured profiling overhead.
+    /// Self-measured profiling overhead, the mean over the pool.
     pub profiling_overhead: f64,
     /// Exact attainment of the primary (10 ms) SLO, corrected for
-    /// coordinated omission.
+    /// coordinated omission: summed hits over summed requests.
     pub slo_attainment: f64,
-    /// Corrected p99 request latency, milliseconds.
+    /// Corrected p99 request latency of the merged histogram,
+    /// milliseconds.
     pub served_p99_ms: f64,
-    /// GC-pause p99, milliseconds (the `p99_ms` gate column).
+    /// GC-pause p99 of the merged histogram, milliseconds (the `p99_ms`
+    /// gate column).
     pub pause_p99_ms: f64,
 }
 
 /// Runs the service-mode comparison the `slo_gate.py` acceptance rests
-/// on — the same diurnal schedule under ROLP and G1 — and returns one
-/// gate row per collector. The serving harness runs 8x smaller than the
-/// batch rows: the open-loop schedule is the only load, so the heap has
-/// to churn within tens of simulated seconds.
+/// on — the same diurnal schedule under ROLP and G1 — once per seed in
+/// [`SERVED_SEEDS`], and returns one gate row per collector pooled over
+/// them. The serving harness runs 8x smaller than the batch rows: the
+/// open-loop schedule is the only load, so the heap has to churn within
+/// tens of simulated seconds.
+///
+/// The rows pool because one seed cannot judge a change. Over seeds
+/// 1–32 plus 42, seed 42's ROLP served p99 was the 2nd lowest of 33, in
+/// a 59.8–77.6 ms spread, so a single-seed row failed or passed its +15%
+/// gate by seed. Percentiles come from the merged latency and pause
+/// histograms and attainment from the summed counts, as rolpbench pools
+/// its run seeds. The pooled ROLP served p99 is 71.30 ms over seeds
+/// 1–32 and over 1–64; over the four disjoint 16-seed sets in 1–64 it
+/// moves by one histogram bucket (about 3%), well inside the gate's 15%. Mutants that drop one context's published decision
+/// were checked with and without DESIGN §6 item 9's decided-site rule:
+/// dropping context 262144 or 196608 fails the pooled gate either way,
+/// while dropping 242557 failed the single-seed row on seed 42 alone
+/// (62.9 → 77.6 ms) and left the pool unmoved.
 pub fn run_served(scale: SimScale) -> Vec<ServedRow> {
+    use rolp_metrics::Histogram;
     use rolp_serve::{default_tenants, parse_phases, serve, ServeConfig};
     let serve_scale = SimScale::new(scale.divisor() * 8);
     [CollectorKind::RolpNg2c, CollectorKind::G1]
         .into_iter()
         .map(|kind| {
-            let mut cfg = ServeConfig::new(kind, serve_scale);
-            cfg.phases = parse_phases("20s@1500x3/1;20s@1500x1/3").expect("schedule parses");
-            cfg.inference_period = Some(2);
-            let out = serve(&cfg, &mut default_tenants(serve_scale));
-            let (_, _, attainment) = out.latency.attainment()[0];
-            ServedRow {
+            let mut row = ServedRow {
                 collector: match kind {
                     CollectorKind::RolpNg2c => "ROLP (served)",
                     _ => "G1 (served)",
                 },
-                requests: out.requests,
-                pauses: out.pauses.count(),
-                gc_cycles: out.report.gc_cycles,
-                ops: out.report.ops,
-                profiling_overhead: out.report.profiling_overhead,
-                slo_attainment: attainment,
-                served_p99_ms: out.latency.corrected().percentile(99.0) as f64 / 1e6,
-                pause_p99_ms: out.pauses.percentile_ms(99.0),
+                requests: 0,
+                pauses: 0,
+                gc_cycles: 0,
+                ops: 0,
+                profiling_overhead: 0.0,
+                slo_attainment: 0.0,
+                served_p99_ms: 0.0,
+                pause_p99_ms: 0.0,
+            };
+            let (mut latency, mut pauses) = (Histogram::new(), Histogram::new());
+            let mut hits = 0u64;
+            for seed in SERVED_SEEDS {
+                let mut cfg = ServeConfig::new(kind, serve_scale);
+                cfg.phases = parse_phases("20s@1500x3/1;20s@1500x1/3").expect("schedule parses");
+                cfg.inference_period = Some(2);
+                cfg.seed = seed;
+                let out = serve(&cfg, &mut default_tenants(serve_scale));
+                latency.merge(out.latency.corrected());
+                pauses.merge(out.pauses.histogram());
+                hits += out.latency.attainment()[0].1;
+                row.requests += out.requests;
+                row.pauses += out.pauses.count();
+                row.gc_cycles += out.report.gc_cycles;
+                row.ops += out.report.ops;
+                row.profiling_overhead += out.report.profiling_overhead;
             }
+            row.profiling_overhead /= SERVED_SEEDS.count() as f64;
+            row.slo_attainment = hits as f64 / latency.count() as f64;
+            row.served_p99_ms = latency.percentile(99.0) as f64 / 1e6;
+            row.pause_p99_ms = pauses.percentile(99.0) as f64 / 1e6;
+            row
         })
         .collect()
 }

@@ -46,9 +46,9 @@ pub struct ConflictStats {
     pub probe_rounds: u64,
     /// Call sites currently kept enabled as part of a distinguishing set.
     pub frozen_sites: u64,
-    /// Multimodal sites decided at once, without a conflict, because one
-    /// declared call path reaches them (no call site could separate
-    /// their contexts).
+    /// Multimodal sites kept out of resolution, without a conflict,
+    /// because one declared call path reaches them (no call site could
+    /// separate their contexts). Each site counts once.
     pub single_path: u64,
 }
 
@@ -80,7 +80,9 @@ pub struct ConflictResolver {
     active_conflict: Option<u16>,
     /// Conflicts waiting their turn.
     queue: Vec<u16>,
-    /// Sites ever reported conflicted (dedupe for the `detected` counter).
+    /// Sites ever reported conflicted or single-path (dedupe for the
+    /// `detected` and `single_path` counters; no site is both, because
+    /// single-path sites never reach the resolver).
     seen: HashSet<u16>,
     phase: Phase,
     stats: ConflictStats,
@@ -137,11 +139,13 @@ impl ConflictResolver {
         }
     }
 
-    /// Counts a multimodal site the profiler decided at once instead of
-    /// handing it over: one declared call path reaches it, so no probing
-    /// batch could separate its contexts.
-    pub fn note_single_path(&mut self) {
-        self.stats.single_path += 1;
+    /// Counts a multimodal site the profiler kept from the resolver: one
+    /// declared call path reaches it, so no probing batch could separate
+    /// its contexts. Each site counts once, however often it re-conflicts.
+    pub fn note_single_path(&mut self, site: u16) {
+        if self.seen.insert(site) {
+            self.stats.single_path += 1;
+        }
     }
 
     /// Current statistics.

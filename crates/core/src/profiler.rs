@@ -343,24 +343,25 @@ impl RolpProfiler {
 
     /// Pipeline stage 4, before the resolver: a fresh conflict on a site
     /// whose method one declared call path reaches cannot be split by any
-    /// call site, so probing for it would be wasted. If its context has
-    /// no decision yet, it is decided at once with the lifetime estimator
-    /// ([`DECISION_QUANTILE`]) and leaves `new_conflicts`: no expansion,
-    /// no probe. A context that already holds a decision keeps the §5
-    /// path (DESIGN §6 item 9).
+    /// call site, so it always leaves `new_conflicts`: no expansion, no
+    /// probe. If its row holds no decision yet, the lifetime estimator
+    /// ([`DECISION_QUANTILE`]) decides it; a decided row that turns
+    /// multimodal again keeps its decision (DESIGN §6 item 9).
     fn decide_single_path(&mut self, program: &Program, outcome: &mut InferenceOutcome) {
         let mut conflicts = std::mem::take(&mut outcome.new_conflicts);
         conflicts.retain(|&site| {
-            // Scaled geometries mask the site, so key by the table's row.
-            let key = self.old.row_key(pack(site, 0));
-            let single = !self.decisions.contains_key(&key)
-                && self.pid_to_site.get(&site).is_some_and(|&alloc| {
-                    program.single_call_path(program.alloc_site(alloc).method)
-                });
+            let single = self
+                .pid_to_site
+                .get(&site)
+                .is_some_and(|&alloc| program.single_call_path(program.alloc_site(alloc).method));
             if single {
-                let age = quantile_age(&self.old.histogram(key), DECISION_QUANTILE);
-                outcome.decisions.push((key, age));
-                self.resolver.note_single_path();
+                // Scaled geometries mask the site, so key by the table's row.
+                let key = self.old.row_key(pack(site, 0));
+                if !self.decisions.contains_key(&key) {
+                    let age = quantile_age(&self.old.histogram(key), DECISION_QUANTILE);
+                    outcome.decisions.push((key, age));
+                }
+                self.resolver.note_single_path(site);
             }
             !single
         });

@@ -2,7 +2,9 @@
 //! is decided at its first inference epoch instead of being probed: no
 //! call site can split its contexts, so §5 probing would be wasted. The
 //! same program with a second caller of the factory still takes the §5
-//! path (conflict detected, OLD table expanded).
+//! path (conflict detected, OLD table expanded). A decided single-path
+//! site that turns multimodal again keeps its decision and stays out of
+//! the resolver too.
 
 use rolp::runtime::{CollectorKind, JvmRuntime, RuntimeConfig};
 use rolp::RolpStats;
@@ -15,16 +17,24 @@ const BASE_TABLE_BYTES: u64 = 4 << 20;
 /// transient one, as in the DaCapo conflict factories.
 const HELD_CYCLES: u64 = 8;
 
+/// Unprofiled churn allocations per iteration.
+const CHURN: u32 = 8;
+
+/// Churn that makes GCs twice as frequent: objects allocated before the
+/// epoch-1 publish still age in the young generation next to the new
+/// age-0 spike, so the decided factory row goes multimodal again.
+const HEAVY_CHURN: u32 = 16;
+
 /// Final published `(row key, generation)` list and profiler counters.
 type Outcome = (Vec<(u32, u8)>, RolpStats);
 
 /// Drives a program whose hot factory alternates transient and held
-/// objects, rotating iterations across `threads` guest threads. Unprofiled
-/// churn in the never-compiled root keeps young survivors from
-/// overflowing. With `two_callers`, the held objects come through a
-/// second worker and call site instead, so the two lifetimes arrive on
-/// two call paths.
-fn run(threads: u32, two_callers: bool) -> Outcome {
+/// objects, rotating iterations across `threads` guest threads. `churn`
+/// unprofiled allocations per iteration in the never-compiled root keep
+/// young survivors from overflowing. With `two_callers`, the held objects
+/// come through a second worker and call site instead, so the two
+/// lifetimes arrive on two call paths.
+fn run(threads: u32, two_callers: bool, churn: u32) -> Outcome {
     let mut b = rolp_vm::ProgramBuilder::new();
     let main = b.method("app.Main::run", 100, false);
     let worker = b.method("app.Worker::step", 80, false);
@@ -56,7 +66,7 @@ fn run(threads: u32, two_callers: bool) -> Outcome {
             let (_, h) = held.pop_front().unwrap();
             ctx.release(h);
         }
-        for _ in 0..8 {
+        for _ in 0..churn {
             let h = ctx.alloc(site_churn, class, 0, 4);
             ctx.release(h);
         }
@@ -86,8 +96,8 @@ fn run(threads: u32, two_callers: bool) -> Outcome {
 
 #[test]
 fn single_path_conflict_is_decided_at_the_first_epoch_at_any_thread_count() {
-    let (one, stats_one) = run(1, false);
-    let (four, stats_four) = run(4, false);
+    let (one, stats_one) = run(1, false, CHURN);
+    let (four, stats_four) = run(4, false, CHURN);
     for stats in [&stats_one, &stats_four] {
         assert_eq!(stats.conflicts.single_path, 1, "{stats:?}");
         assert_eq!(stats.conflicts.detected, 0, "{stats:?}");
@@ -102,9 +112,32 @@ fn single_path_conflict_is_decided_at_the_first_epoch_at_any_thread_count() {
 
 #[test]
 fn two_callers_keep_the_conflict_path() {
-    let (_, stats) = run(1, true);
+    let (_, stats) = run(1, true, CHURN);
     assert_eq!(stats.conflicts.single_path, 0, "{stats:?}");
     assert_eq!(stats.conflicts.detected, 1, "{stats:?}");
     assert!(stats.conflicts.probe_rounds >= 1, "{stats:?}");
     assert_eq!(stats.old_table_bytes, 2 * BASE_TABLE_BYTES, "one expansion block: {stats:?}");
+}
+
+#[test]
+fn decided_single_path_site_that_re_conflicts_stays_out_of_the_resolver() {
+    let (table, stats) = run(1, false, HEAVY_CHURN);
+    assert_eq!(stats.conflicts.single_path, 1, "{stats:?}");
+    assert_eq!(stats.conflicts.detected, 0, "{stats:?}");
+    assert_eq!(stats.conflicts.probe_rounds, 0, "{stats:?}");
+    assert_eq!(stats.conflicts.exhausted, 0, "{stats:?}");
+    assert_eq!(stats.old_table_bytes, BASE_TABLE_BYTES, "no expansion block: {stats:?}");
+    assert_eq!(stats.last_change_epoch, 1, "the epoch-1 decision stays put: {stats:?}");
+    assert_eq!(table.len(), 1, "the site-wide factory row is published: {table:?}");
+}
+
+#[test]
+fn a_single_path_site_counts_once_however_often_it_re_conflicts() {
+    let mut resolver = rolp::ConflictResolver::new(0);
+    for _epoch in 0..3 {
+        resolver.note_single_path(7);
+    }
+    resolver.note_single_path(9);
+    assert_eq!(resolver.stats().single_path, 2);
+    assert_eq!(resolver.stats().detected, 0);
 }
