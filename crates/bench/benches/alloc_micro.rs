@@ -1,21 +1,15 @@
-//! Allocation fast-path micro gate: `ns/alloc` and `ns/decision-lookup`.
+//! Allocation fast-path micro gate: `ns/alloc`.
 //!
-//! Two paired measurements, each fast path against its pre-TLAB
-//! reference on the same machine in the same process:
+//! One paired measurement of the full mutator allocation path through
+//! the runtime, fast path against its pre-TLAB reference on the same
+//! machine in the same process. Fast: TLAB bump allocation (the
+//! default). Reference: shared-frontier allocation on every call
+//! (`--tlab-size 0` semantics). Both sides read the decision table the
+//! same way and record age 0 with one OLD-table increment per
+//! allocation.
 //!
-//! - **ns/alloc** — the full mutator allocation path through the
-//!   runtime. Fast: TLAB bump + decision micro-cache (the defaults).
-//!   Reference: shared-frontier allocation and a `DecisionStore` table
-//!   load per allocation (`--tlab-size 0 --no-microcache` semantics).
-//!   Both sides record age 0 with one OLD-table increment per
-//!   allocation.
-//! - **ns/decision-lookup** — the decision consult alone. Fast: a
-//!   `DecisionCache` hit (validate against the store version, decode the
-//!   cached slot byte). Reference: the uncached path (table load +
-//!   bounds-checked slot resolve) on every lookup.
-//!
-//! The two sides of a row run interleaved (fast, reference, fast, …) on
-//! two live setups. Absolute ns/op is machine-dependent, so the committed
+//! The two sides run interleaved (fast, reference, fast, …) on two live
+//! setups. Absolute ns/op is machine-dependent, so the committed
 //! gate value is the *within-run* `speedup_vs_reference`, the median of
 //! the per-pair reference/fast ratios: `scripts/bench_gate.py`
 //! fails the build when the fast path stops beating the reference path
@@ -26,16 +20,12 @@
 //! job gates them with `scripts/bench_gate.py --partial`, and the
 //! `bench-smoke` job gates them alongside the fig8/9 rows.
 
-use std::collections::BTreeMap;
-use std::hint::black_box;
 use std::time::Instant;
 
 use rolp::runtime::{CollectorKind, JvmRuntime, RuntimeConfig};
 use rolp_bench::{banner, TextTable};
 use rolp_heap::{ClassId, HeapConfig};
-use rolp_vm::{
-    AllocSiteId, CallSiteId, DecisionCache, DecisionStore, DecisionTable, ProgramBuilder, ThreadId,
-};
+use rolp_vm::{AllocSiteId, CallSiteId, ProgramBuilder, ThreadId};
 
 /// Timed (fast, reference) pairs per measurement, after one untimed
 /// warmup pair. The two sides alternate rep by rep, so a noisy stretch
@@ -47,11 +37,8 @@ const PAIRS: usize = 11;
 /// End-to-end mutator allocations per repetition.
 const ALLOCS_PER_REP: u64 = 200_000;
 
-/// Decision lookups per repetition.
-const LOOKUPS_PER_REP: u64 = 2_000_000;
-
-/// A runtime set up for the ns/alloc row. Fast: TLAB bump + decision
-/// micro-cache (the defaults); reference: the pre-TLAB path.
+/// A runtime set up for the ns/alloc row. Fast: TLAB bump allocation
+/// (the default); reference: the pre-TLAB path.
 struct AllocPath {
     rt: JvmRuntime,
     class: ClassId,
@@ -81,7 +68,6 @@ impl AllocPath {
         if !fast {
             // The pre-TLAB reference path.
             config.tlab_bytes = 0;
-            config.microcache = false;
         }
         let mut rt = JvmRuntime::new(config, program);
         let class = rt.vm.env.heap.classes.register("bench.Item");
@@ -103,41 +89,6 @@ impl AllocPath {
         });
         start.elapsed().as_nanos() as f64 / ALLOCS_PER_REP as f64
     }
-}
-
-/// One timed repetition of the ns/decision-lookup row: micro-cache hit
-/// (`cache` given) vs uncached store consult.
-///
-/// The contexts resolve through conflict-*expanded* sites (paper
-/// §3.2.3): the uncached path pays the expanded-block walk on every
-/// lookup, which is exactly what the cache's stored slot byte skips. For
-/// unexpanded sites both paths are a single array index and the cache is
-/// cost-neutral, so the expanded case is the one worth gating.
-fn lookup_rep(store: &DecisionStore, mut cache: Option<&mut DecisionCache>) -> f64 {
-    let start = Instant::now();
-    let mut acc = 0u64;
-    for i in 0..LOOKUPS_PER_REP {
-        let context = (((i % 64) as u32) + 1) << 16;
-        let tick = i as u32;
-        let advice = match cache.as_deref_mut() {
-            Some(cache) => cache.advise_for_alloc(store, context, tick),
-            None => store.load().advise_for_alloc(context, tick),
-        };
-        acc = acc.wrapping_add(advice.unwrap_or(0) as u64);
-    }
-    black_box(acc);
-    start.elapsed().as_nanos() as f64 / LOOKUPS_PER_REP as f64
-}
-
-/// 64 published contexts, one per cache slot (`slot_of` maps `site <<
-/// 16` to `site & 63`), so the fast side measures the steady-state hit
-/// path after a one-miss-per-slot warmup.
-fn lookup_store() -> DecisionStore {
-    let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(256, 64));
-    let rows: BTreeMap<u32, u8> = (1..=64u32).map(|s| (s << 16, (s % 9) as u8 + 1)).collect();
-    let table = DecisionTable::next_from(&store.load(), &rows, 1..=64u16);
-    store.publish(table);
-    store
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -199,20 +150,10 @@ fn render_json(scale_divisor: u64, rows: &[MicroRow]) -> String {
 fn main() {
     let scale = rolp_bench::scale();
     let json_out = std::env::var("ROLP_BENCH_JSON").ok();
-    banner("Allocation fast-path micro gate (ns/alloc, ns/decision-lookup)", scale);
+    banner("Allocation fast-path micro gate (ns/alloc)", scale);
 
     let (mut alloc_fast, mut alloc_ref) = (AllocPath::new(true), AllocPath::new(false));
-    let store = lookup_store();
-    let mut cache = DecisionCache::new();
-    let rows = vec![
-        paired("ns/alloc", ALLOCS_PER_REP, || alloc_fast.rep(), || alloc_ref.rep()),
-        paired(
-            "ns/decision-lookup",
-            LOOKUPS_PER_REP,
-            || lookup_rep(&store, Some(&mut cache)),
-            || lookup_rep(&store, None),
-        ),
-    ];
+    let rows = vec![paired("ns/alloc", ALLOCS_PER_REP, || alloc_fast.rep(), || alloc_ref.rep())];
 
     let mut table = TextTable::new(vec![
         "path".to_string(),

@@ -58,8 +58,6 @@ pub struct Args {
     /// TLAB chunk size in bytes; 0 disables the per-thread allocation
     /// fast path.
     pub tlab_bytes: usize,
-    /// Per-thread decision micro-cache (disabled with `--no-microcache`).
-    pub microcache: bool,
 }
 
 impl Default for Args {
@@ -82,7 +80,6 @@ impl Default for Args {
             gc_workers: None,
             fault_plan: None,
             tlab_bytes: rolp_heap::DEFAULT_TLAB_BYTES,
-            microcache: true,
         }
     }
 }
@@ -146,9 +143,6 @@ OPTIONS:
                         the shared lock only on exhaustion; 0 disables
                         TLABs (every allocation takes the shared slow
                         path)                           [default: 8192]
-    --no-microcache     disable the per-thread pretenuring-decision
-                        micro-cache; every allocation re-reads the
-                        shared decision table
     --help              show this text
 ";
 
@@ -226,7 +220,6 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
                 args.tlab_bytes =
                     v.parse::<usize>().map_err(|_| "--tlab-size must be a byte count")?;
             }
-            "--no-microcache" => args.microcache = false,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown option {other}\n\n{USAGE}")),
         }
@@ -316,9 +309,13 @@ mod tests {
 
     #[test]
     fn removed_flags_are_unknown_options() {
-        for flag in
-            ["--table-shards 4", "--export-profile p", "--import-profile p", "--verify-determinism"]
-        {
+        for flag in [
+            "--table-shards 4",
+            "--export-profile p",
+            "--import-profile p",
+            "--verify-determinism",
+            "--no-microcache",
+        ] {
             let err = parse(&argv(flag)).unwrap_err();
             assert!(err.starts_with("unknown option"), "{flag}: {err}");
         }
@@ -373,12 +370,10 @@ mod tests {
     fn tlab_flags_parse() {
         let d = parse(&[]).expect("defaults");
         assert_eq!(d.tlab_bytes, rolp_heap::DEFAULT_TLAB_BYTES);
-        assert!(d.microcache);
         let a = parse(&argv("--tlab-size 4096")).expect("parses");
         assert_eq!(a.tlab_bytes, 4096);
-        let b = parse(&argv("--tlab-size 0 --no-microcache")).expect("parses");
+        let b = parse(&argv("--tlab-size 0")).expect("parses");
         assert_eq!(b.tlab_bytes, 0);
-        assert!(!b.microcache);
         assert!(parse(&argv("--tlab-size lots")).unwrap_err().contains("byte count"));
     }
 

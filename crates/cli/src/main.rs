@@ -51,7 +51,6 @@ fn run(args: Args) -> Result<(), String> {
         gc_workers: args.gc_workers,
         side_table_scale: scale.divisor(),
         tlab_bytes: args.tlab_bytes,
-        microcache: args.microcache,
         ..Default::default()
     };
     if let Some(path) = &args.profile_in {
@@ -63,7 +62,7 @@ fn run(args: Args) -> Result<(), String> {
             text.parse().map_err(|e| format!("bad profile {path}: {e}"))?;
         let provenance = match profile.fingerprint {
             Some(fp) => format!("fingerprint {fp:016x}, {} epoch(s) of evidence", profile.epochs),
-            None => "legacy headerless profile, per-entry validation only".to_string(),
+            None => "no fingerprint, per-entry validation only".to_string(),
         };
         println!(
             "profile-in: {} decision(s), {} call site(s) from {path} ({provenance})",

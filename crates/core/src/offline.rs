@@ -42,9 +42,10 @@
 //!   caller and callee method names so the importing run can re-enable
 //!   its conflict separation from epoch 0.
 //!
-//! The PR-1-era headerless format (`pkg.Class::method@bci <gen>` lines)
-//! still parses: entries get confidence 100 and no fingerprint, so only
-//! per-entry location validation applies.
+//! The version line is mandatory: a file whose first significant line is
+//! anything else is rejected with a line-numbered error. Every other
+//! header line is optional; a profile without `fingerprint` gets only
+//! per-entry location validation.
 //!
 //! Decisions keyed by a conflicted context (nonzero thread stack state)
 //! are not exported — stack-state hashes are not stable across runs (the
@@ -64,7 +65,9 @@ use crate::profiler::RolpProfiler;
 /// The current on-disk format version line.
 pub const PROFILE_FORMAT_V1: &str = "rolp-profile-v1";
 
-/// Confidence assigned to entries from headerless (legacy) profiles.
+/// Full confidence: what a live-learned row exports at, and what an
+/// imported row returns to once live evidence confirms it (see
+/// [`crate::warm_start`]).
 pub const DEFAULT_CONFIDENCE: u8 = 100;
 
 /// One exported decision: a source location, its target generation, and
@@ -96,8 +99,8 @@ pub struct CallSiteEntry {
 /// run's provenance (fingerprint, epoch count, OLD-table geometry).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DecisionProfile {
-    /// Program-shape fingerprint of the exporting run (`None` for legacy
-    /// headerless profiles).
+    /// Program-shape fingerprint of the exporting run (`None` when the
+    /// file omits the `fingerprint` line).
     pub fingerprint: Option<u64>,
     /// Inference epochs the exporting run completed.
     pub epochs: u64,
@@ -167,8 +170,8 @@ pub fn program_fingerprint(program: &Program) -> u64 {
 /// What survived load-time validation of a profile against a program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileValidation {
-    /// The profile carried a fingerprint (v1 profiles do; legacy ones
-    /// don't, leaving only per-entry validation).
+    /// The profile carried a fingerprint (exported profiles do; one
+    /// without leaves only per-entry validation).
     pub fingerprint_checked: bool,
     /// The fingerprint matched the running program (meaningful only when
     /// `fingerprint_checked`).
@@ -378,163 +381,126 @@ impl fmt::Display for DecisionProfile {
     }
 }
 
-fn parse_legacy(s: &str) -> Result<DecisionProfile, ProfileParseError> {
-    let mut entries = Vec::new();
-    for (i, raw) in s.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |reason: &str| ProfileParseError { line: i + 1, reason: reason.into() };
-        let (loc, gen) = line.rsplit_once(' ').ok_or_else(|| err("missing generation"))?;
-        let (method, bci) = loc.rsplit_once('@').ok_or_else(|| err("missing @bci"))?;
-        let bci: u32 = bci.parse().map_err(|_| err("bci is not a number"))?;
-        let generation: u8 = gen.trim().parse().map_err(|_| err("generation is not a number"))?;
-        if generation > 15 {
-            return Err(err("generation out of range (0..=15)"));
-        }
-        entries.push(ProfileEntry {
-            method: method.to_string(),
-            bci,
-            generation,
-            confidence: DEFAULT_CONFIDENCE,
-        });
-    }
-    entries.sort_by(|a, b| (&a.method, a.bci).cmp(&(&b.method, b.bci)));
-    Ok(DecisionProfile { entries, ..Default::default() })
-}
-
-fn parse_v1(s: &str) -> Result<DecisionProfile, ProfileParseError> {
-    let mut profile = DecisionProfile::default();
-    let mut declared_entries: Option<usize> = None;
-    let mut saw_version = false;
-    let mut last_line = 0usize;
-    for (i, raw) in s.lines().enumerate() {
-        last_line = i + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |reason: String| ProfileParseError { line: i + 1, reason };
-        if !saw_version {
-            // First significant line is the version (checked by the caller).
-            saw_version = true;
-            continue;
-        }
-        let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
-        match keyword {
-            "fingerprint" => {
-                let fp = u64::from_str_radix(rest.trim(), 16)
-                    .map_err(|_| err("fingerprint is not a hex number".into()))?;
-                profile.fingerprint = Some(fp);
-            }
-            "epochs" => {
-                profile.epochs =
-                    rest.trim().parse().map_err(|_| err("epochs is not a number".into()))?;
-            }
-            "geometry" => {
-                let mut it = rest.split_whitespace();
-                let parse_rows = |v: Option<&str>| {
-                    v.and_then(|v| v.parse::<usize>().ok())
-                        .ok_or_else(|| err("geometry needs two row counts".into()))
-                };
-                let site_rows = parse_rows(it.next())?;
-                let tss_rows = parse_rows(it.next())?;
-                profile.geometry = Some((site_rows, tss_rows));
-            }
-            "entries" => {
-                declared_entries =
-                    Some(rest.trim().parse().map_err(|_| err("entries is not a number".into()))?);
-            }
-            "decision" => {
-                let mut it = rest.split_whitespace();
-                let loc = it.next().ok_or_else(|| err("missing location".into()))?;
-                let gen = it.next().ok_or_else(|| err("missing generation".into()))?;
-                let conf = it.next().ok_or_else(|| err("missing confidence".into()))?;
-                if it.next().is_some() {
-                    return Err(err("trailing fields after confidence".into()));
-                }
-                let (method, bci) =
-                    loc.rsplit_once('@').ok_or_else(|| err("missing @bci".into()))?;
-                let bci: u32 = bci.parse().map_err(|_| err("bci is not a number".into()))?;
-                let generation: u8 =
-                    gen.parse().map_err(|_| err("generation is not a number".into()))?;
-                if generation > 15 {
-                    return Err(err("generation out of range (0..=15)".into()));
-                }
-                let confidence: u8 =
-                    conf.parse().map_err(|_| err("confidence is not a number".into()))?;
-                if confidence > 100 {
-                    return Err(err("confidence out of range (0..=100)".into()));
-                }
-                if method.is_empty() {
-                    return Err(err("empty method name".into()));
-                }
-                profile.entries.push(ProfileEntry {
-                    method: method.to_string(),
-                    bci,
-                    generation,
-                    confidence,
-                });
-            }
-            "callsite" => {
-                let (caller, callee) =
-                    rest.rsplit_once("->").ok_or_else(|| err("missing ->callee".into()))?;
-                if caller.is_empty() || callee.is_empty() {
-                    return Err(err("empty caller or callee".into()));
-                }
-                profile.call_sites.push(CallSiteEntry {
-                    caller: caller.to_string(),
-                    callee: (callee != "?").then(|| callee.to_string()),
-                });
-            }
-            other => {
-                return Err(err(format!("unknown profile keyword `{other}`")));
-            }
-        }
-    }
-    if let Some(declared) = declared_entries {
-        if profile.entries.len() != declared {
-            return Err(ProfileParseError {
-                line: last_line,
-                reason: format!(
-                    "truncated profile: header declares {declared} decision(s), found {}",
-                    profile.entries.len()
-                ),
-            });
-        }
-    }
-    profile.entries.sort_by(|a, b| (&a.method, a.bci).cmp(&(&b.method, b.bci)));
-    profile.call_sites.sort();
-    Ok(profile)
-}
-
 impl FromStr for DecisionProfile {
     type Err = ProfileParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        // Dispatch on the first significant line: a version header selects
-        // the v1 parser, an unknown `rolp-profile-*` version is rejected,
-        // anything else falls back to the legacy headerless format.
+        let mut profile = DecisionProfile::default();
+        let mut declared_entries: Option<usize> = None;
+        let mut saw_version = false;
+        let mut last_line = 0usize;
         for (i, raw) in s.lines().enumerate() {
+            last_line = i + 1;
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            if line == PROFILE_FORMAT_V1 {
-                return parse_v1(s);
+            let err = |reason: String| ProfileParseError { line: i + 1, reason };
+            if !saw_version {
+                // The first significant line must be the version header.
+                if line != PROFILE_FORMAT_V1 {
+                    return Err(err(if line.starts_with("rolp-profile-") {
+                        format!("unsupported profile version `{line}` (this build reads {PROFILE_FORMAT_V1})")
+                    } else {
+                        format!("missing `{PROFILE_FORMAT_V1}` header")
+                    }));
+                }
+                saw_version = true;
+                continue;
             }
-            if line.starts_with("rolp-profile-") {
+            let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
+            match keyword {
+                "fingerprint" => {
+                    let fp = u64::from_str_radix(rest.trim(), 16)
+                        .map_err(|_| err("fingerprint is not a hex number".into()))?;
+                    profile.fingerprint = Some(fp);
+                }
+                "epochs" => {
+                    profile.epochs =
+                        rest.trim().parse().map_err(|_| err("epochs is not a number".into()))?;
+                }
+                "geometry" => {
+                    let mut it = rest.split_whitespace();
+                    let parse_rows = |v: Option<&str>| {
+                        v.and_then(|v| v.parse::<usize>().ok())
+                            .ok_or_else(|| err("geometry needs two row counts".into()))
+                    };
+                    let site_rows = parse_rows(it.next())?;
+                    let tss_rows = parse_rows(it.next())?;
+                    profile.geometry = Some((site_rows, tss_rows));
+                }
+                "entries" => {
+                    declared_entries = Some(
+                        rest.trim().parse().map_err(|_| err("entries is not a number".into()))?,
+                    );
+                }
+                "decision" => {
+                    let mut it = rest.split_whitespace();
+                    let loc = it.next().ok_or_else(|| err("missing location".into()))?;
+                    let gen = it.next().ok_or_else(|| err("missing generation".into()))?;
+                    let conf = it.next().ok_or_else(|| err("missing confidence".into()))?;
+                    if it.next().is_some() {
+                        return Err(err("trailing fields after confidence".into()));
+                    }
+                    let (method, bci) =
+                        loc.rsplit_once('@').ok_or_else(|| err("missing @bci".into()))?;
+                    let bci: u32 = bci.parse().map_err(|_| err("bci is not a number".into()))?;
+                    let generation: u8 =
+                        gen.parse().map_err(|_| err("generation is not a number".into()))?;
+                    if generation > 15 {
+                        return Err(err("generation out of range (0..=15)".into()));
+                    }
+                    let confidence: u8 =
+                        conf.parse().map_err(|_| err("confidence is not a number".into()))?;
+                    if confidence > 100 {
+                        return Err(err("confidence out of range (0..=100)".into()));
+                    }
+                    if method.is_empty() {
+                        return Err(err("empty method name".into()));
+                    }
+                    profile.entries.push(ProfileEntry {
+                        method: method.to_string(),
+                        bci,
+                        generation,
+                        confidence,
+                    });
+                }
+                "callsite" => {
+                    let (caller, callee) =
+                        rest.rsplit_once("->").ok_or_else(|| err("missing ->callee".into()))?;
+                    if caller.is_empty() || callee.is_empty() {
+                        return Err(err("empty caller or callee".into()));
+                    }
+                    profile.call_sites.push(CallSiteEntry {
+                        caller: caller.to_string(),
+                        callee: (callee != "?").then(|| callee.to_string()),
+                    });
+                }
+                other => {
+                    return Err(err(format!("unknown profile keyword `{other}`")));
+                }
+            }
+        }
+        if !saw_version {
+            return Err(ProfileParseError {
+                line: last_line.max(1),
+                reason: format!("empty profile: missing `{PROFILE_FORMAT_V1}` header"),
+            });
+        }
+        if let Some(declared) = declared_entries {
+            if profile.entries.len() != declared {
                 return Err(ProfileParseError {
-                    line: i + 1,
+                    line: last_line,
                     reason: format!(
-                        "unsupported profile version `{line}` (this build reads {PROFILE_FORMAT_V1})"
+                        "truncated profile: header declares {declared} decision(s), found {}",
+                        profile.entries.len()
                     ),
                 });
             }
-            break;
         }
-        parse_legacy(s)
+        profile.entries.sort_by(|a, b| (&a.method, a.bci).cmp(&(&b.method, b.bci)));
+        profile.call_sites.sort();
+        Ok(profile)
     }
 }
 
@@ -569,22 +535,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_headerless_profiles_still_parse() {
-        let text = "# comment\n\n a.B::c@3 7 \n";
-        let p: DecisionProfile = text.parse().expect("parses");
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.entries[0].generation, 7);
-        assert_eq!(p.entries[0].confidence, DEFAULT_CONFIDENCE);
-        assert_eq!(p.fingerprint, None, "legacy profiles carry no fingerprint");
+    fn headerless_profiles_are_rejected_at_line_1() {
+        let err = "a.B::c@3 7\n".parse::<DecisionProfile>().expect_err("no header");
+        assert_eq!(err.line, 1);
+        assert!(err.reason.contains("missing `rolp-profile-v1` header"), "{err}");
+        // Comments and blank lines before the first significant line are
+        // skipped; the error names the line that should have been the header.
+        let err = "# comment\n\n a.B::c@3 7 \n".parse::<DecisionProfile>().expect_err("no header");
+        assert_eq!(err.line, 3);
+        let err = "".parse::<DecisionProfile>().expect_err("empty");
+        assert_eq!(err.line, 1);
     }
 
     #[test]
     fn parser_reports_line_numbers() {
-        let text = "a.B::c@3 7\nbroken line\n";
+        let text = "rolp-profile-v1\ndecision a.B::c@3 7 100\nbroken line\n";
         let err = text.parse::<DecisionProfile>().expect_err("must fail");
-        assert_eq!(err.line, 2);
-        let text2 = "a.B::c@3 99\n";
+        assert_eq!(err.line, 3);
+        let text2 = "rolp-profile-v1\ndecision a.B::c@3 99 100\n";
         let err2 = text2.parse::<DecisionProfile>().expect_err("must fail");
+        assert_eq!(err2.line, 2);
         assert!(err2.reason.contains("out of range"));
     }
 

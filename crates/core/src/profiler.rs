@@ -195,15 +195,15 @@ pub struct RolpStats {
 
 /// The OLD table a runtime-assembled profiler runs on, at every guest
 /// thread count. Kept only because `rolpbench/src/trace.rs` names
-/// `RolpProfiler<TableBackend>`; it goes with the rolpbench update in
-/// ROADMAP item 6.
+/// `RolpProfiler<TableBackend>`; it goes with the rolpbench update
+/// planned under ROADMAP's "Two clocks" item.
 pub type TableBackend = OldTable;
 
 /// The runtime object lifetime profiler (see the module-level pipeline
 /// description). It always profiles into an [`OldTable`]. The unbounded
 /// `T` is kept only because `rolpbench/src/trace.rs` names
-/// `RolpProfiler<TableBackend>`; it goes with the rolpbench update in
-/// ROADMAP item 6.
+/// `RolpProfiler<TableBackend>`; it goes with the rolpbench update
+/// planned under ROADMAP's "Two clocks" item.
 pub struct RolpProfiler<T = OldTable> {
     config: RolpConfig,
     /// The global OLD table.

@@ -122,7 +122,7 @@ pub fn render_summary(profiler: &RolpProfiler, program: &Program, jit: &JitState
     }
     if let Some(v) = stats.profile_import {
         let fp = if !v.fingerprint_checked {
-            "no fingerprint (legacy profile)"
+            "no fingerprint"
         } else if v.fingerprint_matched {
             "fingerprint matched"
         } else {
@@ -315,7 +315,7 @@ mod tests {
         // survive until inference would set them — here we inject via the
         // offline path instead, which is public.
         let profile: crate::offline::DecisionProfile =
-            "pkg.Maker::make@4 7\n".parse().expect("parses");
+            "rolp-profile-v1\ndecision pkg.Maker::make@4 7 100\n".parse().expect("parses");
         let cfg = RolpConfig { offline_profile: Some(profile), ..Default::default() };
         let mut p2 = RolpProfiler::new(cfg);
         let mut jit2 = JitState::new(&program, JitConfig::default());

@@ -96,9 +96,6 @@ pub struct RuntimeConfig {
     /// the bump-pointer fast path entirely (every allocation takes the
     /// collector slow path — the differential suite's reference arm).
     pub tlab_bytes: usize,
-    /// Route decision reads through the per-thread micro-cache (on by
-    /// default; see [`rolp_vm::DecisionCache`]).
-    pub microcache: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -116,7 +113,6 @@ impl Default for RuntimeConfig {
             side_table_scale: 1,
             trace_enabled: false,
             tlab_bytes: rolp_heap::DEFAULT_TLAB_BYTES,
-            microcache: true,
         }
     }
 }
@@ -187,7 +183,6 @@ impl JvmRuntime {
         let mut env =
             VmEnv::new(heap, config.cost.clone(), program, config.jit.clone(), config.threads);
         env.heap.set_tlab_bytes(config.tlab_bytes);
-        env.microcache_enabled = config.microcache;
         if config.trace_enabled {
             env.trace = rolp_trace::TraceRecorder::enabled(config.threads);
             env.jit.set_toggle_logging(true);
@@ -301,9 +296,8 @@ impl JvmRuntime {
     /// snapshot).
     pub fn report(&mut self) -> RunReport {
         // End-of-run safepoint for the allocation fast path: retire every
-        // TLAB (frontiers exact before the final memory sample) and drain
-        // the micro-cache counters.
-        self.vm.env.safepoint_flush_alloc_path();
+        // TLAB so frontiers are exact before the final memory sample.
+        self.vm.env.heap.retire_all_tlabs();
         self.sample_side_tables();
         self.vm.env.sample_memory();
         let telemetry = self.publish_metrics();

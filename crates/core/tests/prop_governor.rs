@@ -151,10 +151,10 @@ fn run_workload_n(config: rolp::runtime::RuntimeConfig, iters: u64) -> rolp::run
 /// Guarantee 2: a governor started (and so pinned) in `Off` is
 /// indistinguishable from a profiler whose filters match
 /// nothing — identical clock, pauses, heap watermarks, and throughput.
-/// Checked in both allocation modes: the TLAB + micro-cache fast path
-/// (the default) and the shared slow path, since governor `Off` patches
-/// out profiling but must leave the allocation machinery untouched.
-fn assert_governor_off_is_disabled_profiler(tlab_bytes: usize, microcache: bool) {
+/// Checked in both allocation modes: the TLAB fast path (the default)
+/// and the shared slow path, since governor `Off` patches out profiling
+/// but must leave the allocation machinery untouched.
+fn assert_governor_off_is_disabled_profiler(tlab_bytes: usize) {
     use rolp::runtime::{CollectorKind, RuntimeConfig};
     use rolp::PackageFilters;
 
@@ -162,7 +162,6 @@ fn assert_governor_off_is_disabled_profiler(tlab_bytes: usize, microcache: bool)
         collector: CollectorKind::RolpNg2c,
         heap: rolp_heap::HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 },
         tlab_bytes,
-        microcache,
         ..Default::default()
     };
 
@@ -193,12 +192,12 @@ fn assert_governor_off_is_disabled_profiler(tlab_bytes: usize, microcache: bool)
 #[test]
 fn governor_off_is_bit_for_bit_the_disabled_profiler() {
     // Fast path on (the default configuration).
-    assert_governor_off_is_disabled_profiler(rolp_heap::DEFAULT_TLAB_BYTES, true);
+    assert_governor_off_is_disabled_profiler(rolp_heap::DEFAULT_TLAB_BYTES);
 }
 
 #[test]
 fn governor_off_is_bit_for_bit_the_disabled_profiler_without_fast_path() {
-    assert_governor_off_is_disabled_profiler(0, false);
+    assert_governor_off_is_disabled_profiler(0);
 }
 
 /// Canned fault plans with the allocation fast path enabled: turning
@@ -216,7 +215,6 @@ fn canned_fault_plans_survive_with_tlabs_enabled() {
             ..Default::default()
         };
         assert!(cfg.tlab_bytes > 0, "fast path must be on by default");
-        assert!(cfg.microcache);
         cfg.rolp.fault_plan = Some(FaultPlan::parse(plan).expect("canned plan"));
         cfg.rolp.governor = Some(GovernorConfig::default());
 

@@ -101,7 +101,7 @@ impl CmsCollector {
     }
 
     fn collect_young(&mut self, env: &mut VmEnv) -> bool {
-        env.safepoint_flush_alloc_path();
+        env.heap.retire_all_tlabs();
         let mut cset: Vec<RegionId> = env.heap.regions_of_kind(RegionKind::Eden);
         cset.extend(env.heap.regions_of_kind(RegionKind::Survivor));
 
@@ -158,7 +158,7 @@ impl CmsCollector {
     /// two short pauses; sweeping releases only fully dead old regions —
     /// no compaction, so fragmentation stays.
     fn concurrent_cycle(&mut self, env: &mut VmEnv) {
-        env.safepoint_flush_alloc_path();
+        env.heap.retire_all_tlabs();
         // Initial mark pause.
         let t0 = env.clock.now();
         let initial = SimTime::from_nanos(env.cost.safepoint_ns);
@@ -214,7 +214,7 @@ impl CmsCollector {
     }
 
     fn full_collect(&mut self, env: &mut VmEnv) {
-        env.safepoint_flush_alloc_path();
+        env.heap.retire_all_tlabs();
         let hooks = Rc::clone(&self.hooks);
         let mut hooks_ref = hooks.borrow_mut();
         let before = env.pauses.count();

@@ -92,7 +92,7 @@ impl ConcurrentCollector {
     }
 
     fn cycle(&mut self, env: &mut VmEnv) {
-        env.safepoint_flush_alloc_path();
+        env.heap.retire_all_tlabs();
         let mark = mark_liveness(&mut env.heap);
         // Concurrent marking steals mutator cycles.
         let mark_ns = env.cost.copy_ns(mark.live_bytes) / 2;
@@ -225,7 +225,7 @@ impl CollectorApi for ConcurrentCollector {
                     }
                     1 => {
                         env.trace.set_gc_cause("heap-full");
-                        env.safepoint_flush_alloc_path();
+                        env.heap.retire_all_tlabs();
                         let hooks = Rc::clone(&self.hooks);
                         let mut hooks_ref = hooks.borrow_mut();
                         crate::evac::full_compact(env, &mut *hooks_ref);

@@ -545,7 +545,7 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
     // A full compaction is a stop-the-world safepoint in its own right:
     // retire allocation buffers so every region is parsable, even when
     // called directly rather than through a collector's pause entry.
-    env.safepoint_flush_alloc_path();
+    env.heap.retire_all_tlabs();
 
     // Phase 0: a failed evacuation may have left forwarding pointers.
     resolve_all_forwarding(&mut env.heap);

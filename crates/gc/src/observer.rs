@@ -60,11 +60,11 @@ pub trait GcHooks {
     /// was copied out of. `worker` is always 0: the collector runs on the
     /// runtime's one OS thread. The parameter is kept only because
     /// `rolpbench/src/trace.rs` forwards it; it goes with the rolpbench
-    /// update in ROADMAP item 6. Note that, as in HotSpot, only
-    /// young-generation copies advance an object's age — once promoted or
-    /// pretenured, an object's recorded age freezes, which is why the
-    /// paper corrects shrinking lifetimes through fragmentation (§6)
-    /// rather than through age data.
+    /// update planned under ROADMAP's "Two clocks" item. Note that, as in
+    /// HotSpot, only young-generation copies advance an object's age —
+    /// once promoted or pretenured, an object's recorded age freezes,
+    /// which is why the paper corrects shrinking lifetimes through
+    /// fragmentation (§6) rather than through age data.
     fn on_survivor(&mut self, _header: ObjectHeader, _from: RegionKind, _worker: u32) {}
 
     /// A GC cycle finished; the world is still stopped.

@@ -202,7 +202,7 @@ impl RegionalCollector {
     /// to mutator time, plus a short remark pause — matching G1's
     /// concurrent cycle shape.
     fn run_marking(&mut self, env: &mut VmEnv) {
-        env.safepoint_flush_alloc_path();
+        env.heap.retire_all_tlabs();
         let mark = mark_liveness(&mut env.heap);
         self.hooks.borrow_mut().on_liveness(&mark.context_live);
         // Tracing is roughly bandwidth-bound like copying, but runs
@@ -267,7 +267,7 @@ impl RegionalCollector {
     /// Runs one young or mixed collection. Returns true on success; false
     /// means evacuation failed and a full compaction was performed.
     fn collect(&mut self, env: &mut VmEnv) -> bool {
-        env.safepoint_flush_alloc_path();
+        env.heap.retire_all_tlabs();
         let mut cset: Vec<RegionId> = env.heap.regions_of_kind(RegionKind::Eden);
         cset.extend(env.heap.regions_of_kind(RegionKind::Survivor));
 
@@ -343,7 +343,7 @@ impl RegionalCollector {
     }
 
     fn full_collect(&mut self, env: &mut VmEnv) {
-        env.safepoint_flush_alloc_path();
+        env.heap.retire_all_tlabs();
         let hooks = Rc::clone(&self.hooks);
         let mut hooks_ref = hooks.borrow_mut();
         let start_pauses = env.pauses.count();

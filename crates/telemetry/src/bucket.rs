@@ -141,12 +141,12 @@ pub enum CounterId {
     /// TLAB refills (chunk carves from region frontiers) on the
     /// allocation fast path.
     TlabRefills,
-    /// Decision micro-cache hits (repeat-site allocations that skipped
-    /// the decision-table load). Flushed from per-thread caches at
-    /// safepoints.
+    /// Retired: counted hits of the per-thread decision micro-cache,
+    /// which no longer exists. Never bumped (always 0); kept only
+    /// because the `rolpbench/` harness still reads it.
     MicrocacheHits,
-    /// Decision micro-cache misses (first-touch or version-invalidated
-    /// lookups that fell back to the table load).
+    /// Retired with [`CounterId::MicrocacheHits`]: never bumped, kept
+    /// only for `rolpbench`.
     MicrocacheMisses,
 }
 

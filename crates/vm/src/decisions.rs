@@ -14,14 +14,16 @@
 //!
 //! 1. The profiler builds a fresh `DecisionTable` from its working
 //!    estimates at a safepoint.
-//! 2. [`DecisionStore::publish`] replaces the current table and bumps the
-//!    store's version. The previous table is freed as soon as its last
-//!    holder lets go; nothing keeps a history.
-//! 3. [`DecisionStore::load`] hands out an [`Rc`] to the current table.
-//!    A holder keeps reading its consistent old version across a
-//!    publish; the next load observes the new one.
+//! 2. [`DecisionStore::publish`] replaces the current table, and with it
+//!    the store's version. The previous table is freed as soon as its
+//!    last holder lets go; nothing keeps a history.
+//! 3. The allocation fast path reads the current table in place with
+//!    [`DecisionStore::advise_for_alloc`], so a publish is visible to the
+//!    very next allocation. [`DecisionStore::load`] hands out an [`Rc`]
+//!    for longer-lived readers: a holder keeps reading its consistent
+//!    old version across a publish; the next load observes the new one.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -174,15 +176,28 @@ impl DecisionTable {
         table
     }
 
-    /// Resolves a pretenuring decision for an allocation context: one
-    /// bounds-checked index into the site array; conflicted (expanded)
-    /// sites — rare by construction — take one more into their block.
+    /// The encoded slot byte for `context` (`NO_DECISION` when the table
+    /// holds nothing for it): one bounds-checked index into the site
+    /// array; conflicted (expanded) sites — rare by construction — take
+    /// one more into their block. `advise`, `advise_for_alloc` and
+    /// `is_canary` all read through here.
     #[inline]
-    pub fn advise(&self, context: u32) -> Option<u8> {
+    fn slot(&self, context: u32) -> u8 {
         let site = ((context >> 16) as u16) & self.site_mask;
         match self.site_slots[site as usize] {
+            EXPANDED => match self.expanded.get(&site) {
+                Some(block) => block[((context & 0xFFFF) as u16 & self.tss_mask) as usize],
+                None => NO_DECISION,
+            },
+            encoded => encoded,
+        }
+    }
+
+    /// Resolves a pretenuring decision for an allocation context.
+    #[inline]
+    pub fn advise(&self, context: u32) -> Option<u8> {
+        match self.slot(context) {
             NO_DECISION => None,
-            EXPANDED => self.advise_expanded(site, context),
             encoded => Some((encoded & !CANARY_FLAG) - 1),
         }
     }
@@ -196,63 +211,17 @@ impl DecisionTable {
     /// imported prior by.
     #[inline]
     pub fn advise_for_alloc(&self, context: u32, tick: u32) -> Option<u8> {
-        Self::decode_slot(self.resolve_slot(context), tick)
-    }
-
-    /// The raw encoded slot byte for `context` (`0` when the table holds
-    /// nothing for it) — the context-dependent, cacheable
-    /// half of [`advise_for_alloc`](Self::advise_for_alloc). The byte is
-    /// what a [`DecisionCache`] stores, so canary rows keep their flag
-    /// and sample per allocation even when served from the cache.
-    #[inline]
-    pub fn resolve_slot(&self, context: u32) -> u8 {
-        let site = ((context >> 16) as u16) & self.site_mask;
-        match self.site_slots[site as usize] {
-            EXPANDED => match self.expanded.get(&site) {
-                Some(block) => block[((context & 0xFFFF) as u16 & self.tss_mask) as usize],
-                None => NO_DECISION,
-            },
-            e => e,
+        match self.slot(context) {
+            NO_DECISION => None,
+            encoded if encoded & CANARY_FLAG != 0 && tick.is_multiple_of(CANARY_STRIDE) => None,
+            encoded => Some((encoded & !CANARY_FLAG) - 1),
         }
-    }
-
-    /// Decodes an encoded slot byte against the allocation's
-    /// identity-hash draw `tick` — the per-allocation half of
-    /// [`advise_for_alloc`](Self::advise_for_alloc), shared by the direct
-    /// and micro-cached paths so both sample canaries bit-identically.
-    #[inline]
-    pub fn decode_slot(encoded: u8, tick: u32) -> Option<u8> {
-        if encoded == NO_DECISION {
-            return None;
-        }
-        if encoded & CANARY_FLAG != 0 && tick.is_multiple_of(CANARY_STRIDE) {
-            return None;
-        }
-        Some((encoded & !CANARY_FLAG) - 1)
     }
 
     /// True when the context resolves to a canary-flagged (imported)
     /// row.
     pub fn is_canary(&self, context: u32) -> bool {
-        let site = ((context >> 16) as u16) & self.site_mask;
-        let encoded = match self.site_slots[site as usize] {
-            NO_DECISION => return false,
-            EXPANDED => {
-                let Some(block) = self.expanded.get(&site) else { return false };
-                block[((context & 0xFFFF) as u16 & self.tss_mask) as usize]
-            }
-            e => e,
-        };
-        encoded != NO_DECISION && encoded & CANARY_FLAG != 0
-    }
-
-    #[cold]
-    fn advise_expanded(&self, site: u16, context: u32) -> Option<u8> {
-        let block = self.expanded.get(&site)?;
-        match block[((context & 0xFFFF) as u16 & self.tss_mask) as usize] {
-            NO_DECISION => None,
-            encoded => Some((encoded & !CANARY_FLAG) - 1),
-        }
+        self.slot(context) & CANARY_FLAG != 0
     }
 
     /// The snapshot's version (0 = the initial empty table).
@@ -318,11 +287,10 @@ impl DecisionTable {
 /// The publication point for [`DecisionTable`] snapshots.
 ///
 /// `load` hands out the current table; `publish` (safepoint-side, once
-/// per inference epoch) replaces it. The version is kept beside the
-/// table so [`DecisionCache`] validates an entry without touching it.
+/// per inference epoch) replaces it; the allocation fast path reads it in
+/// place with [`advise_for_alloc`](Self::advise_for_alloc).
 pub struct DecisionStore {
     current: RefCell<Rc<DecisionTable>>,
-    version: Cell<u64>,
 }
 
 impl DecisionStore {
@@ -333,7 +301,7 @@ impl DecisionStore {
 
     /// A store seeded with a specific initial table (scaled geometries).
     pub fn with_initial(table: DecisionTable) -> Self {
-        DecisionStore { version: Cell::new(table.version()), current: RefCell::new(Rc::new(table)) }
+        DecisionStore { current: RefCell::new(Rc::new(table)) }
     }
 
     /// The current snapshot. A holder may keep it across publishes and
@@ -343,19 +311,25 @@ impl DecisionStore {
         Rc::clone(&self.current.borrow())
     }
 
+    /// [`DecisionTable::advise_for_alloc`] on the current snapshot,
+    /// read under a borrow: the allocation fast path's one decision read,
+    /// with no reference-count traffic.
+    #[inline]
+    pub fn advise_for_alloc(&self, context: u32, tick: u32) -> Option<u8> {
+        self.current.borrow().advise_for_alloc(context, tick)
+    }
+
     /// Publishes `table` as the new current snapshot (safepoint-side).
     /// Returns its version.
     pub fn publish(&self, table: DecisionTable) -> u64 {
         let version = table.version();
         *self.current.borrow_mut() = Rc::new(table);
-        self.version.set(version);
         version
     }
 
     /// The current snapshot's version.
-    #[inline]
     pub fn version(&self) -> u64 {
-        self.version.get()
+        self.current.borrow().version()
     }
 }
 
@@ -371,93 +345,6 @@ impl fmt::Debug for DecisionStore {
             .field("version", &self.version())
             .field("decisions", &self.load().len())
             .finish()
-    }
-}
-
-/// Slots in a [`DecisionCache`] (direct-mapped, power of two).
-const MICRO_CACHE_SLOTS: usize = 64;
-
-#[derive(Debug, Clone, Copy)]
-struct CacheEntry {
-    context: u32,
-    /// Version of the table the byte was resolved from. Initialized to
-    /// `u64::MAX`, which no published table ever carries, so empty slots
-    /// can never validate.
-    version: u64,
-    encoded: u8,
-}
-
-/// A per-thread decision micro-cache: the repeat-site allocation fast
-/// path. A hit costs one read of the store's version and one private
-/// array index — it skips the table dereference and the
-/// site/expanded-block walk entirely. An entry is valid only while its
-/// version equals the store's, so a snapshot publish invalidates the
-/// whole cache implicitly without the publisher knowing any thread's
-/// cache exists.
-///
-/// The cached byte is the *encoded* slot ([`DecisionTable::resolve_slot`]);
-/// decoding (canary sampling included) runs per allocation through the
-/// same [`DecisionTable::decode_slot`] as the uncached path, which is
-/// what makes hit and miss answers bit-identical for the same
-/// `(table, context, tick)`.
-#[derive(Debug, Clone)]
-pub struct DecisionCache {
-    entries: [CacheEntry; MICRO_CACHE_SLOTS],
-    hits: u64,
-    misses: u64,
-}
-
-impl DecisionCache {
-    /// An empty cache (every slot invalid).
-    pub fn new() -> Self {
-        DecisionCache {
-            entries: [CacheEntry { context: 0, version: u64::MAX, encoded: 0 }; MICRO_CACHE_SLOTS],
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    #[inline]
-    fn slot_of(context: u32) -> usize {
-        // Fold the site id onto the stack state so neither alone decides
-        // the slot (hot sites differ in their high half, hot stacks in
-        // their low half).
-        ((context >> 16) ^ context) as usize & (MICRO_CACHE_SLOTS - 1)
-    }
-
-    /// [`DecisionTable::advise_for_alloc`] through the cache: identical
-    /// answers, and a hit never touches the table.
-    #[inline]
-    pub fn advise_for_alloc(
-        &mut self,
-        store: &DecisionStore,
-        context: u32,
-        tick: u32,
-    ) -> Option<u8> {
-        let version = store.version();
-        let entry = &mut self.entries[Self::slot_of(context)];
-        if entry.context == context && entry.version == version {
-            self.hits += 1;
-            return DecisionTable::decode_slot(entry.encoded, tick);
-        }
-        self.misses += 1;
-        let encoded = store.current.borrow().resolve_slot(context);
-        *entry = CacheEntry { context, version, encoded };
-        DecisionTable::decode_slot(encoded, tick)
-    }
-
-    /// Drains the hit/miss counters (flushed to telemetry at safepoints).
-    pub fn take_counters(&mut self) -> (u64, u64) {
-        let c = (self.hits, self.misses);
-        self.hits = 0;
-        self.misses = 0;
-        c
-    }
-}
-
-impl Default for DecisionCache {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -584,68 +471,33 @@ mod tests {
     }
 
     #[test]
-    fn resolve_and_decode_compose_to_advise_for_alloc() {
-        let prev = DecisionTable::empty_with_geometry(64, 16);
-        let t = DecisionTable::next_from_blended(
-            &prev,
+    fn store_reads_match_the_current_snapshot() {
+        let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(64, 16));
+        let contexts = [5 << 16, (5 << 16) | 1, (7 << 16) | 2, (7 << 16) | 3, 6 << 16];
+        let ticks = [0, 1, CANARY_STRIDE - 1, CANARY_STRIDE, 12345];
+        for context in contexts {
+            assert_eq!(store.advise_for_alloc(context, 1), None, "empty store advises nothing");
+        }
+        let v1 = DecisionTable::next_from_blended(
+            &store.load(),
             &rows(&[(5 << 16, 3), ((7 << 16) | 2, 9)]),
             [7u16],
             |key| key == 5 << 16,
         );
-        for context in [5 << 16, (5 << 16) | 1, (7 << 16) | 2, (7 << 16) | 3, 6 << 16] {
-            for tick in [0, 1, CANARY_STRIDE - 1, CANARY_STRIDE, 12345] {
-                assert_eq!(
-                    DecisionTable::decode_slot(t.resolve_slot(context), tick),
-                    t.advise_for_alloc(context, tick),
-                    "context {context:#x} tick {tick}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn micro_cache_answers_match_the_direct_path() {
-        let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(64, 16));
-        let v1 = DecisionTable::next_from_blended(
-            &store.load(),
-            &rows(&[(5 << 16, 3), (9 << 16, 1)]),
-            [],
-            |key| key == 5 << 16,
-        );
         store.publish(v1);
-        let mut cache = DecisionCache::new();
-        // Repeat sites: first read misses, repeats hit, answers identical
-        // — including canary ticks served from the cache.
-        for tick in 0..200u32 {
-            for context in [5 << 16, 9 << 16, 3 << 16] {
+        // A publish is visible to the very next read, canary ticks included.
+        for context in contexts {
+            for tick in ticks {
                 assert_eq!(
-                    cache.advise_for_alloc(&store, context, tick),
+                    store.advise_for_alloc(context, tick),
                     store.load().advise_for_alloc(context, tick),
                     "context {context:#x} tick {tick}"
                 );
             }
         }
-        let (hits, misses) = cache.take_counters();
-        assert_eq!(hits + misses, 600);
-        assert_eq!(misses, 3, "one compulsory miss per distinct context");
-        assert_eq!(cache.take_counters(), (0, 0), "counters drained");
-    }
-
-    #[test]
-    fn publish_invalidates_micro_cache_entries() {
-        let store = DecisionStore::with_initial(DecisionTable::empty_with_geometry(64, 16));
-        let mut cache = DecisionCache::new();
-        let context = 4 << 16;
-        assert_eq!(cache.advise_for_alloc(&store, context, 1), None);
-        let v1 = DecisionTable::next_from(&store.load(), &rows(&[(context, 11)]), []);
-        store.publish(v1);
-        // The stale entry must not answer: the store version moved.
-        assert_eq!(cache.advise_for_alloc(&store, context, 1), Some(11));
-        let (hits, misses) = cache.take_counters();
-        assert_eq!((hits, misses), (0, 2), "both reads crossed a version");
-        // And after the reload the new version is served from the cache.
-        assert_eq!(cache.advise_for_alloc(&store, context, 1), Some(11));
-        assert_eq!(cache.take_counters(), (1, 0));
+        assert_eq!(store.advise_for_alloc(5 << 16, 1), Some(3));
+        assert_eq!(store.advise_for_alloc(5 << 16, 0), None, "canary stride tick goes young");
+        assert_eq!(store.advise_for_alloc((7 << 16) | 2, 0), Some(9));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use rolp_heap::Heap;
 use rolp_metrics::{MemoryTracker, PauseRecorder, SimClock, Throughput};
-use rolp_telemetry::{CounterId, GaugeId, Telemetry};
+use rolp_telemetry::{GaugeId, Telemetry};
 use rolp_trace::{EventKind, TraceRecorder};
 
 use crate::cost::CostModel;
@@ -53,11 +53,6 @@ pub struct VmEnv {
     /// single index into the current [`crate::DecisionTable`] snapshot
     /// (no profiler borrow, no hash lookup).
     pub decisions: Option<Rc<DecisionStore>>,
-    /// Routes decision reads through each thread's
-    /// [`crate::DecisionCache`] (on by default). Off, every profiled
-    /// allocation loads the table — the reference path the differential
-    /// suite compares the cached path against.
-    pub microcache_enabled: bool,
 }
 
 impl VmEnv {
@@ -85,28 +80,6 @@ impl VmEnv {
             trace: TraceRecorder::disabled(),
             telemetry: Telemetry::new(),
             decisions: None,
-            microcache_enabled: true,
-        }
-    }
-
-    /// Safepoint entry for the allocation fast path: retires every TLAB
-    /// (regions become parsable, frontiers exact) and drains the
-    /// per-thread micro-cache counters into telemetry. Collectors call
-    /// this at the start of every pause; the runtime calls it once more
-    /// at end of run.
-    pub fn safepoint_flush_alloc_path(&mut self) {
-        self.heap.retire_all_tlabs();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for t in &mut self.threads {
-            let (h, m) = t.decision_cache.take_counters();
-            hits += h;
-            misses += m;
-        }
-        if hits > 0 {
-            self.telemetry.bump(CounterId::MicrocacheHits, hits);
-        }
-        if misses > 0 {
-            self.telemetry.bump(CounterId::MicrocacheMisses, misses);
         }
     }
 

@@ -24,7 +24,7 @@ pub mod program;
 pub mod thread;
 
 pub use cost::CostModel;
-pub use decisions::{DecisionCache, DecisionStore, DecisionTable, CANARY_STRIDE};
+pub use decisions::{DecisionStore, DecisionTable, CANARY_STRIDE};
 pub use env::VmEnv;
 pub use jit::{JitConfig, JitEvent, JitState};
 pub use mutator::{AllocRequest, CollectorApi, GuestException, MutatorCtx, Vm};

@@ -492,24 +492,12 @@ impl MutatorCtx<'_> {
             }
         }
 
-        // Pretenuring fast path. With the micro-cache on (the default), a
-        // repeat site costs one read of the store's version plus a
-        // private array index; a miss — first touch or a fresh snapshot
-        // — falls back to the reference path: one bounds-checked index
-        // into the current table, never a profiler borrow. The identity-hash draw doubles as the
-        // canary-sampling tick for imported-profile rows (deterministic,
-        // uniform, and identical on both paths).
-        let VmEnv { decisions, threads, microcache_enabled, .. } = &mut self.vm.env;
-        let advised_gen = match (context, decisions.as_deref()) {
-            (Some(ctx), Some(store)) => {
-                if *microcache_enabled {
-                    threads[self.thread.0 as usize]
-                        .decision_cache
-                        .advise_for_alloc(store, ctx, hash)
-                } else {
-                    store.load().advise_for_alloc(ctx, hash)
-                }
-            }
+        // Pretenuring fast path: one bounds-checked index into the
+        // current decision table, read in place — never a profiler borrow.
+        // The identity-hash draw doubles as the canary-sampling tick for
+        // imported-profile rows (deterministic and uniform).
+        let advised_gen = match (context, self.vm.env.decisions.as_deref()) {
+            (Some(ctx), Some(store)) => store.advise_for_alloc(ctx, hash),
             _ => None,
         };
 

@@ -9,7 +9,6 @@
 //! truth after OSR, dynamic enable/disable, or exception unwinding have
 //! corrupted the live value.
 
-use crate::decisions::DecisionCache;
 use crate::program::CallSiteId;
 
 /// Identifier of a guest mutator thread.
@@ -36,15 +35,12 @@ pub struct MutatorThread {
     pub tss: u16,
     /// Active frames, bottom to top.
     pub frames: Vec<Frame>,
-    /// The thread's pretenuring-decision micro-cache (repeat allocation
-    /// sites skip the `DecisionStore` table load entirely).
-    pub decision_cache: DecisionCache,
 }
 
 impl MutatorThread {
     /// Creates an idle thread with an empty stack.
     pub fn new(id: ThreadId) -> Self {
-        MutatorThread { id, tss: 0, frames: Vec::new(), decision_cache: DecisionCache::new() }
+        MutatorThread { id, tss: 0, frames: Vec::new() }
     }
 
     /// Applies the entry-side TSS update and pushes a frame.

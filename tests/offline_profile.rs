@@ -210,7 +210,9 @@ fn blended_warm_start_beats_cold_and_frozen_replay_under_drift() {
 #[test]
 fn stale_profile_entries_are_ignored() {
     let profile: DecisionProfile =
-        "zzz.Gone::method@9 7\napp.store.Buffer::fill@5 6\n".parse().expect("parses");
+        "rolp-profile-v1\ndecision zzz.Gone::method@9 7 100\ndecision app.store.Buffer::fill@5 6 100\n"
+            .parse()
+            .expect("parses");
     let (rt, _, _) = run(Some(profile), 3_000);
     // The matching entry applied; the stale one was dropped silently.
     let used_dynamic: usize =

@@ -1,14 +1,13 @@
 //! Differential test plane for the allocation fast path.
 //!
-//! The TLAB + decision-micro-cache path is an *optimization*, not a
-//! semantic change: any allocation stream replayed through the fast path
-//! must be observationally identical to the per-allocation reference
-//! path (TLABs disabled, micro-cache disabled). This suite generates
-//! arbitrary streams and holds the fast path to that contract at one and
-//! at two guest threads:
+//! The TLAB path is an *optimization*, not a semantic change: any
+//! allocation stream replayed through the fast path must be
+//! observationally identical to the per-allocation reference path
+//! (TLABs disabled). This suite generates arbitrary streams and holds the
+//! fast path to that contract at one and at two guest threads:
 //!
-//! - published `DecisionTable` digests are identical (the micro-cache
-//!   never serves stale advice that changes an outcome),
+//! - published `DecisionTable` digests are identical (buffered
+//!   allocation never changes what the profiler learns),
 //! - OLD-table contents (touched rows and full age histograms) are
 //!   identical,
 //! - GC scheduling is identical (the fast path declines exactly when the
@@ -84,7 +83,6 @@ fn replay(stream: &[Op], rounds: usize, threads: u32, fast: bool) -> Observation
         // The reference path: shared-state lookup on every single
         // allocation.
         config.tlab_bytes = 0;
-        config.microcache = false;
     }
 
     let mut rt = JvmRuntime::new(config, program);
