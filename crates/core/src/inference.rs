@@ -192,11 +192,12 @@ pub const DEMOTION_THRESHOLD: f64 = 0.5;
 /// fresh window degenerates to an age-0 spike — replacing instead of
 /// merging would bounce the context back to the young generation every
 /// other inference. Rows for which `held` is true (imported priors the
-/// warm start still holds) are left to their owner.
+/// warm start still holds) are left to their owner: neither raised nor
+/// demoted.
 ///
 /// Under tenured fragmentation above [`DEMOTION_THRESHOLD`], every
-/// estimate targeting a dynamic generation (1–14) whose garbage share
-/// also exceeds it is lowered by one.
+/// estimate not held that targets a dynamic generation (1–14) whose
+/// garbage share also exceeds it is lowered by one.
 pub fn learn(
     outcome: &InferenceOutcome,
     decisions: &mut BTreeMap<u32, u8>,
@@ -213,7 +214,10 @@ pub fn learn(
     }
     let mut demotions = 0;
     if tenured_fragmentation > DEMOTION_THRESHOLD {
-        for gen in decisions.values_mut() {
+        for (&key, gen) in decisions.iter_mut() {
+            if held(key) {
+                continue;
+            }
             let g = *gen as usize;
             if (1..=14).contains(&g) && dynamic_gen_garbage[g] > DEMOTION_THRESHOLD {
                 *gen -= 1;
@@ -348,6 +352,18 @@ mod tests {
         let mut decisions = BTreeMap::new();
         learn(&outcome, &mut decisions, |_| true, 0.0, &NO_GARBAGE);
         assert!(decisions.is_empty(), "a held row is not inserted either");
+        // Fragmentation that demotes a live-learned row leaves a held one.
+        let mut decisions = BTreeMap::from([(pack(1, 0), 5), (pack(2, 0), 5)]);
+        let demoted = learn(
+            &InferenceOutcome::default(),
+            &mut decisions,
+            |key| key == pack(1, 0),
+            0.8,
+            &[0.9; 16],
+        );
+        assert_eq!(demoted, 1);
+        assert_eq!(decisions[&pack(1, 0)], 5, "the held prior is not demoted");
+        assert_eq!(decisions[&pack(2, 0)], 4, "the live-learned row is");
     }
 
     #[test]

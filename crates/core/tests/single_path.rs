@@ -7,7 +7,7 @@
 //! the resolver too.
 
 use rolp::runtime::{CollectorKind, JvmRuntime, RuntimeConfig};
-use rolp::RolpStats;
+use rolp::{RolpConfig, RolpStats};
 use rolp_vm::ThreadId;
 
 /// The §7.5 OLD table with no expansion block.
@@ -20,10 +20,19 @@ const HELD_CYCLES: u64 = 8;
 /// Unprofiled churn allocations per iteration.
 const CHURN: u32 = 8;
 
-/// Churn that makes GCs twice as frequent: objects allocated before the
-/// epoch-1 publish still age in the young generation next to the new
-/// age-0 spike, so the decided factory row goes multimodal again.
+/// Churn that makes GCs twice as frequent, for the re-conflict case.
 const HEAVY_CHURN: u32 = 16;
+
+/// The profiler's default inference period (§4: the maximum object age).
+const DEFAULT_PERIOD: u64 = 16;
+
+/// The serving runs' inference period, for the re-conflict case. Objects
+/// allocated before the epoch-1 publish are promoted at the next
+/// evacuation, which records their last young survival into the next
+/// window; a window this short holds few enough age-0 entries that
+/// those survivals form a second peak, so the decided factory row goes
+/// multimodal again.
+const SHORT_PERIOD: u64 = 2;
 
 /// Final published `(row key, generation)` list and profiler counters.
 type Outcome = (Vec<(u32, u8)>, RolpStats);
@@ -33,8 +42,9 @@ type Outcome = (Vec<(u32, u8)>, RolpStats);
 /// unprofiled allocations per iteration in the never-compiled root keep
 /// young survivors from overflowing. With `two_callers`, the held objects
 /// come through a second worker and call site instead, so the two
-/// lifetimes arrive on two call paths.
-fn run(threads: u32, two_callers: bool, churn: u32) -> Outcome {
+/// lifetimes arrive on two call paths. The profiler infers every
+/// `inference_period` GC cycles.
+fn run(threads: u32, two_callers: bool, churn: u32, inference_period: u64) -> Outcome {
     let mut b = rolp_vm::ProgramBuilder::new();
     let main = b.method("app.Main::run", 100, false);
     let worker = b.method("app.Worker::step", 80, false);
@@ -53,6 +63,7 @@ fn run(threads: u32, two_callers: bool, churn: u32) -> Outcome {
         collector: CollectorKind::RolpNg2c,
         heap: rolp_heap::HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 18 },
         threads,
+        rolp: RolpConfig { inference_period, ..Default::default() },
         ..Default::default()
     };
 
@@ -96,8 +107,8 @@ fn run(threads: u32, two_callers: bool, churn: u32) -> Outcome {
 
 #[test]
 fn single_path_conflict_is_decided_at_the_first_epoch_at_any_thread_count() {
-    let (one, stats_one) = run(1, false, CHURN);
-    let (four, stats_four) = run(4, false, CHURN);
+    let (one, stats_one) = run(1, false, CHURN, DEFAULT_PERIOD);
+    let (four, stats_four) = run(4, false, CHURN, DEFAULT_PERIOD);
     for stats in [&stats_one, &stats_four] {
         assert_eq!(stats.conflicts.single_path, 1, "{stats:?}");
         assert_eq!(stats.conflicts.detected, 0, "{stats:?}");
@@ -112,7 +123,7 @@ fn single_path_conflict_is_decided_at_the_first_epoch_at_any_thread_count() {
 
 #[test]
 fn two_callers_keep_the_conflict_path() {
-    let (_, stats) = run(1, true, CHURN);
+    let (_, stats) = run(1, true, CHURN, DEFAULT_PERIOD);
     assert_eq!(stats.conflicts.single_path, 0, "{stats:?}");
     assert_eq!(stats.conflicts.detected, 1, "{stats:?}");
     assert!(stats.conflicts.probe_rounds >= 1, "{stats:?}");
@@ -121,7 +132,7 @@ fn two_callers_keep_the_conflict_path() {
 
 #[test]
 fn decided_single_path_site_that_re_conflicts_stays_out_of_the_resolver() {
-    let (table, stats) = run(1, false, HEAVY_CHURN);
+    let (table, stats) = run(1, false, HEAVY_CHURN, SHORT_PERIOD);
     assert_eq!(stats.conflicts.single_path, 1, "{stats:?}");
     assert_eq!(stats.conflicts.detected, 0, "{stats:?}");
     assert_eq!(stats.conflicts.probe_rounds, 0, "{stats:?}");

@@ -137,10 +137,10 @@ impl RegionalCollector {
         self.stats
     }
 
-    /// Attaches the profiler's published [`DecisionStore`]. Evacuation
-    /// then routes promoted survivors straight to their advised dynamic
-    /// generation by reading the current snapshot (the same table the
-    /// allocation fast path indexes).
+    /// Attaches the profiler's published [`DecisionStore`]. In NG2C mode
+    /// each collection then reads the current snapshot (the same table
+    /// the allocation fast path indexes) and routes decided young
+    /// survivors to their advised generation.
     pub fn set_decision_store(&mut self, store: Rc<DecisionStore>) {
         self.decisions = Some(store);
     }
@@ -289,24 +289,34 @@ impl RegionalCollector {
             * env.heap.region_bytes() as u64;
         let tenuring = self.config.tenuring_threshold;
         let mut survivor_bytes = 0u64;
-        // Promotion placement: a survivor leaving the young spaces lands
-        // in its advised dynamic generation when the current decision
-        // snapshot has one for its allocation context (objects allocated
-        // before the decision was published still regroup with their
-        // cohort), otherwise in old — G1's behavior.
-        let decisions = if self.config.pretenuring { self.decisions.as_deref() } else { None };
+        // Promotion placement (NG2C mode, DESIGN §6 item 10). A young
+        // survivor whose allocation context has a published decision `g`
+        // in 1–15 goes to that generation (old for 15) at this evacuation:
+        // objects allocated before the decision was published join their
+        // cohort instead of ageing through the survivor space, and do not
+        // count against its budget. Canary-flagged rows keep the age rule,
+        // so the blend decay still sees young samples; undecided and
+        // generation-0 contexts age as in G1. A survivor that reaches the
+        // tenuring age or overflows the survivor space goes to its advised
+        // dynamic generation if it has one, otherwise to old. The snapshot
+        // is loaded once per collection.
+        let table = self.decisions.as_ref().filter(|_| self.config.pretenuring).map(|s| s.load());
         let mut dest =
             |from: RegionKind, age: u8, size_words: u32, ctx: Option<u32>| -> SpaceKind {
                 match from {
                     RegionKind::Eden | RegionKind::Survivor => {
-                        survivor_bytes += size_words as u64 * 8;
-                        if age >= tenuring || survivor_bytes > survivor_budget {
-                            match ctx.zip(decisions).and_then(|(c, store)| store.load().advise(c)) {
-                                Some(g @ 1..=14) => SpaceKind::Dynamic(g),
-                                _ => SpaceKind::Old,
+                        let advised = ctx
+                            .zip(table.as_deref())
+                            .and_then(|(c, t)| t.advise(c).map(|g| (g, t.is_canary(c))));
+                        if !matches!(advised, Some((1..=15, false))) {
+                            survivor_bytes += size_words as u64 * 8;
+                            if age < tenuring && survivor_bytes <= survivor_budget {
+                                return SpaceKind::Survivor;
                             }
-                        } else {
-                            SpaceKind::Survivor
+                        }
+                        match advised {
+                            Some((g @ 1..=14, _)) => SpaceKind::Dynamic(g),
+                            _ => SpaceKind::Old,
                         }
                     }
                     RegionKind::Dynamic(g) => SpaceKind::Dynamic(g),
@@ -506,5 +516,85 @@ impl CollectorApi for RegionalCollector {
 
     fn gc_cycles(&self) -> u64 {
         self.cycles
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use rolp_heap::{ClassId, Heap, HeapConfig, ObjectHeader};
+    use rolp_vm::{CostModel, DecisionTable, JitConfig, ProgramBuilder};
+
+    use super::*;
+    use crate::observer::NullHooks;
+
+    /// One context per case: decided at 3, 14 and 15; a canary row
+    /// decided at 5; decided at generation 0; undecided.
+    const CONTEXTS: [u32; 6] = [1 << 16, 2 << 16, 3 << 16, 4 << 16, 5 << 16, 6 << 16];
+
+    /// Allocates one live eden object per context, runs one young
+    /// collection and returns where each survivor landed.
+    fn placements(mut collector: RegionalCollector) -> Vec<RegionKind> {
+        let mut heap = Heap::new(HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 });
+        heap.classes.register("t.Obj");
+        let mut env = VmEnv::new(
+            heap,
+            CostModel::default(),
+            ProgramBuilder::new().build(),
+            JitConfig::default(),
+            1,
+        );
+        let rows: BTreeMap<u32, u8> = [
+            (CONTEXTS[0], 3),
+            (CONTEXTS[1], 14),
+            (CONTEXTS[2], 15),
+            (CONTEXTS[3], 5),
+            (CONTEXTS[4], 0),
+        ]
+        .into_iter()
+        .collect();
+        let empty = DecisionTable::empty_with_geometry(64, 16);
+        let table = DecisionTable::next_from_blended(&empty, &rows, [], |k| k == CONTEXTS[3]);
+        collector.set_decision_store(Rc::new(DecisionStore::with_initial(table)));
+
+        let handles: Vec<_> = CONTEXTS
+            .iter()
+            .map(|&ctx| {
+                let header = ObjectHeader::new(1).with_allocation_context(ctx);
+                let obj = env.heap.alloc_in(SpaceKind::Eden, ClassId(0), 0, 4, header).unwrap();
+                env.heap.handles.create(obj)
+            })
+            .collect();
+        assert!(collector.collect(&mut env), "the young collection succeeds");
+        handles
+            .into_iter()
+            .map(|h| {
+                let obj = env.heap.handles.get(h);
+                assert_eq!(env.heap.header(obj).age(), 1, "one young copy ages once");
+                env.heap.region(obj.region()).kind
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decided_young_survivors_go_to_their_generation_at_the_first_evacuation() {
+        let hooks = || -> Rc<RefCell<dyn GcHooks>> { Rc::new(RefCell::new(NullHooks)) };
+        assert_eq!(
+            placements(RegionalCollector::ng2c(hooks())),
+            [
+                RegionKind::Dynamic(3),
+                RegionKind::Dynamic(14),
+                RegionKind::Old,
+                RegionKind::Survivor, // canary row: keeps the age rule
+                RegionKind::Survivor, // generation 0
+                RegionKind::Survivor, // undecided
+            ]
+        );
+        assert_eq!(
+            placements(RegionalCollector::g1(hooks())),
+            [RegionKind::Survivor; 6],
+            "G1 ignores decisions"
+        );
     }
 }
