@@ -189,6 +189,12 @@ pub fn render_telemetry(snapshot: &rolp_telemetry::MetricsSnapshot) -> String {
         }
         let _ = writeln!(out, "    {:<24} {n}", c.label());
     }
+    let _ = writeln!(
+        out,
+        "  concurrent marking: {} ns paid in idle time, {} ns still owed",
+        snapshot.counter(rolp_telemetry::CounterId::ConcurrentMarkIdleNs),
+        snapshot.gauge(rolp_telemetry::GaugeId::ConcurrentMarkOwedNs)
+    );
     let _ = writeln!(out, "  live percentiles (ns):");
     for h in HistId::ALL {
         let hist = snapshot.histogram(h);
@@ -349,10 +355,25 @@ mod tests {
             "\"pauses\":{",
             "\"rolp\":{",
             "\"decisions\":",
+            "\"count_concurrent_mark_idle_ns\":0",
+            "\"concurrent_mark_owed_ns\":0",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
         assert!(json.ends_with("}\n"));
+    }
+
+    #[test]
+    fn report_shows_idle_paid_and_owed_concurrent_marking() {
+        use rolp_telemetry::{CounterId, GaugeId, Telemetry};
+        let t = Telemetry::new();
+        t.bump(CounterId::ConcurrentMarkIdleNs, 1_500);
+        t.set_gauge(GaugeId::ConcurrentMarkOwedNs, 250);
+        let text = render_telemetry(&t.publish(0));
+        assert!(
+            text.contains("concurrent marking: 1500 ns paid in idle time, 250 ns still owed"),
+            "got: {text}"
+        );
     }
 
     #[test]

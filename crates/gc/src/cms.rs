@@ -3,7 +3,7 @@
 //! Young generation: stop-the-world copying collections (ParNew-style)
 //! with an age-based tenuring threshold. Old generation: *never compacted
 //! concurrently* — a concurrent mark-sweep cycle (initial-mark and remark
-//! pauses, marking and sweeping charged to mutator time) reclaims only
+//! pauses, marking run beside the mutator) reclaims only
 //! regions that are entirely dead. Partially dead old regions accumulate
 //! as fragmentation until the heap runs out of regions, at which point a
 //! stop-the-world full compaction produces the long tail pauses the paper
@@ -154,7 +154,8 @@ impl CmsCollector {
         true
     }
 
-    /// Concurrent mark + sweep: marking charged to mutator time framed by
+    /// Concurrent mark + sweep: marking queued on the environment's
+    /// marking account ([`VmEnv::queue_concurrent_mark`]) and framed by
     /// two short pauses; sweeping releases only fully dead old regions —
     /// no compaction, so fragmentation stays.
     fn concurrent_cycle(&mut self, env: &mut VmEnv) {
@@ -171,9 +172,7 @@ impl CmsCollector {
 
         let mark = mark_liveness(&mut env.heap);
         self.hooks.borrow_mut().on_liveness(&mark.context_live);
-        let trace_ns = env.cost.copy_ns(mark.live_bytes) / 2;
-        env.clock.advance(trace_ns);
-        env.telemetry.add(rolp_telemetry::Bucket::GcMark, trace_ns);
+        env.queue_concurrent_mark(env.cost.copy_ns(mark.live_bytes) / 2);
 
         // Remark pause (rescan roots).
         let t1 = env.clock.now();

@@ -1,8 +1,9 @@
 //! The fully concurrent collector (ZGC/C4-class).
 //!
 //! All collection work — marking and relocation — runs alongside the
-//! mutator: the simulated copying cost is charged to *mutator* time, and
-//! the application only stops for short handshakes. In exchange, every
+//! mutator: marking is queued on the environment's marking account, the
+//! relocation's copying cost is charged to *mutator* time, and the
+//! application only stops for short handshakes. In exchange, every
 //! reference load and field store pays a barrier tax, and the heap needs
 //! relocation headroom, so both throughput and memory are worse than G1's
 //! (exactly the trade the paper describes in §2.2 and measures in §8.5 —
@@ -94,10 +95,8 @@ impl ConcurrentCollector {
     fn cycle(&mut self, env: &mut VmEnv) {
         env.heap.retire_all_tlabs();
         let mark = mark_liveness(&mut env.heap);
-        // Concurrent marking steals mutator cycles.
-        let mark_ns = env.cost.copy_ns(mark.live_bytes) / 2;
-        env.clock.advance(mark_ns);
-        env.telemetry.add(rolp_telemetry::Bucket::GcMark, mark_ns);
+        // Concurrent marking shares the mutator's core.
+        env.queue_concurrent_mark(env.cost.copy_ns(mark.live_bytes) / 2);
 
         // Reclaim wholly dead regions outright, then relocate sparse ones.
         for id in env

@@ -436,7 +436,10 @@ fn evacuate_mode(
 
     let work = SimTime::from_nanos(evac_pause_ns(&env.cost, &stats, tracking));
     // The work decomposition is the same whether it runs inside the
-    // pause or concurrently (stolen from the mutator).
+    // pause or concurrently (stolen from the mutator). Concurrent
+    // relocation advances the clock by its whole work rather than going
+    // through the marking account: that account pays into `gc_mark`
+    // alone, and this work spans four buckets.
     attribute_evac_work(env, &stats, tracking);
     let pause = if concurrent {
         // Copying proceeds alongside the mutator; the application only

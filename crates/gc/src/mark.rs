@@ -2,9 +2,9 @@
 //!
 //! A full transitive-closure mark from the root handles, producing
 //! per-region live-byte counts. G1-like collectors run this as their
-//! "concurrent" marking phase (charged to mutator time plus a short
-//! remark pause); the full compaction and the CMS sweep consume its
-//! results directly.
+//! concurrent marking phase (its cost queued on the environment's
+//! marking account, plus a short remark pause); the full compaction and
+//! the CMS sweep consume its results directly.
 
 use std::collections::{HashMap, HashSet};
 

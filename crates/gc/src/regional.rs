@@ -198,18 +198,21 @@ impl RegionalCollector {
             || env.heap.free_regions() <= self.config.reserve_regions
     }
 
-    /// "Concurrent" marking: liveness is recomputed with the cost charged
-    /// to mutator time, plus a short remark pause — matching G1's
-    /// concurrent cycle shape.
+    /// Concurrent marking, G1's cycle shape. Liveness is snapshotted at
+    /// once and the remark pause follows it at once, so the mixed
+    /// schedule sees the same liveness at the same collection as a
+    /// stop-the-world trace would. Only the trace's cost, roughly
+    /// bandwidth-bound like copying (`copy_ns(live) / 2`), runs beside
+    /// the mutator: it is queued on the environment's marking account
+    /// ([`VmEnv::queue_concurrent_mark`]), which later mutator work pays
+    /// at half speed and idle time pays for free (DESIGN §4). The remark
+    /// is not deferred until the work is paid: the heap keeps filling
+    /// meanwhile, and in small heaps that ends in full GCs.
     fn run_marking(&mut self, env: &mut VmEnv) {
         env.heap.retire_all_tlabs();
         let mark = mark_liveness(&mut env.heap);
         self.hooks.borrow_mut().on_liveness(&mark.context_live);
-        // Tracing is roughly bandwidth-bound like copying, but runs
-        // concurrently with the application.
-        let trace_ns = env.cost.copy_ns(mark.live_bytes) / 2;
-        env.clock.advance(trace_ns);
-        env.telemetry.add(rolp_telemetry::Bucket::GcMark, trace_ns);
+        env.queue_concurrent_mark(env.cost.copy_ns(mark.live_bytes) / 2);
         let remark_start = env.clock.now();
         let remark = SimTime::from_nanos(
             env.cost.safepoint_ns
@@ -575,6 +578,41 @@ mod tests {
                 env.heap.region(obj.region()).kind
             })
             .collect()
+    }
+
+    #[test]
+    fn marking_queues_its_trace_and_stops_the_clock_only_for_pauses() {
+        let mut heap = Heap::new(HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 });
+        heap.classes.register("t.Obj");
+        let mut env = VmEnv::new(
+            heap,
+            CostModel::default(),
+            ProgramBuilder::new().build(),
+            JitConfig::default(),
+            1,
+        );
+        // Half the regions hold live tenured data, past the 45% trigger.
+        let half = env.heap.num_regions() / 2;
+        while env.heap.num_of_kind(RegionKind::Old) < half {
+            let obj =
+                env.heap.alloc_in(SpaceKind::Old, ClassId(0), 0, 60, ObjectHeader::new(1)).unwrap();
+            env.heap.handles.create(obj);
+        }
+        let obj =
+            env.heap.alloc_in(SpaceKind::Eden, ClassId(0), 0, 4, ObjectHeader::new(1)).unwrap();
+        env.heap.handles.create(obj);
+
+        let mut collector = RegionalCollector::g1(Rc::new(RefCell::new(NullHooks)));
+        assert!(collector.collect(&mut env), "the young collection succeeds");
+        assert_eq!(collector.stats().markings, 1, "the collection triggered marking");
+
+        let kinds: Vec<PauseKind> = env.pauses.events().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [PauseKind::Young, PauseKind::ConcurrentHandshake], "young + remark");
+        let paused: u64 = env.pauses.events().iter().map(|e| e.duration.as_nanos()).sum();
+        assert_eq!(env.clock.now().as_nanos(), paused, "the clock advanced by the pauses only");
+        let live: u64 = env.heap.handles.roots().map(|o| env.heap.size_words(o) as u64 * 8).sum();
+        let owed = env.telemetry.gauge(rolp_telemetry::GaugeId::ConcurrentMarkOwedNs);
+        assert_eq!(owed, env.cost.copy_ns(live) / 2, "trace queued");
     }
 
     #[test]

@@ -26,8 +26,10 @@ pub enum Bucket {
     JitCompile,
     /// Request pacing / think time (excluded from busy time).
     Idle,
-    /// Pause time spent marking (initial mark, remark, full-GC mark
-    /// traversal, concurrent-mark cycles stolen from the mutator).
+    /// Time spent marking: the initial-mark, remark and full-GC mark
+    /// pauses, plus concurrent marking paid while the mutator was busy
+    /// (the mutator's half of the core; idle-paid marking advances no
+    /// clock and is counted under [`CounterId::ConcurrentMarkIdleNs`]).
     GcMark,
     /// Pause time spent evacuating/copying (plus roots and per-region
     /// bookkeeping).
@@ -148,11 +150,16 @@ pub enum CounterId {
     /// Retired with [`CounterId::MicrocacheHits`]: never bumped, kept
     /// only for `rolpbench`.
     MicrocacheMisses,
+    /// Concurrent marking work paid during mutator idle time,
+    /// nanoseconds. It advanced no clock, so no time bucket holds it:
+    /// `gc_mark`'s concurrent share plus this plus the
+    /// `concurrent_mark_owed_ns` gauge is the marking work queued.
+    ConcurrentMarkIdleNs,
 }
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 13;
 
     /// Every counter, in index order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -168,6 +175,7 @@ impl CounterId {
         CounterId::TlabRefills,
         CounterId::MicrocacheHits,
         CounterId::MicrocacheMisses,
+        CounterId::ConcurrentMarkIdleNs,
     ];
 
     /// Dense array index.
@@ -191,6 +199,7 @@ impl CounterId {
             CounterId::TlabRefills => "tlab_refills",
             CounterId::MicrocacheHits => "microcache_hits",
             CounterId::MicrocacheMisses => "microcache_misses",
+            CounterId::ConcurrentMarkIdleNs => "concurrent_mark_idle_ns",
         }
     }
 }
@@ -208,11 +217,14 @@ pub enum GaugeId {
     DecisionVersion,
     /// Overhead-governor state, encoded 0 = Full, 1 = Off.
     GovernorState,
+    /// Concurrent marking work queued and not yet paid, nanoseconds. A
+    /// gauge, not a counter: mutator time pays it down.
+    ConcurrentMarkOwedNs,
 }
 
 impl GaugeId {
     /// Number of gauges.
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 5;
 
     /// Every gauge, in index order.
     pub const ALL: [GaugeId; GaugeId::COUNT] = [
@@ -220,6 +232,7 @@ impl GaugeId {
         GaugeId::HeapCommittedBytes,
         GaugeId::DecisionVersion,
         GaugeId::GovernorState,
+        GaugeId::ConcurrentMarkOwedNs,
     ];
 
     /// Dense array index.
@@ -235,6 +248,7 @@ impl GaugeId {
             GaugeId::HeapCommittedBytes => "heap_committed_bytes",
             GaugeId::DecisionVersion => "decision_version",
             GaugeId::GovernorState => "governor_state",
+            GaugeId::ConcurrentMarkOwedNs => "concurrent_mark_owed_ns",
         }
     }
 }

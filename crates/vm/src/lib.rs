@@ -25,7 +25,7 @@ pub mod thread;
 
 pub use cost::CostModel;
 pub use decisions::{DecisionStore, DecisionTable, CANARY_STRIDE};
-pub use env::VmEnv;
+pub use env::{VmEnv, CONCURRENT_MARK_SHARE};
 pub use jit::{JitConfig, JitEvent, JitState};
 pub use mutator::{AllocRequest, CollectorApi, GuestException, MutatorCtx, Vm};
 pub use profiler::{NullProfiler, VmProfiler};

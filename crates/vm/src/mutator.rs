@@ -209,10 +209,10 @@ impl MutatorCtx<'_> {
     }
 
     /// Advances the clock by `ns` of idle time (request pacing / think
-    /// time). No work is attributed to any method.
+    /// time). No work is attributed to any method; owed concurrent
+    /// marking is paid down for free (see [`VmEnv::idle`]).
     pub fn idle(&mut self, ns: u64) {
-        self.vm.env.clock.advance_idle(ns);
-        self.vm.env.telemetry.add(Bucket::Idle, ns);
+        self.vm.env.idle(ns);
     }
 
     // --- Calls ---

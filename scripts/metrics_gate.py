@@ -40,11 +40,11 @@ COUNTERS = [
     "profiled_allocs", "unprofiled_allocs", "jit_compiles", "gc_pauses",
     "epochs_inferred", "profile_entries_imported", "profile_blend_decays",
     "serve_requests", "serve_slo_misses", "tlab_refills", "microcache_hits",
-    "microcache_misses",
+    "microcache_misses", "concurrent_mark_idle_ns",
 ]
 GAUGES = [
     "heap_used_bytes", "heap_committed_bytes", "decision_version",
-    "governor_state",
+    "governor_state", "concurrent_mark_owed_ns",
 ]
 HISTOGRAMS = [
     "gc_pause_ns", "jit_compile_ns", "profiler_epoch_ns",
