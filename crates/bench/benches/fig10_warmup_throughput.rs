@@ -83,16 +83,17 @@ fn warmup_comparison(scale: rolp_metrics::SimScale) {
     let warmup_window = SimTime::from_nanos(full.sim_time.as_nanos() / 2);
     let budget =
         RunBudget { sim_time: warmup_window, warmup_discard: SimTime::ZERO, max_ops: u64::MAX };
+    let seed = rolp_bench::default_seed();
 
     // Cold: no prior profile; the run also exports what it learned.
     let mut w = rolp_bench::cassandra(CassandraMix::WriteIntensive, scale);
     let (cold, wi_profile, _) =
-        rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4);
+        rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4, seed);
 
     // Warm: a restarted service replaying the cold run's profile.
     let mut w = rolp_bench::cassandra(CassandraMix::WriteIntensive, scale);
     let warm =
-        rolp_bench::run_one_warm(&mut w, heap.clone(), scale, &budget, 4, wi_profile.clone());
+        rolp_bench::run_one_warm(&mut w, heap.clone(), scale, &budget, 4, seed, wi_profile.clone());
 
     // Drifted-warm: the profile was learned under read-intensive traffic,
     // then the restarted service sees write-intensive traffic. Same
@@ -100,9 +101,10 @@ fn warmup_comparison(scale: rolp_metrics::SimScale) {
     // confidence-weighted blend must converge instead of replaying stale
     // decisions forever.
     let mut w = rolp_bench::cassandra(CassandraMix::ReadIntensive, scale);
-    let (_, ri_profile, _) = rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4);
+    let (_, ri_profile, _) =
+        rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4, seed);
     let mut w = rolp_bench::cassandra(CassandraMix::WriteIntensive, scale);
-    let drifted = rolp_bench::run_one_warm(&mut w, heap, scale, &budget, 4, ri_profile);
+    let drifted = rolp_bench::run_one_warm(&mut w, heap, scale, &budget, 4, seed, ri_profile);
 
     let rows = vec![
         warmup_row("ROLP (cold)", &cold, warmup_window),

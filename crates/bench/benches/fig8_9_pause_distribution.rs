@@ -16,7 +16,9 @@
 //!
 //! CI hooks:
 //! - `ROLP_BENCH_QUICK=1` runs a smoke subset (first workload, G1 + ROLP
-//!   only) sized for a per-PR gate.
+//!   only) sized for a per-PR gate. Each of its rows pools one run per
+//!   seed of `rolp_bench::CASSANDRA_SEEDS` (generator and runtime seeded
+//!   alike), so a gate compares pooled percentiles, not one seed's.
 //! - `ROLP_BENCH_JSON=<file>` writes the per-run pause statistics as
 //!   JSON; `scripts/bench_gate.py` compares it against the committed
 //!   `BENCH_baseline.json` and fails the build on a p99 regression.
@@ -26,6 +28,8 @@ use rolp_bench::{
     banner, bigdata_budget, bigdata_heap, bigdata_workloads, fig9_labels, run_one_threads, scale,
     TextTable, FIG8_PERCENTILES, FIG9_INTERVALS_MS,
 };
+use rolp_metrics::{Histogram, SimTime};
+use rolp_workloads::{RunOutcome, Workload};
 
 /// One run's machine-readable summary for the regression gate.
 struct JsonRow {
@@ -52,6 +56,39 @@ struct JsonRow {
     slo_attainment: Option<f64>,
     /// Corrected p99 request latency of the service-mode rows, ms.
     served_p99_ms: Option<f64>,
+}
+
+/// One gate row's runs, pooled over the seed set: percentiles come from
+/// the merged pause histograms (after the warmup discard), the warmup p99
+/// from every run's warmup-window pauses, counts are summed, and the
+/// stable epoch is the latest of any run.
+#[derive(Default)]
+struct Pool {
+    pauses: Histogram,
+    warmup_ms: Vec<f64>,
+    count: usize,
+    gc_cycles: u64,
+    ops: u64,
+    overhead_sum: f64,
+    stable: Option<u64>,
+}
+
+impl Pool {
+    fn add(&mut self, out: &RunOutcome, warmup: SimTime) {
+        self.pauses.merge(out.pauses.histogram());
+        self.count += out.pauses.count();
+        self.gc_cycles += out.report.gc_cycles;
+        self.ops += out.report.ops;
+        self.overhead_sum += out.report.profiling_overhead;
+        if let Some(r) = &out.report.rolp {
+            self.warmup_ms.extend(rolp_bench::warmup_pauses_ms(out, warmup));
+            self.stable = Some(self.stable.unwrap_or(0).max(r.last_change_epoch));
+        }
+    }
+
+    fn percentile_ms(&self, p: f64) -> f64 {
+        self.pauses.percentile(p) as f64 / 1e6
+    }
 }
 
 fn render_json(scale_divisor: u64, rows: &[JsonRow]) -> String {
@@ -104,7 +141,10 @@ fn main() {
             "quick mode: first workload, G1 + ROLP (4 guest threads) + ROLP-seq \
              (1 guest thread) + ROLP (warm) (warm-started from the plain ROLP \
              run's profile); a governed ROLP run (overhead governor on, no \
-             faults) must equal plain ROLP (ROLP_BENCH_QUICK)"
+             faults) must equal plain ROLP; every row pools seeds {}-{} \
+             (ROLP_BENCH_QUICK)",
+            rolp_bench::CASSANDRA_SEEDS.start(),
+            rolp_bench::CASSANDRA_SEEDS.end()
         );
     }
 
@@ -141,9 +181,14 @@ fn main() {
     let mut json_rows: Vec<JsonRow> = Vec::new();
 
     let mut names: Vec<String> = bigdata_workloads(scale).iter().map(|w| w.name()).collect();
-    if quick {
+    // Quick mode pools each gate row over a fixed seed set; the full
+    // figure runs each preset once.
+    let seeds: Vec<u64> = if quick {
         names.truncate(1);
-    }
+        rolp_bench::CASSANDRA_SEEDS.collect()
+    } else {
+        vec![rolp_bench::default_seed()]
+    };
     for (wi, name) in names.iter().enumerate() {
         let mut fig8 = TextTable::new(
             std::iter::once("system".to_string())
@@ -154,69 +199,117 @@ fn main() {
             std::iter::once("system".to_string()).chain(fig9_labels()).collect::<Vec<_>>(),
         );
         let mut tail_ms: Vec<(CollectorKind, f64)> = Vec::new();
-        let mut learned: Option<rolp::DecisionProfile> = None;
-        // The plain ROLP row's (digest, pauses, GC cycles, ops).
-        let mut plain_run: Option<(u64, usize, u64, u64)> = None;
+        // Per seed: the learned profile and the plain ROLP row's
+        // (digest, pauses, GC cycles, ops).
+        let mut learned: Vec<rolp::DecisionProfile> = Vec::new();
+        let mut plain_runs: Vec<(u64, usize, u64, u64)> = Vec::new();
         let mut warm_info: Vec<(&'static str, f64, u64)> = Vec::new();
 
         for &(kind, threads, label, mode) in &collectors {
-            // Fresh workload instance per run (independent state).
-            let mut workloads = bigdata_workloads(scale);
-            let w = &mut workloads[wi];
-            let start = std::time::Instant::now();
-            let out = match mode {
-                Mode::Learn => {
-                    let (out, profile, digest) = rolp_bench::run_one_learning(
-                        w.as_mut(),
+            let mut pool = Pool::default();
+            for (si, &seed) in seeds.iter().enumerate() {
+                // Fresh workload instance per run (independent state).
+                let mut workloads = bigdata_workloads(scale);
+                let mut seeded;
+                let w: &mut dyn Workload = if quick {
+                    seeded = rolp_bench::cassandra_seeded(scale, seed);
+                    &mut seeded
+                } else {
+                    workloads[wi].as_mut()
+                };
+                let start = std::time::Instant::now();
+                let out = match mode {
+                    Mode::Learn => {
+                        let (out, profile, digest) = rolp_bench::run_one_learning(
+                            w,
+                            heap.clone(),
+                            scale,
+                            &budget,
+                            threads,
+                            seed,
+                        );
+                        learned.push(profile);
+                        plain_runs.push((
+                            digest,
+                            out.pauses.count(),
+                            out.report.gc_cycles,
+                            out.report.ops,
+                        ));
+                        out
+                    }
+                    Mode::Warm => rolp_bench::run_one_warm(
+                        w,
                         heap.clone(),
                         scale,
                         &budget,
                         threads,
+                        seed,
+                        learned.get(si).cloned().expect("warm row must follow the learning row"),
+                    ),
+                    Mode::Plain => {
+                        run_one_threads(w, kind, heap.clone(), scale, &budget, threads, seed)
+                    }
+                };
+                let wall = start.elapsed();
+                pool.add(&out, budget.warmup_discard);
+                {
+                    use rolp_metrics::PauseKind::*;
+                    for k in [Young, Mixed, Full, ConcurrentHandshake] {
+                        let evs: Vec<_> =
+                            out.raw_pauses.events().iter().filter(|e| e.kind == k).collect();
+                        if !evs.is_empty() {
+                            let max =
+                                evs.iter().map(|e| e.duration.as_millis_f64()).fold(0.0, f64::max);
+                            eprintln!("    {}: {} pauses, max {:.1} ms", k.label(), evs.len(), max);
+                        }
+                    }
+                }
+                if let Some(r) = &out.report.rolp {
+                    eprintln!(
+                        "    rolp: {} inferences, {} decisions, {} profiled allocs, {} survivor \
+                         recs, conflicts {:?}, shutdowns {}/{}",
+                        r.inferences,
+                        r.decisions,
+                        r.profiled_allocations,
+                        r.survivor_records,
+                        r.conflicts,
+                        r.survivor_shutdowns,
+                        r.survivor_reactivations
                     );
-                    learned = Some(profile);
-                    plain_run =
-                        Some((digest, out.pauses.count(), out.report.gc_cycles, out.report.ops));
-                    out
                 }
-                Mode::Warm => rolp_bench::run_one_warm(
-                    w.as_mut(),
-                    heap.clone(),
-                    scale,
-                    &budget,
-                    threads,
-                    learned.clone().expect("warm row must follow the learning ROLP row"),
-                ),
-                Mode::Plain => {
-                    run_one_threads(w.as_mut(), kind, heap.clone(), scale, &budget, threads)
-                }
-            };
-            let wall = start.elapsed();
-            let (warmup_p99, stable) = match &out.report.rolp {
-                Some(r) => (
-                    Some(rolp_bench::warmup_p99_ms(&out, budget.warmup_discard)),
-                    Some(r.last_change_epoch),
-                ),
+                eprintln!(
+                    "  [{name} / {label} / seed {seed}] {} pauses (p99 {:.1} ms), {} GC cycles, \
+                     ops {}, wall {:.1?}",
+                    out.pauses.count(),
+                    out.pauses.percentile_ms(99.0),
+                    out.report.gc_cycles,
+                    out.report.ops,
+                    wall
+                );
+            }
+
+            let (warmup_p99, stable) = match pool.stable {
+                Some(e) => (Some(rolp_bench::p99_ms(pool.warmup_ms.clone())), Some(e)),
                 None => (None, None),
             };
             if let (Some(w99), Some(e)) = (warmup_p99, stable) {
                 warm_info.push((label, w99, e));
             }
-
             let mut row = vec![label.to_string()];
             for p in FIG8_PERCENTILES {
-                row.push(format!("{:.1}", out.pauses.percentile_ms(p)));
+                row.push(format!("{:.1}", pool.percentile_ms(p)));
             }
             fig8.row(row);
             json_rows.push(JsonRow {
                 workload: name.clone(),
                 collector: label,
-                pauses: out.pauses.count(),
-                gc_cycles: out.report.gc_cycles,
-                ops: out.report.ops,
-                profiling_overhead: out.report.profiling_overhead,
+                pauses: pool.count,
+                gc_cycles: pool.gc_cycles,
+                ops: pool.ops,
+                profiling_overhead: pool.overhead_sum / seeds.len() as f64,
                 percentiles_ms: FIG8_PERCENTILES
                     .iter()
-                    .map(|&p| (p, out.pauses.percentile_ms(p)))
+                    .map(|&p| (p, pool.percentile_ms(p)))
                     .collect(),
                 warmup_p99_ms: warmup_p99,
                 epochs_to_stable: stable,
@@ -225,44 +318,12 @@ fn main() {
             });
 
             let bounds_ns: Vec<u64> = FIG9_INTERVALS_MS.iter().map(|ms| ms * 1_000_000).collect();
-            let counts = out.pauses.histogram().interval_counts(&bounds_ns);
+            let counts = pool.pauses.interval_counts(&bounds_ns);
             let mut row9 = vec![label.to_string()];
             row9.extend(counts.iter().map(|c| c.to_string()));
             fig9.row(row9);
 
-            tail_ms.push((kind, out.pauses.percentile_ms(99.9)));
-            {
-                use rolp_metrics::PauseKind::*;
-                for k in [Young, Mixed, Full, ConcurrentHandshake] {
-                    let evs: Vec<_> =
-                        out.raw_pauses.events().iter().filter(|e| e.kind == k).collect();
-                    if !evs.is_empty() {
-                        let max =
-                            evs.iter().map(|e| e.duration.as_millis_f64()).fold(0.0, f64::max);
-                        eprintln!("    {}: {} pauses, max {:.1} ms", k.label(), evs.len(), max);
-                    }
-                }
-            }
-            if let Some(r) = &out.report.rolp {
-                eprintln!(
-                    "    rolp: {} inferences, {} decisions, {} profiled allocs, {} survivor recs, \
-                     conflicts {:?}, shutdowns {}/{}",
-                    r.inferences,
-                    r.decisions,
-                    r.profiled_allocations,
-                    r.survivor_records,
-                    r.conflicts,
-                    r.survivor_shutdowns,
-                    r.survivor_reactivations
-                );
-            }
-            eprintln!(
-                "  [{name} / {label}] {} pauses, {} GC cycles, ops {}, wall {:.1?}",
-                out.pauses.count(),
-                out.report.gc_cycles,
-                out.report.ops,
-                wall
-            );
+            tail_ms.push((kind, pool.percentile_ms(99.9)));
         }
 
         println!("--- Fig. 8: {name} — pause-time percentiles (ms) ---");
@@ -282,23 +343,22 @@ fn main() {
             // An ungoverned-equivalent governor (default budgets, no
             // faults) never leaves `Full`, so the governed run must
             // publish the same decisions on the same schedule as plain
-            // ROLP.
-            let mut workloads = bigdata_workloads(scale);
-            let (gov, gov_digest) = rolp_bench::run_one_governed(
-                workloads[wi].as_mut(),
-                heap.clone(),
-                scale,
-                &budget,
-                4,
-            );
-            let governed = (gov_digest, gov.pauses.count(), gov.report.gc_cycles, gov.report.ops);
-            assert_eq!(
-                Some(governed),
-                plain_run,
-                "[{name}] governed ROLP (digest, pauses, GC cycles, ops) must equal plain ROLP"
-            );
+            // ROLP, on every seed.
+            for (&seed, plain) in seeds.iter().zip(&plain_runs) {
+                let mut w = rolp_bench::cassandra_seeded(scale, seed);
+                let (gov, gov_digest) =
+                    rolp_bench::run_one_governed(&mut w, heap.clone(), scale, &budget, 4, seed);
+                let governed =
+                    (gov_digest, gov.pauses.count(), gov.report.gc_cycles, gov.report.ops);
+                assert_eq!(
+                    governed, *plain,
+                    "[{name} / seed {seed}] governed ROLP (digest, pauses, GC cycles, ops) must \
+                     equal plain ROLP"
+                );
+            }
             println!(
-                "governor [{name}]: governed run equals plain ROLP (digest {gov_digest:#018x})"
+                "governor [{name}]: governed runs equal plain ROLP on all {} seeds",
+                seeds.len()
             );
             let find = |l: &str| warm_info.iter().find(|(n, _, _)| *n == l);
             if let (Some(&(_, cold_w, cold_e)), Some(&(_, warm_w, warm_e))) =
@@ -306,7 +366,7 @@ fn main() {
             {
                 println!(
                     "warm start [{name}]: warmup-window p99 cold {cold_w:.1} ms \
-                     (stable at epoch {cold_e}) vs warm {warm_w:.1} ms (stable at \
+                     (stable by epoch {cold_e}) vs warm {warm_w:.1} ms (stable by \
                      epoch {warm_e})"
                 );
             }

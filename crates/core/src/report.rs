@@ -191,9 +191,11 @@ pub fn render_telemetry(snapshot: &rolp_telemetry::MetricsSnapshot) -> String {
     }
     let _ = writeln!(
         out,
-        "  concurrent marking: {} ns paid in idle time, {} ns still owed",
+        "  concurrent marking: {} ns paid in idle time, {} ns still owed, {} dead references \
+         scrubbed",
         snapshot.counter(rolp_telemetry::CounterId::ConcurrentMarkIdleNs),
-        snapshot.gauge(rolp_telemetry::GaugeId::ConcurrentMarkOwedNs)
+        snapshot.gauge(rolp_telemetry::GaugeId::ConcurrentMarkOwedNs),
+        snapshot.counter(rolp_telemetry::CounterId::RefsScrubbed)
     );
     let _ = writeln!(out, "  live percentiles (ns):");
     for h in HistId::ALL {
@@ -356,6 +358,7 @@ mod tests {
             "\"rolp\":{",
             "\"decisions\":",
             "\"count_concurrent_mark_idle_ns\":0",
+            "\"count_refs_scrubbed\":0",
             "\"concurrent_mark_owed_ns\":0",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
@@ -369,9 +372,13 @@ mod tests {
         let t = Telemetry::new();
         t.bump(CounterId::ConcurrentMarkIdleNs, 1_500);
         t.set_gauge(GaugeId::ConcurrentMarkOwedNs, 250);
+        t.bump(CounterId::RefsScrubbed, 42);
         let text = render_telemetry(&t.publish(0));
         assert!(
-            text.contains("concurrent marking: 1500 ns paid in idle time, 250 ns still owed"),
+            text.contains(
+                "concurrent marking: 1500 ns paid in idle time, 250 ns still owed, 42 dead \
+                 references scrubbed"
+            ),
             "got: {text}"
         );
     }

@@ -17,7 +17,7 @@ use rolp_metrics::{PauseKind, SimTime};
 use rolp_vm::{AllocRequest, CollectorApi, VmEnv};
 
 use crate::evac::{charge_refill, evacuate, full_compact, trace_pause, EvacStats};
-use crate::mark::mark_liveness;
+use crate::mark::{mark_liveness, queue_marking};
 use crate::observer::{GcCycleInfo, GcHooks};
 
 /// Tunables of the CMS-like collector.
@@ -172,7 +172,7 @@ impl CmsCollector {
 
         let mark = mark_liveness(&mut env.heap);
         self.hooks.borrow_mut().on_liveness(&mark.context_live);
-        env.queue_concurrent_mark(env.cost.copy_ns(mark.live_bytes) / 2);
+        queue_marking(env, &mark);
 
         // Remark pause (rescan roots).
         let t1 = env.clock.now();

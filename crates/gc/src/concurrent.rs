@@ -16,7 +16,7 @@ use rolp_heap::{AllocFailure, ObjectRef, RegionId, RegionKind, SpaceKind, TlabAl
 use rolp_vm::{AllocRequest, CollectorApi, VmEnv};
 
 use crate::evac::{charge_refill, evacuate_concurrent};
-use crate::mark::mark_liveness;
+use crate::mark::{mark_liveness, queue_marking};
 use crate::observer::GcHooks;
 
 /// Tunables of the concurrent collector.
@@ -96,7 +96,7 @@ impl ConcurrentCollector {
         env.heap.retire_all_tlabs();
         let mark = mark_liveness(&mut env.heap);
         // Concurrent marking shares the mutator's core.
-        env.queue_concurrent_mark(env.cost.copy_ns(mark.live_bytes) / 2);
+        let mark_ns = queue_marking(env, &mark);
 
         // Reclaim wholly dead regions outright, then relocate sparse ones.
         for id in env
@@ -156,8 +156,7 @@ impl ConcurrentCollector {
         let (prev_alloc, prev_busy) = self.last_sample;
         if now_busy > prev_busy && now_alloc > prev_alloc {
             let rate = (now_alloc - prev_alloc) as f64 / (now_busy - prev_busy) as f64;
-            let cycle_ns = env.cost.copy_ns(mark.live_bytes) / 2
-                + env.cost.copy_ns(outcome.stats.bytes_copied);
+            let cycle_ns = mark_ns + env.cost.copy_ns(outcome.stats.bytes_copied);
             let headroom_bytes = (rate * cycle_ns as f64) as usize;
             let regions = headroom_bytes.div_ceil(env.heap.region_bytes().max(1));
             env.heap.commit_headroom(regions);

@@ -553,8 +553,10 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
     // Phase 0: a failed evacuation may have left forwarding pointers.
     resolve_all_forwarding(&mut env.heap);
 
-    // Phase 1: mark.
+    // Phase 1: mark (and scrub; the pause's fix-up scans below already
+    // price a walk of the whole heap).
     let mark = mark_liveness(&mut env.heap);
+    env.telemetry.bump(CounterId::RefsScrubbed, mark.refs_scrubbed);
 
     // Phase 2: compact, most-garbage regions first (releases fastest).
     env.heap.retire_all_current();

@@ -1,14 +1,24 @@
 //! Heap tracing (marking).
 //!
 //! A full transitive-closure mark from the root handles, producing
-//! per-region live-byte counts. G1-like collectors run this as their
+//! per-region live-byte counts, followed by a scrub of every unmarked
+//! object's reference fields. G1-like collectors run this as their
 //! concurrent marking phase (its cost queued on the environment's
 //! marking account, plus a short remark pause); the full compaction and
 //! the CMS sweep consume its results directly.
+//!
+//! The scrub is what HotSpot's G1 gets from its mark bitmap: after
+//! marking, a dead object no longer roots anything. A remembered-set
+//! slot held by a dead object reads `NULL`, so young and mixed
+//! collections stop copying garbage that only dead tenured objects
+//! reference, and a collector may release any region marking found dead
+//! without leaving dead objects elsewhere pointing into it (DESIGN §4).
 
 use std::collections::{HashMap, HashSet};
 
 use rolp_heap::{Heap, ObjectRef, RegionKind};
+use rolp_telemetry::CounterId;
+use rolp_vm::VmEnv;
 
 /// Result of a marking pass.
 #[derive(Debug, Clone, Default)]
@@ -24,15 +34,24 @@ pub struct MarkResult {
     /// paper sketches in §2.2: a context whose live population only grows
     /// is a leak suspect.
     pub context_live: HashMap<u32, u64>,
+    /// Unreachable objects the scrub walked.
+    pub dead_objects: u64,
+    /// Their bytes: the walk's work beyond the trace, which collectors
+    /// price at the trace rate.
+    pub dead_bytes: u64,
+    /// Non-`NULL` reference fields the scrub cleared in dead objects.
+    pub refs_scrubbed: u64,
 }
 
 /// Marks the heap from the root handles, updating every region's
-/// `live_bytes`.
+/// `live_bytes`, then clears every reference field of every unmarked
+/// object, so that no dead object roots garbage (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics (debug) if a forwarded header is encountered — marking must only
-/// run on a heap at rest.
+/// run on a heap at rest, with its allocation buffers retired so that the
+/// scrub's region walk can parse every region.
 pub fn mark_liveness(heap: &mut Heap) -> MarkResult {
     // Reset liveness of every assigned region.
     let ids: Vec<_> = heap.regions().map(|(id, _)| id).collect();
@@ -69,7 +88,55 @@ pub fn mark_liveness(heap: &mut Heap) -> MarkResult {
             }
         }
     }
+    scrub_dead(heap, &mut result);
     result
+}
+
+/// Queues a marking pass's concurrent work on `env`'s marking account
+/// ([`VmEnv::queue_concurrent_mark`]) and counts the references it
+/// scrubbed. The trace is roughly bandwidth-bound like copying
+/// (`copy_ns(live) / 2`); the scrub walks the dead bytes at the same
+/// rate. Returns the nanoseconds queued.
+pub(crate) fn queue_marking(env: &mut VmEnv, mark: &MarkResult) -> u64 {
+    let ns = env.cost.copy_ns(mark.live_bytes) / 2 + env.cost.copy_ns(mark.dead_bytes) / 2;
+    env.queue_concurrent_mark(ns);
+    env.telemetry.bump(CounterId::RefsScrubbed, mark.refs_scrubbed);
+    ns
+}
+
+/// Walks every assigned region and stores `NULL` into each reference
+/// field of each object the mark did not reach. A `NULL` store records no
+/// write barrier, and remembered-set slots the cleared fields left behind
+/// read `NULL`, which evacuation skips. Filler words are skipped by the
+/// object walk, and a humongous object is walked once, from its head
+/// region.
+fn scrub_dead(heap: &mut Heap, result: &mut MarkResult) {
+    let ids: Vec<_> = heap
+        .regions()
+        .filter(|(_, r)| !matches!(r.kind, RegionKind::Free | RegionKind::HumongousCont))
+        .map(|(id, _)| id)
+        .collect();
+    let mut dead: Vec<ObjectRef> = Vec::new();
+    for id in ids {
+        dead.clear();
+        for obj in heap.objects_in_region(id) {
+            if !result.marked.contains(&obj) {
+                result.dead_objects += 1;
+                result.dead_bytes += heap.size_words(obj) as u64 * 8;
+                if heap.ref_words(obj) > 0 {
+                    dead.push(obj);
+                }
+            }
+        }
+        for &obj in &dead {
+            for i in 0..heap.ref_words(obj) {
+                if !heap.get_ref(obj, i).is_null() {
+                    heap.set_ref(obj, i, ObjectRef::NULL);
+                    result.refs_scrubbed += 1;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -129,6 +196,39 @@ mod tests {
         h.handles.create(a);
         let r = mark_liveness(&mut h);
         assert_eq!(r.live_objects, 2);
+    }
+
+    #[test]
+    fn no_unmarked_object_holds_a_reference_after_marking() {
+        let mut h = heap();
+        let live = alloc(&mut h, SpaceKind::Eden, 1, 0);
+        let kept = alloc(&mut h, SpaceKind::Old, 0, 2);
+        let dead_old = alloc(&mut h, SpaceKind::Old, 2, 0);
+        let dead_young = alloc(&mut h, SpaceKind::Eden, 1, 4);
+        let dead_leaf = alloc(&mut h, SpaceKind::Eden, 0, 4);
+        h.set_ref(live, 0, kept);
+        // A dead tenured holder of a live and of a dead young object, and
+        // a dead cycle through it.
+        h.set_ref(dead_old, 0, live);
+        h.set_ref(dead_old, 1, dead_young);
+        h.set_ref(dead_young, 0, dead_old);
+        h.handles.create(live);
+
+        let r = mark_liveness(&mut h);
+        assert_eq!(r.dead_objects, 3);
+        let dead_words =
+            h.size_words(dead_old) + h.size_words(dead_young) + h.size_words(dead_leaf);
+        assert_eq!(r.dead_bytes, dead_words as u64 * 8);
+        assert_eq!(r.refs_scrubbed, 3);
+        let ids: Vec<_> = h.regions().map(|(id, _)| id).collect();
+        for id in ids.into_iter().filter(|&id| !matches!(h.region(id).kind, RegionKind::Free)) {
+            for obj in h.objects_in_region(id).filter(|o| !r.marked.contains(o)) {
+                for i in 0..h.ref_words(obj) {
+                    assert!(h.get_ref(obj, i).is_null(), "{obj:?} field {i} still holds a ref");
+                }
+            }
+        }
+        assert_eq!(h.get_ref(live, 0), kept, "live objects keep their references");
     }
 
     #[test]

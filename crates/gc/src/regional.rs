@@ -26,7 +26,7 @@ use rolp_metrics::{PauseKind, SimTime};
 use rolp_vm::{AllocRequest, CollectorApi, DecisionStore, VmEnv};
 
 use crate::evac::{charge_refill, evacuate, full_compact, EvacStats};
-use crate::mark::mark_liveness;
+use crate::mark::{mark_liveness, queue_marking};
 use crate::observer::{GcCycleInfo, GcHooks};
 
 /// Tunables of the regional collector.
@@ -202,8 +202,9 @@ impl RegionalCollector {
     /// once and the remark pause follows it at once, so the mixed
     /// schedule sees the same liveness at the same collection as a
     /// stop-the-world trace would. Only the trace's cost, roughly
-    /// bandwidth-bound like copying (`copy_ns(live) / 2`), runs beside
-    /// the mutator: it is queued on the environment's marking account
+    /// bandwidth-bound like copying (`copy_ns(live) / 2`), and the
+    /// dead-object scrub's (`copy_ns(dead) / 2`) run beside the mutator:
+    /// they are queued on the environment's marking account
     /// ([`VmEnv::queue_concurrent_mark`]), which later mutator work pays
     /// at half speed and idle time pays for free (DESIGN §4). The remark
     /// is not deferred until the work is paid: the heap keeps filling
@@ -212,7 +213,7 @@ impl RegionalCollector {
         env.heap.retire_all_tlabs();
         let mark = mark_liveness(&mut env.heap);
         self.hooks.borrow_mut().on_liveness(&mark.context_live);
-        env.queue_concurrent_mark(env.cost.copy_ns(mark.live_bytes) / 2);
+        queue_marking(env, &mark);
         let remark_start = env.clock.now();
         let remark = SimTime::from_nanos(
             env.cost.safepoint_ns
@@ -613,6 +614,39 @@ mod tests {
         let live: u64 = env.heap.handles.roots().map(|o| env.heap.size_words(o) as u64 * 8).sum();
         let owed = env.telemetry.gauge(rolp_telemetry::GaugeId::ConcurrentMarkOwedNs);
         assert_eq!(owed, env.cost.copy_ns(live) / 2, "trace queued");
+    }
+
+    #[test]
+    fn a_dead_tenured_holder_does_not_keep_its_young_target_alive_after_marking() {
+        let mut heap = Heap::new(HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 });
+        heap.classes.register("t.Obj");
+        let mut env = VmEnv::new(
+            heap,
+            CostModel::default(),
+            ProgramBuilder::new().build(),
+            JitConfig::default(),
+            1,
+        );
+        // Dead before the marking: an unrooted old object whose only
+        // field is the sole reference to an eden object. The store is
+        // recorded in the eden region's remembered set.
+        let holder =
+            env.heap.alloc_in(SpaceKind::Old, ClassId(0), 1, 4, ObjectHeader::new(1)).unwrap();
+        let target =
+            env.heap.alloc_in(SpaceKind::Eden, ClassId(0), 0, 4, ObjectHeader::new(1)).unwrap();
+        env.heap.set_ref(holder, 0, target);
+
+        // No mixed collections follow the marking, so the holder's region
+        // stays out of the collection set and only its remembered-set
+        // slot could root the target.
+        let config = RegionalConfig { mixed_cycles: 0, ..Default::default() };
+        let mut collector =
+            RegionalCollector::with_config(config, Rc::new(RefCell::new(NullHooks)), "G1");
+        collector.run_marking(&mut env);
+        let copied = env.heap.stats().objects_copied;
+        assert!(collector.collect(&mut env), "the young collection succeeds");
+        assert_eq!(collector.stats().young_gcs, 1);
+        assert_eq!(env.heap.stats().objects_copied - copied, 0, "the dead holder rooted garbage");
     }
 
     #[test]

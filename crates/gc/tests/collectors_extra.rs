@@ -1,6 +1,7 @@
 //! Additional collector behaviour tests: humongous objects, ZGC headroom
-//! and barrier surface, CMS fragmentation full GCs, marking censuses, and
-//! mixed-collection liveness gating.
+//! and barrier surface, CMS fragmentation full GCs, marking censuses,
+//! mixed-collection liveness gating, and heap integrity after the regions
+//! marking found dead are released.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -9,8 +10,10 @@ use rolp_gc::{
     mark_liveness, CmsCollector, CmsConfig, ConcurrentCollector, GcHooks, NullHooks,
     RegionalCollector, RegionalConfig,
 };
-use rolp_heap::verify::assert_heap_valid;
-use rolp_heap::{ClassId, Handle, Heap, HeapConfig, ObjectHeader, RegionKind};
+use rolp_heap::verify::{assert_heap_valid, verify_heap};
+use rolp_heap::{
+    ClassId, Handle, Heap, HeapConfig, ObjectHeader, ObjectRef, RegionKind, SpaceKind,
+};
 use rolp_vm::{AllocRequest, CollectorApi, CostModel, JitConfig, ProgramBuilder, VmEnv};
 
 fn env(heap_bytes: u64) -> VmEnv {
@@ -201,4 +204,73 @@ fn fresh_regions_are_not_mixed_candidates() {
     // Copying happened only for young survivors (there are none held), so
     // essentially zero.
     assert_eq!(copied_young, 0, "fully live fresh regions must not be evacuated");
+}
+
+/// Lays out an unreachable old object whose only field points into a
+/// wholly dead old region, next to a live object that keeps the holder's
+/// own region assigned. The target sits past the dead region's first
+/// object, so a recycled region's first allocation cannot pass for it.
+/// Returns the holder.
+fn dead_holder_into_a_dead_region(env: &mut VmEnv) -> ObjectRef {
+    let old = |env: &mut VmEnv, refs: u16, data: u32| {
+        env.heap.alloc_in(SpaceKind::Old, ClassId(0), refs, data, ObjectHeader::new(1)).unwrap()
+    };
+    let _pad = old(env, 0, 37);
+    let gone = old(env, 0, 4);
+    env.heap.retire_current(SpaceKind::Old);
+    let live = old(env, 0, 4);
+    let holder = old(env, 1, 0);
+    env.heap.handles.create(live);
+    env.heap.set_ref(holder, 0, gone);
+    assert_ne!(holder.region(), gone.region());
+    assert_heap_valid(&env.heap, false);
+    holder
+}
+
+#[test]
+fn heap_is_valid_after_a_cms_sweep_releases_a_region_a_dead_object_pointed_into() {
+    let mut env = env(1 << 20);
+    let cfg = CmsConfig { initiating_occupancy: 0.0, ..Default::default() };
+    let mut cms = CmsCollector::with_config(cfg, hooks());
+    let holder = dead_holder_into_a_dead_region(&mut env);
+    while cms.stats().concurrent_cycles == 0 {
+        let _ = cms.allocate(&mut env, req(0, 10));
+    }
+    assert!(cms.stats().regions_swept >= 1, "the dead old region was swept");
+    assert_eq!(verify_heap(&env.heap, false), []);
+    assert!(env.heap.get_ref(holder, 0).is_null(), "marking scrubbed the dead holder");
+}
+
+#[test]
+fn heap_is_valid_after_a_zgc_cycle_releases_a_region_a_dead_object_pointed_into() {
+    let mut env = env(1 << 20);
+    let cost = env.cost.clone();
+    let mut zgc = ConcurrentCollector::new(hooks(), &cost);
+    let holder = dead_holder_into_a_dead_region(&mut env);
+    while zgc.stats().cycles_run == 0 {
+        let _ = zgc.allocate(&mut env, req(0, 10));
+    }
+    assert_eq!(verify_heap(&env.heap, false), []);
+    assert!(env.heap.get_ref(holder, 0).is_null(), "marking scrubbed the dead holder");
+}
+
+#[test]
+fn g1_marking_scrubs_a_dead_holder_of_a_reclaimed_humongous_object() {
+    let mut env = env(1 << 20);
+    // Marking after the first young collection; no mixed collection
+    // moves the holder afterwards.
+    let cfg = RegionalConfig { mark_trigger: 0.0, mixed_cycles: 0, ..Default::default() };
+    let mut g1 = RegionalCollector::with_config(cfg, hooks(), "G1");
+    let big = g1.allocate(&mut env, req(0, 400));
+    assert_eq!(env.heap.region(big.region()).kind, RegionKind::Humongous);
+    let live = env.heap.alloc_in(SpaceKind::Old, ClassId(0), 0, 4, ObjectHeader::new(1)).unwrap();
+    env.heap.handles.create(live);
+    let holder = env.heap.alloc_in(SpaceKind::Old, ClassId(0), 1, 0, ObjectHeader::new(1)).unwrap();
+    env.heap.set_ref(holder, 0, big);
+    while g1.stats().markings == 0 {
+        let _ = g1.allocate(&mut env, req(0, 10));
+    }
+    assert_eq!(env.heap.num_of_kind(RegionKind::Humongous), 0, "the dead humongous was reclaimed");
+    assert_eq!(verify_heap(&env.heap, false), []);
+    assert!(env.heap.get_ref(holder, 0).is_null(), "marking scrubbed the dead holder");
 }

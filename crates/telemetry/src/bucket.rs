@@ -155,11 +155,14 @@ pub enum CounterId {
     /// `gc_mark`'s concurrent share plus this plus the
     /// `concurrent_mark_owed_ns` gauge is the marking work queued.
     ConcurrentMarkIdleNs,
+    /// Reference fields marking cleared in unreachable objects, so that
+    /// no dead object roots garbage through a remembered set.
+    RefsScrubbed,
 }
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 14;
 
     /// Every counter, in index order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -176,6 +179,7 @@ impl CounterId {
         CounterId::MicrocacheHits,
         CounterId::MicrocacheMisses,
         CounterId::ConcurrentMarkIdleNs,
+        CounterId::RefsScrubbed,
     ];
 
     /// Dense array index.
@@ -200,6 +204,7 @@ impl CounterId {
             CounterId::MicrocacheHits => "microcache_hits",
             CounterId::MicrocacheMisses => "microcache_misses",
             CounterId::ConcurrentMarkIdleNs => "concurrent_mark_idle_ns",
+            CounterId::RefsScrubbed => "refs_scrubbed",
         }
     }
 }

@@ -40,7 +40,7 @@ COUNTERS = [
     "profiled_allocs", "unprofiled_allocs", "jit_compiles", "gc_pauses",
     "epochs_inferred", "profile_entries_imported", "profile_blend_decays",
     "serve_requests", "serve_slo_misses", "tlab_refills", "microcache_hits",
-    "microcache_misses", "concurrent_mark_idle_ns",
+    "microcache_misses", "concurrent_mark_idle_ns", "refs_scrubbed",
 ]
 GAUGES = [
     "heap_used_bytes", "heap_committed_bytes", "decision_version",
