@@ -36,8 +36,8 @@ pub struct MarkResult {
     pub context_live: HashMap<u32, u64>,
     /// Unreachable objects the scrub walked.
     pub dead_objects: u64,
-    /// Their bytes: the walk's work beyond the trace, which collectors
-    /// price at the trace rate.
+    /// Their bytes. Collectors price the walk over them per mark-bitmap
+    /// byte, one per 64 heap bytes (see [`queue_marking`]).
     pub dead_bytes: u64,
     /// Non-`NULL` reference fields the scrub cleared in dead objects.
     pub refs_scrubbed: u64,
@@ -95,10 +95,12 @@ pub fn mark_liveness(heap: &mut Heap) -> MarkResult {
 /// Queues a marking pass's concurrent work on `env`'s marking account
 /// ([`VmEnv::queue_concurrent_mark`]) and counts the references it
 /// scrubbed. The trace is roughly bandwidth-bound like copying
-/// (`copy_ns(live) / 2`); the scrub walks the dead bytes at the same
-/// rate. Returns the nanoseconds queued.
+/// (`copy_ns(live) / 2`). The scrub finds dead objects the way G1 does,
+/// by skipping unmarked ranges of the mark bitmap: it reads one bitmap
+/// byte per 64 dead heap bytes at the trace rate
+/// (`copy_ns(dead / 64) / 2`). Returns the nanoseconds queued.
 pub(crate) fn queue_marking(env: &mut VmEnv, mark: &MarkResult) -> u64 {
-    let ns = env.cost.copy_ns(mark.live_bytes) / 2 + env.cost.copy_ns(mark.dead_bytes) / 2;
+    let ns = env.cost.copy_ns(mark.live_bytes) / 2 + env.cost.copy_ns(mark.dead_bytes / 64) / 2;
     env.queue_concurrent_mark(ns);
     env.telemetry.bump(CounterId::RefsScrubbed, mark.refs_scrubbed);
     ns

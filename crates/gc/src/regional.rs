@@ -4,9 +4,10 @@
 //!
 //! - **G1 mode** (`pretenuring = false`): region-based young collections
 //!   (eden + survivors evacuated, age-based tenuring with survivor-space
-//!   overflow), marking when tenured occupancy crosses a threshold, then
-//!   mixed collections over the most-garbage old regions — Garbage-First
-//!   [Detlefs et al. 2004] as the paper's baseline.
+//!   overflow), marking when tenured occupancy crosses a threshold, a
+//!   cleanup that frees every region marking found empty, then mixed
+//!   collections over old regions chosen once by GC efficiency —
+//!   Garbage-First [Detlefs et al. 2004] as the paper's baseline.
 //! - **NG2C mode** (`pretenuring = true`): the same engine plus 16
 //!   generations (young, 14 dynamic, old; paper §7.1). Allocations carry a
 //!   target generation — from hand annotations (the NG2C baseline) or from
@@ -19,6 +20,7 @@
 //! spaces, so young pauses shrink with the bytes they no longer copy.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use rolp_heap::{AllocFailure, ObjectRef, RegionId, RegionKind, SpaceKind, TlabAlloc};
@@ -42,12 +44,11 @@ pub struct RegionalConfig {
     /// Tenured occupancy (fraction of total regions) that starts a marking
     /// cycle followed by mixed collections.
     pub mark_trigger: f64,
-    /// A tenured region joins a mixed collection set if its live fraction
+    /// A tenured region joins the mixed candidates if its live fraction
     /// is at most this (G1's `G1MixedGCLiveThresholdPercent`).
     pub mixed_live_threshold: f64,
-    /// Maximum tenured regions per mixed collection.
-    pub mixed_max_regions: usize,
-    /// Mixed collections to run after each marking cycle.
+    /// Mixed collections the candidates of one marking are spread over
+    /// (G1's `G1MixedGCCountTarget`); 0 runs no mixed collections.
     pub mixed_cycles: usize,
     /// Regions kept free as evacuation reserve.
     pub reserve_regions: usize,
@@ -63,13 +64,21 @@ impl Default for RegionalConfig {
             tenuring_threshold: 15,
             mark_trigger: 0.45,
             mixed_live_threshold: 0.85,
-            mixed_max_regions: 256,
             mixed_cycles: 4,
             reserve_regions: 4,
             pretenuring: false,
         }
     }
 }
+
+/// Percentage of the heap's regions one mixed collection may take from
+/// the candidates (G1's `G1OldCSetRegionThresholdPercent`).
+const MIXED_MAX_REGION_PERCENT: usize = 10;
+
+/// Mixed collections stop once the remaining candidates hold less garbage
+/// than this percentage of the heap (G1's `G1HeapWastePercent`): what is
+/// left is accepted as waste until the next marking.
+const HEAP_WASTE_PERCENT: u64 = 5;
 
 /// Per-collector statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,7 +94,8 @@ pub struct RegionalStats {
     /// Objects allocated directly into dynamic generations / old
     /// (pretenured).
     pub pretenured: u64,
-    /// Tenured regions reclaimed with zero survivors ("died together").
+    /// Tenured regions reclaimed with zero survivors ("died together"),
+    /// at cleanup or in a collection set.
     pub regions_died_together: u64,
 }
 
@@ -95,8 +105,13 @@ pub struct RegionalCollector {
     hooks: Rc<RefCell<dyn GcHooks>>,
     decisions: Option<Rc<DecisionStore>>,
     cycles: u64,
-    mixed_remaining: usize,
-    liveness_fresh: bool,
+    /// Mixed candidates chosen at the last remark, best GC efficiency
+    /// first, each with the garbage marking found in it. Mixed
+    /// collections take from the front; what the waste stop leaves stays
+    /// here until the next marking or full collection.
+    candidates: VecDeque<(RegionId, u64)>,
+    /// Candidates one mixed collection takes.
+    mixed_batch: usize,
     stats: RegionalStats,
     name: &'static str,
 }
@@ -125,8 +140,8 @@ impl RegionalCollector {
             hooks,
             decisions: None,
             cycles: 0,
-            mixed_remaining: 0,
-            liveness_fresh: false,
+            candidates: VecDeque::new(),
+            mixed_batch: 0,
             stats: RegionalStats::default(),
             name,
         }
@@ -203,12 +218,18 @@ impl RegionalCollector {
     /// schedule sees the same liveness at the same collection as a
     /// stop-the-world trace would. Only the trace's cost, roughly
     /// bandwidth-bound like copying (`copy_ns(live) / 2`), and the
-    /// dead-object scrub's (`copy_ns(dead) / 2`) run beside the mutator:
-    /// they are queued on the environment's marking account
-    /// ([`VmEnv::queue_concurrent_mark`]), which later mutator work pays
-    /// at half speed and idle time pays for free (DESIGN §4). The remark
-    /// is not deferred until the work is paid: the heap keeps filling
-    /// meanwhile, and in small heaps that ends in full GCs.
+    /// dead-object scrub's (one mark-bitmap byte per 64 dead heap bytes
+    /// at the trace rate) run beside the mutator: they are queued on the
+    /// environment's marking account ([`VmEnv::queue_concurrent_mark`]),
+    /// which later mutator work pays at half speed and idle time pays for
+    /// free (DESIGN §4). The remark is not deferred until the work is
+    /// paid: the heap keeps filling meanwhile, and in small heaps that
+    /// ends in full GCs.
+    ///
+    /// The remark ends with G1's Cleanup: every tenured or humongous
+    /// region marking found without a live byte is freed on the spot,
+    /// without copying, and the mixed candidates are chosen once from
+    /// what is left ([`Self::choose_candidates`]).
     fn run_marking(&mut self, env: &mut VmEnv) {
         env.heap.retire_all_tlabs();
         let mark = mark_liveness(&mut env.heap);
@@ -233,39 +254,68 @@ impl RegionalCollector {
             &EvacStats::default(),
         );
 
-        // Eagerly reclaim dead humongous regions (G1 does this at cleanup).
-        for id in env.heap.regions_of_kind(RegionKind::Humongous) {
-            if env.heap.region(id).live_bytes == 0 {
-                env.heap.release_region(id);
-            }
-        }
-        env.heap.purge_remsets();
-        self.liveness_fresh = true;
-        self.mixed_remaining = self.config.mixed_cycles;
-        self.stats.markings += 1;
-    }
-
-    fn mixed_candidates(&self, env: &VmEnv) -> Vec<RegionId> {
-        let mut cands: Vec<(u64, RegionId)> = env
+        // Cleanup. Marking scrubbed every dead object, so nothing
+        // elsewhere points into a region without live bytes.
+        let dead: Vec<(RegionId, bool)> = env
             .heap
             .regions()
             .filter(|(_, r)| {
-                let tenured = matches!(r.kind, RegionKind::Old | RegionKind::Dynamic(_));
-                // Only regions whose liveness was established by a marking
-                // *after* their assignment are candidates; a fresh region's
-                // zero live-bytes means "unknown", not "dead".
-                if !tenured || r.used_bytes() == 0 || !r.liveness_valid {
-                    return false;
-                }
-                let live_frac = r.live_bytes as f64 / r.used_bytes() as f64;
-                live_frac <= self.config.mixed_live_threshold
+                matches!(r.kind, RegionKind::Old | RegionKind::Dynamic(_) | RegionKind::Humongous)
+                    && r.live_bytes == 0
             })
-            .map(|(id, r)| (r.garbage_bytes(), id))
+            .map(|(id, r)| (id, r.kind != RegionKind::Humongous && r.used_bytes() > 0))
             .collect();
-        cands.sort_by_key(|&(g, _)| std::cmp::Reverse(g));
-        let cap = self.config.mixed_max_regions.min(env.heap.num_regions() / 8).max(4);
-        cands.truncate(cap);
-        cands.into_iter().map(|(_, id)| id).collect()
+        for (id, died_together) in dead {
+            env.heap.release_region(id);
+            self.stats.regions_died_together += died_together as u64;
+        }
+        env.heap.purge_remsets();
+        self.choose_candidates(env);
+        self.stats.markings += 1;
+    }
+
+    /// Builds the mixed candidates once per marking, as G1 does after
+    /// Cleanup: tenured regions at most `mixed_live_threshold` live,
+    /// ranked by GC efficiency, the garbage a region frees over the pause
+    /// time it costs (copying its live bytes plus the per-region
+    /// overhead). Each mixed collection then takes
+    /// `ceil(len / mixed_cycles)` of them, at most
+    /// [`MIXED_MAX_REGION_PERCENT`] of the heap's regions.
+    fn choose_candidates(&mut self, env: &VmEnv) {
+        self.candidates.clear();
+        if self.config.mixed_cycles == 0 {
+            return;
+        }
+        let cost = &env.cost;
+        let region_ns = cost.region_overhead_ns as f64 / cost.gc_workers.max(1) as f64;
+        let mut ranked: Vec<(f64, RegionId, u64)> = env
+            .heap
+            .regions()
+            .filter(|(_, r)| {
+                matches!(r.kind, RegionKind::Old | RegionKind::Dynamic(_))
+                    && r.used_bytes() > 0
+                    && r.live_bytes as f64
+                        <= self.config.mixed_live_threshold * r.used_bytes() as f64
+            })
+            .map(|(id, r)| {
+                let garbage = r.garbage_bytes();
+                let efficiency = garbage as f64 / (cost.copy_ns(r.live_bytes) as f64 + region_ns);
+                (efficiency, id, garbage)
+            })
+            .collect();
+        // Stable: equally efficient regions keep ascending id order.
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+        self.candidates = ranked.into_iter().map(|(_, id, garbage)| (id, garbage)).collect();
+        let cap = (env.heap.num_regions() * MIXED_MAX_REGION_PERCENT / 100).max(1);
+        self.mixed_batch = self.candidates.len().div_ceil(self.config.mixed_cycles).min(cap);
+    }
+
+    /// True while a mixed collection is due: the remaining candidates
+    /// still hold at least [`HEAP_WASTE_PERCENT`] of the heap in garbage.
+    fn mixed_pending(&self, env: &VmEnv) -> bool {
+        let reclaimable: u64 = self.candidates.iter().map(|&(_, garbage)| garbage).sum();
+        let heap_bytes = (env.heap.num_regions() * env.heap.region_bytes()) as u64;
+        reclaimable > 0 && reclaimable * 100 >= heap_bytes * HEAP_WASTE_PERCENT
     }
 
     /// Runs one young or mixed collection. Returns true on success; false
@@ -275,17 +325,11 @@ impl RegionalCollector {
         let mut cset: Vec<RegionId> = env.heap.regions_of_kind(RegionKind::Eden);
         cset.extend(env.heap.regions_of_kind(RegionKind::Survivor));
 
-        let mixed = self.mixed_remaining > 0 && self.liveness_fresh;
         let mut kind = PauseKind::Young;
-        if mixed {
-            let cands = self.mixed_candidates(env);
-            if cands.is_empty() {
-                self.mixed_remaining = 0;
-            } else {
-                cset.extend(cands);
-                kind = PauseKind::Mixed;
-                self.mixed_remaining -= 1;
-            }
+        if self.mixed_pending(env) {
+            let n = self.mixed_batch.min(self.candidates.len());
+            cset.extend(self.candidates.drain(..n).map(|(id, _)| id));
+            kind = PauseKind::Mixed;
         }
 
         let survivor_budget = (env.heap.num_regions() as f64 * self.config.survivor_fraction)
@@ -348,9 +392,10 @@ impl RegionalCollector {
 
         self.finish_cycle(env, kind, &outcome.stats, outcome.pause);
 
-        // Kick off marking when tenured occupancy crosses the trigger.
+        // Kick off marking when tenured occupancy crosses the trigger and
+        // no mixed collection is due.
         let tenured_frac = self.tenured_regions(env) as f64 / env.heap.num_regions() as f64;
-        if tenured_frac > self.config.mark_trigger && self.mixed_remaining == 0 {
+        if tenured_frac > self.config.mark_trigger && !self.mixed_pending(env) {
             self.run_marking(env);
         }
         true
@@ -365,8 +410,7 @@ impl RegionalCollector {
         drop(hooks_ref);
         self.cycles += 1;
         self.stats.full_gcs += 1;
-        self.liveness_fresh = true; // full GC recomputed liveness
-        self.mixed_remaining = 0;
+        self.candidates.clear();
         let pause =
             env.pauses.events().get(start_pauses).map(|e| e.duration).unwrap_or(SimTime::ZERO);
         self.finish_cycle(env, PauseKind::Full, &stats, pause);
@@ -379,35 +423,42 @@ impl RegionalCollector {
         stats: &EvacStats,
         pause: SimTime,
     ) {
+        let mut scheduled = vec![false; env.heap.num_regions()];
+        for &(id, _) in &self.candidates {
+            scheduled[id.0 as usize] = true;
+        }
         let info = GcCycleInfo {
             cycle: self.cycles,
             kind,
             bytes_copied: stats.bytes_copied,
             survivors: stats.survivors,
             duration: pause,
-            tenured_fragmentation: self.tenured_fragmentation(env),
-            dynamic_gen_garbage: self.dynamic_gen_garbage(env),
+            tenured_fragmentation: Self::tenured_fragmentation(env, &scheduled),
+            dynamic_gen_garbage: Self::dynamic_gen_garbage(env, &scheduled),
         };
         let hooks = Rc::clone(&self.hooks);
         hooks.borrow_mut().on_gc_end(env, &info);
     }
 
-    /// True fragmentation is garbage *co-located with live data*: a fully
-    /// dead region is not fragmented (it is reclaimed for free at the next
-    /// mixed cycle), and a freshly assigned region's liveness is unknown.
-    /// Counting either would make the §6 demotion fire on healthy epochal
-    /// behaviour and drag correct estimates back towards the young
+    /// True fragmentation is garbage *co-located with live data* that no
+    /// collection will reclaim: a fully dead region is not fragmented (it
+    /// is freed at cleanup), a freshly assigned region's liveness is
+    /// unknown, and garbage in a region the mixed schedule still holds or
+    /// the waste stop dropped (`scheduled`) is reclaimed or accepted until
+    /// the next marking. Counting any of them would make the §6 demotion
+    /// fire on healthy epochal behaviour, or with the phase of the mixed
+    /// schedule, and drag correct estimates back towards the young
     /// generation.
-    fn is_fragmented_candidate(r: &rolp_heap::Region) -> bool {
-        r.liveness_valid && r.live_bytes > 0 && r.used_bytes() > 0
+    fn is_fragmented(id: RegionId, r: &rolp_heap::Region, scheduled: &[bool]) -> bool {
+        r.liveness_valid && r.live_bytes > 0 && r.used_bytes() > 0 && !scheduled[id.0 as usize]
     }
 
-    fn tenured_fragmentation(&self, env: &VmEnv) -> f64 {
+    fn tenured_fragmentation(env: &VmEnv, scheduled: &[bool]) -> f64 {
         let mut used = 0u64;
         let mut garbage = 0u64;
-        for (_, r) in env.heap.regions() {
+        for (id, r) in env.heap.regions() {
             if matches!(r.kind, RegionKind::Old | RegionKind::Dynamic(_))
-                && Self::is_fragmented_candidate(r)
+                && Self::is_fragmented(id, r, scheduled)
             {
                 used += r.used_bytes();
                 garbage += r.garbage_bytes();
@@ -420,12 +471,12 @@ impl RegionalCollector {
         }
     }
 
-    fn dynamic_gen_garbage(&self, env: &VmEnv) -> [f64; 16] {
+    fn dynamic_gen_garbage(env: &VmEnv, scheduled: &[bool]) -> [f64; 16] {
         let mut used = [0u64; 16];
         let mut garbage = [0u64; 16];
-        for (_, r) in env.heap.regions() {
+        for (id, r) in env.heap.regions() {
             if let RegionKind::Dynamic(g) = r.kind {
-                if Self::is_fragmented_candidate(r) {
+                if Self::is_fragmented(id, r, scheduled) {
                     used[g as usize] += r.used_bytes();
                     garbage[g as usize] += r.garbage_bytes();
                 }
@@ -527,11 +578,58 @@ impl CollectorApi for RegionalCollector {
 mod tests {
     use std::collections::BTreeMap;
 
+    use rolp_heap::verify::verify_heap;
     use rolp_heap::{ClassId, Heap, HeapConfig, ObjectHeader};
     use rolp_vm::{CostModel, DecisionTable, JitConfig, ProgramBuilder};
 
     use super::*;
     use crate::observer::NullHooks;
+
+    /// A 1 MiB heap of 256 regions of 4 KiB, with one class.
+    fn test_env() -> VmEnv {
+        let mut heap = Heap::new(HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 });
+        heap.classes.register("t.Obj");
+        VmEnv::new(
+            heap,
+            CostModel::default(),
+            ProgramBuilder::new().build(),
+            JitConfig::default(),
+            1,
+        )
+    }
+
+    fn hooks() -> Rc<RefCell<dyn GcHooks>> {
+        Rc::new(RefCell::new(NullHooks))
+    }
+
+    /// Fills `regions` fresh regions of `space` with 480-byte objects,
+    /// eight to a region, and roots the first `live(i)` objects of the
+    /// `i`-th region. Returns the regions in fill order.
+    fn fill(
+        env: &mut VmEnv,
+        space: SpaceKind,
+        regions: usize,
+        live: impl Fn(usize) -> usize,
+    ) -> Vec<RegionId> {
+        let mut filled: Vec<RegionId> = Vec::new();
+        let mut in_region = 0;
+        loop {
+            let obj = env.heap.alloc_in(space, ClassId(0), 0, 58, ObjectHeader::new(1)).unwrap();
+            if filled.last() != Some(&obj.region()) {
+                if filled.len() == regions {
+                    // Spilled into one region too many: leave it empty.
+                    env.heap.release_region(obj.region());
+                    return filled;
+                }
+                filled.push(obj.region());
+                in_region = 0;
+            }
+            if in_region < live(filled.len() - 1) {
+                env.heap.handles.create(obj);
+            }
+            in_region += 1;
+        }
+    }
 
     /// One context per case: decided at 3, 14 and 15; a canary row
     /// decided at 5; decided at generation 0; undecided.
@@ -540,15 +638,7 @@ mod tests {
     /// Allocates one live eden object per context, runs one young
     /// collection and returns where each survivor landed.
     fn placements(mut collector: RegionalCollector) -> Vec<RegionKind> {
-        let mut heap = Heap::new(HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 });
-        heap.classes.register("t.Obj");
-        let mut env = VmEnv::new(
-            heap,
-            CostModel::default(),
-            ProgramBuilder::new().build(),
-            JitConfig::default(),
-            1,
-        );
+        let mut env = test_env();
         let rows: BTreeMap<u32, u8> = [
             (CONTEXTS[0], 3),
             (CONTEXTS[1], 14),
@@ -583,15 +673,7 @@ mod tests {
 
     #[test]
     fn marking_queues_its_trace_and_stops_the_clock_only_for_pauses() {
-        let mut heap = Heap::new(HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 });
-        heap.classes.register("t.Obj");
-        let mut env = VmEnv::new(
-            heap,
-            CostModel::default(),
-            ProgramBuilder::new().build(),
-            JitConfig::default(),
-            1,
-        );
+        let mut env = test_env();
         // Half the regions hold live tenured data, past the 45% trigger.
         let half = env.heap.num_regions() / 2;
         while env.heap.num_of_kind(RegionKind::Old) < half {
@@ -618,15 +700,7 @@ mod tests {
 
     #[test]
     fn a_dead_tenured_holder_does_not_keep_its_young_target_alive_after_marking() {
-        let mut heap = Heap::new(HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 });
-        heap.classes.register("t.Obj");
-        let mut env = VmEnv::new(
-            heap,
-            CostModel::default(),
-            ProgramBuilder::new().build(),
-            JitConfig::default(),
-            1,
-        );
+        let mut env = test_env();
         // Dead before the marking: an unrooted old object whose only
         // field is the sole reference to an eden object. The store is
         // recorded in the eden region's remembered set.
@@ -639,9 +713,14 @@ mod tests {
         // No mixed collections follow the marking, so the holder's region
         // stays out of the collection set and only its remembered-set
         // slot could root the target.
+        // A rooted neighbour keeps the holder's region from being freed
+        // at cleanup, which would drop the slot without the scrub.
+        let neighbour =
+            env.heap.alloc_in(SpaceKind::Old, ClassId(0), 0, 4, ObjectHeader::new(1)).unwrap();
+        assert_eq!(neighbour.region(), holder.region());
+        env.heap.handles.create(neighbour);
         let config = RegionalConfig { mixed_cycles: 0, ..Default::default() };
-        let mut collector =
-            RegionalCollector::with_config(config, Rc::new(RefCell::new(NullHooks)), "G1");
+        let mut collector = RegionalCollector::with_config(config, hooks(), "G1");
         collector.run_marking(&mut env);
         let copied = env.heap.stats().objects_copied;
         assert!(collector.collect(&mut env), "the young collection succeeds");
@@ -651,7 +730,6 @@ mod tests {
 
     #[test]
     fn decided_young_survivors_go_to_their_generation_at_the_first_evacuation() {
-        let hooks = || -> Rc<RefCell<dyn GcHooks>> { Rc::new(RefCell::new(NullHooks)) };
         assert_eq!(
             placements(RegionalCollector::ng2c(hooks())),
             [
@@ -668,5 +746,116 @@ mod tests {
             [RegionKind::Survivor; 6],
             "G1 ignores decisions"
         );
+    }
+
+    #[test]
+    fn a_wholly_dead_dynamic_region_is_freed_at_remark_without_copying() {
+        let mut env = test_env();
+        let dead = fill(&mut env, SpaceKind::Dynamic(3), 1, |_| 0)[0];
+        let kept = fill(&mut env, SpaceKind::Dynamic(3), 1, |_| 4)[0];
+        let mut collector = RegionalCollector::ng2c(hooks());
+        collector.run_marking(&mut env);
+
+        assert_eq!(env.heap.region(dead).kind, RegionKind::Free, "freed at cleanup");
+        assert_eq!(env.heap.region(kept).kind, RegionKind::Dynamic(3), "live data stays");
+        assert_eq!(collector.stats().regions_died_together, 1);
+        assert_eq!(env.heap.stats().objects_copied, 0, "nothing was copied");
+        assert_eq!(env.pauses.events().len(), 1, "only the remark paused");
+    }
+
+    #[test]
+    fn heap_is_valid_after_cleanup_frees_a_region_a_dead_object_pointed_into() {
+        let mut env = test_env();
+        let dead = fill(&mut env, SpaceKind::Dynamic(5), 1, |_| 0)[0];
+        let target = env.heap.objects_in_region(dead).next().unwrap();
+        // A dead holder in a region that stays: its live neighbour is
+        // rooted.
+        let live =
+            env.heap.alloc_in(SpaceKind::Old, ClassId(0), 0, 4, ObjectHeader::new(1)).unwrap();
+        env.heap.handles.create(live);
+        let holder =
+            env.heap.alloc_in(SpaceKind::Old, ClassId(0), 1, 0, ObjectHeader::new(1)).unwrap();
+        env.heap.set_ref(holder, 0, target);
+        let mut collector = RegionalCollector::ng2c(hooks());
+        collector.run_marking(&mut env);
+
+        assert_eq!(env.heap.region(dead).kind, RegionKind::Free, "freed at cleanup");
+        assert_eq!(env.heap.region(holder.region()).kind, RegionKind::Old);
+        assert_eq!(verify_heap(&env.heap, false), []);
+    }
+
+    #[test]
+    fn mixed_candidates_are_chosen_once_by_efficiency_spread_and_stopped_under_waste() {
+        let mut env = test_env();
+        // 96 old regions, 0 to 7 of 8 objects live: 12 wholly dead for
+        // cleanup, 12 above 85% live, and 72 candidates whose garbage is
+        // 14.8% of the heap.
+        let old = fill(&mut env, SpaceKind::Old, 96, |i| (i * 5) % 8);
+        let mut collector = RegionalCollector::g1(hooks());
+        collector.run_marking(&mut env);
+        assert_eq!(collector.stats().regions_died_together, 12);
+
+        let efficiency = |env: &VmEnv, id: RegionId| {
+            let r = env.heap.region(id);
+            let region_ns = env.cost.region_overhead_ns as f64 / env.cost.gc_workers as f64;
+            r.garbage_bytes() as f64 / (env.cost.copy_ns(r.live_bytes) as f64 + region_ns)
+        };
+        let chosen: Vec<RegionId> = collector.candidates.iter().map(|&(id, _)| id).collect();
+        let expected: Vec<RegionId> = old
+            .iter()
+            .copied()
+            .filter(|&id| {
+                let r = env.heap.region(id);
+                r.kind == RegionKind::Old && r.live_bytes * 100 <= r.used_bytes() * 85
+            })
+            .collect();
+        assert_eq!(chosen.len(), expected.len());
+        assert!(
+            expected.iter().all(|id| chosen.contains(id)),
+            "every sparse region is a candidate"
+        );
+        assert!(
+            chosen.windows(2).all(|w| efficiency(&env, w[0]) >= efficiency(&env, w[1])),
+            "most efficient first"
+        );
+        assert_eq!(collector.mixed_batch, chosen.len().div_ceil(4), "spread over mixed_cycles");
+
+        // Mixed collections take the list in order, one batch each, and
+        // stop once what is left would free under 5% of the heap.
+        let heap_bytes = 1u64 << 20;
+        let mut taken = 0;
+        loop {
+            let reclaimable: u64 = collector.candidates.iter().map(|&(_, g)| g).sum();
+            let before = collector.stats().mixed_gcs;
+            assert!(collector.collect(&mut env));
+            if reclaimable * 100 < heap_bytes * HEAP_WASTE_PERCENT {
+                assert_eq!(collector.stats().mixed_gcs, before, "stopped under the waste floor");
+                break;
+            }
+            assert_eq!(collector.stats().mixed_gcs, before + 1);
+            let batch = collector.mixed_batch.min(chosen.len() - taken);
+            for &id in &chosen[taken..taken + batch] {
+                assert_eq!(env.heap.region(id).kind, RegionKind::Free, "collected in list order");
+            }
+            taken += batch;
+        }
+        assert_eq!(collector.stats().mixed_gcs, 2, "the waste stop came before mixed_cycles");
+        assert!(!collector.candidates.is_empty(), "the waste stop leaves garbage behind");
+        assert_eq!(collector.stats().markings, 1, "no marking while candidates were due");
+    }
+
+    #[test]
+    fn zero_mixed_cycles_frees_dead_regions_at_cleanup_but_runs_no_mixed_collection() {
+        let mut env = test_env();
+        fill(&mut env, SpaceKind::Old, 96, |i| (i * 5) % 8);
+        let config = RegionalConfig { mixed_cycles: 0, ..Default::default() };
+        let mut collector = RegionalCollector::with_config(config, hooks(), "G1");
+        collector.run_marking(&mut env);
+        for _ in 0..4 {
+            assert!(collector.collect(&mut env));
+        }
+        assert_eq!(collector.stats().regions_died_together, 12, "cleanup still frees");
+        assert_eq!(collector.stats().mixed_gcs, 0);
+        assert_eq!(env.heap.num_of_kind(RegionKind::Old), 84);
     }
 }

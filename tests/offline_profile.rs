@@ -97,18 +97,28 @@ fn two_site_program(
     (b.build(), cs, site_a, site_b)
 }
 
-/// Drives the two-site workload. Site A keeps a middle-lived ring of
-/// objects throughout. Site B holds a ring during the learning phase;
-/// with `drift`, B's objects instead die immediately — the traffic
-/// pattern the profile was learned on is gone. `frozen_replay` disables
-/// the confidence blend: the imported profile is trusted verbatim
-/// forever (plain POLM2 replay, the comparison baseline).
+/// How long a two-site run lasts: a number of operations, or until the
+/// profiler has run a number of inference epochs.
+#[derive(Clone, Copy)]
+enum Until {
+    Ops(u64),
+    Inferences(u64),
+}
+
+/// Drives the two-site workload: every operation allocates one object at
+/// each site, of the same size. Site A keeps a ring of its last 12,000
+/// objects throughout. Site B keeps the same ring while learning, so the
+/// learned profile places both sites in one generation; with `drift`,
+/// B's objects instead die immediately — the traffic pattern the profile
+/// was learned on is gone. `frozen_replay` disables the confidence
+/// blend: the imported profile is trusted verbatim forever (plain POLM2
+/// replay, the comparison baseline). Returns the operations run.
 fn run_two_site(
     profile: Option<DecisionProfile>,
     drift: bool,
     frozen_replay: bool,
-    ops: u64,
-) -> (JvmRuntime, rolp::RolpStats) {
+    until: Until,
+) -> (JvmRuntime, rolp::RolpStats, u64) {
     let (program, cs, site_a, site_b) = two_site_program();
     let mut config = RuntimeConfig {
         collector: CollectorKind::RolpNg2c,
@@ -122,11 +132,20 @@ fn run_two_site(
 
     let mut ring_a = std::collections::VecDeque::new();
     let mut ring_b = std::collections::VecDeque::new();
-    for _ in 0..ops {
+    let mut ops = 0;
+    loop {
+        let done = match until {
+            Until::Ops(n) => ops == n,
+            Until::Inferences(n) => rt.profiler.as_ref().expect("rolp").borrow().inferences() >= n,
+        };
+        if done {
+            break;
+        }
+        ops += 1;
         let mut ctx = rt.ctx(ThreadId(0));
         let (ha, hb) = ctx.call(cs, |ctx| {
             ctx.work(20);
-            (ctx.alloc(site_a, class, 0, 24), ctx.alloc(site_b, class, 0, 6))
+            (ctx.alloc(site_a, class, 0, 24), ctx.alloc(site_b, class, 0, 24))
         });
         ring_a.push_back(ha);
         if ring_a.len() > 12_000 {
@@ -138,7 +157,7 @@ fn run_two_site(
             rt.ctx(ThreadId(0)).release(hb);
         } else {
             ring_b.push_back(hb);
-            if ring_b.len() > 20_000 {
+            if ring_b.len() > 12_000 {
                 let old = ring_b.pop_front().expect("non-empty");
                 rt.ctx(ThreadId(0)).release(old);
             }
@@ -148,35 +167,43 @@ fn run_two_site(
         let p = rt.profiler.as_ref().expect("rolp").borrow();
         p.stats(&rt.vm.env.program, &rt.vm.env.jit)
     };
-    (rt, stats)
+    (rt, stats, ops)
 }
 
-/// The ISSUE's drift case: a profile learned under one traffic pattern
-/// is imported into a run whose traffic has drifted. The
-/// confidence-weighted blend must (a) still beat a cold start — the
-/// still-valid entry pretenures from epoch 0 — and (b) beat a frozen
-/// replay of the profile, which keeps promoting the drifted site's
-/// now-short-lived objects into an old generation forever.
+/// The drift case: a profile learned under one traffic pattern is
+/// imported into a run whose traffic has drifted. The confidence-weighted
+/// blend must (a) still beat a cold start — the still-valid entry
+/// pretenures from epoch 0 — and (b) beat a frozen replay of the
+/// profile, which keeps pretenuring the drifted site's now-short-lived
+/// objects next to the valid site's live ones. A region that holds any
+/// live object is not freed at cleanup, so the frozen run fills its
+/// shared generation twice as fast, marks more often and pays a mixed
+/// collection for every region the garbage shares with live data.
+///
+/// The drifted runs last as many operations as the blended run needs
+/// for 8 inference epochs: the prior's release takes three decays, and
+/// what it buys shows only in the epochs after.
 #[test]
 fn blended_warm_start_beats_cold_and_frozen_replay_under_drift() {
-    // Learn both sites middle-lived.
-    let (rt1, learn_stats) = run_two_site(None, false, false, 700_000);
-    assert!(learn_stats.inferences > 0, "learning run must reach inference");
+    // Learn both sites with the same lifetime.
+    let (rt1, learn_stats, _) = run_two_site(None, false, false, Until::Inferences(2));
     let profile = {
         let p = rt1.profiler.as_ref().expect("rolp").borrow();
         DecisionProfile::from_profiler(&p, &rt1.vm.env.program, &rt1.vm.env.jit)
     };
-    assert!(profile.len() >= 2, "both sites must be learned, got: {profile}");
+    assert!(learn_stats.decisions >= 2, "both sites must be learned, got: {profile}");
+    let (program, _, site_a, site_b) = two_site_program();
+    let learned = profile.resolve(&program);
+    assert!(learned[&site_a] > 0, "site A must be pretenured, got: {profile}");
+    assert_eq!(learned[&site_a], learned[&site_b], "one generation for both, got: {profile}");
 
-    const OPS: u64 = 700_000;
-    let (cold_rt, cold) = run_two_site(None, true, false, OPS);
-    let (blend_rt, blend) = run_two_site(Some(profile.clone()), true, false, OPS);
-    let (frozen_rt, frozen) = run_two_site(Some(profile), true, true, OPS);
-    let _ = cold;
+    let (blend_rt, blend, ops) =
+        run_two_site(Some(profile.clone()), true, false, Until::Inferences(8));
+    let (cold_rt, _, _) = run_two_site(None, true, false, Until::Ops(ops));
+    let (frozen_rt, frozen, _) = run_two_site(Some(profile), true, true, Until::Ops(ops));
 
     let paused = |rt: &JvmRuntime| rt.vm.env.pauses.clone();
     let (cold_p, blend_p, frozen_p) = (paused(&cold_rt), paused(&blend_rt), paused(&frozen_rt));
-
     // The blend released the drifted entry and kept the valid one.
     assert!(blend.profile_rows_released >= 1, "drifted entry must be released: {blend:?}");
     assert!(blend.profile_rows_active >= 1, "valid entry must survive: {blend:?}");
@@ -197,8 +224,9 @@ fn blended_warm_start_beats_cold_and_frozen_replay_under_drift() {
     );
 
     // Beats frozen replay: the frozen run keeps pretenuring site B's
-    // now-young garbage into an old generation, paying mixed-collection
-    // work the blended run sheds once the entry is released.
+    // now-young garbage next to site A's live objects, paying marking
+    // and mixed-collection work the blended run sheds once the entry is
+    // released.
     assert!(
         blend_p.total() < frozen_p.total(),
         "blended warm start must pause less than frozen replay: {:?} vs {:?}",
