@@ -16,6 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use rolp_heap::remset::SlotAddr;
 use rolp_heap::{Heap, ObjectRef, RegionKind};
 use rolp_telemetry::CounterId;
 use rolp_vm::VmEnv;
@@ -112,6 +113,14 @@ pub(crate) fn queue_marking(env: &mut VmEnv, mark: &MarkResult) -> u64 {
 /// read `NULL`, which evacuation skips. Filler words are skipped by the
 /// object walk, and a humongous object is walked once, from its head
 /// region.
+///
+/// In a dynamic region each run of adjacent dead objects then becomes one
+/// filler, and the pages it leaves all zero are released: a dynamic region
+/// keeps its garbage until its cohort outlives its generation (DESIGN §4),
+/// and the host need not hold that garbage meanwhile. Remembered-set slots
+/// inside a filled run are dropped, as a released holder's are, so none
+/// reads the zeroed words. The filled bytes stay counted as dead, so the
+/// scrub's price does not change.
 fn scrub_dead(heap: &mut Heap, result: &mut MarkResult) {
     let ids: Vec<_> = heap
         .regions()
@@ -119,14 +128,25 @@ fn scrub_dead(heap: &mut Heap, result: &mut MarkResult) {
         .map(|(id, _)| id)
         .collect();
     let mut dead: Vec<ObjectRef> = Vec::new();
+    // Runs to fill, `(region, first word, end word)`, in heap order.
+    let mut runs: Vec<(u32, u32, u32)> = Vec::new();
     for id in ids {
         dead.clear();
+        let first_run = runs.len();
+        let fill = matches!(heap.region(id).kind, RegionKind::Dynamic(_));
+        result.dead_bytes += heap.region(id).filled_dead_bytes;
         for obj in heap.objects_in_region(id) {
             if !result.marked.contains(&obj) {
+                let words = heap.size_words(obj);
                 result.dead_objects += 1;
-                result.dead_bytes += heap.size_words(obj) as u64 * 8;
+                result.dead_bytes += words as u64 * 8;
                 if heap.ref_words(obj) > 0 {
                     dead.push(obj);
+                }
+                match runs[first_run..].last_mut() {
+                    Some((_, _, end)) if *end == obj.offset() => *end += words,
+                    _ if fill => runs.push((id.0, obj.offset(), obj.offset() + words)),
+                    _ => {}
                 }
             }
         }
@@ -138,12 +158,31 @@ fn scrub_dead(heap: &mut Heap, result: &mut MarkResult) {
                 }
             }
         }
+        if runs.len() > first_run {
+            let r = heap.region_mut(id);
+            for &(_, start, end) in &runs[first_run..] {
+                r.fill_dead(start, (end - start) as usize);
+            }
+            r.release_zero_pages();
+        }
+    }
+    if runs.is_empty() {
+        return;
+    }
+    let in_run = |s: &SlotAddr| {
+        let at = runs.partition_point(|&(r, start, _)| (r, start) <= (s.region.0, s.offset));
+        at > 0 && runs[at - 1].0 == s.region.0 && s.offset < runs[at - 1].2
+    };
+    let ids: Vec<_> = heap.regions().map(|(id, _)| id).collect();
+    for id in ids {
+        heap.region_mut(id).rset.drop_stale(|s| !in_run(s));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rolp_heap::verify::verify_heap;
     use rolp_heap::{ClassId, HeapConfig, ObjectHeader, SpaceKind};
 
     fn heap() -> Heap {
@@ -231,6 +270,50 @@ mod tests {
             }
         }
         assert_eq!(h.get_ref(live, 0), kept, "live objects keep their references");
+    }
+
+    #[test]
+    fn a_dynamic_regions_dead_run_becomes_one_filler_and_keeps_its_price() {
+        let mut h = heap();
+        let target = alloc(&mut h, SpaceKind::Eden, 0, 2);
+        let live = alloc(&mut h, SpaceKind::Dynamic(2), 0, 2);
+        let dead = alloc(&mut h, SpaceKind::Dynamic(2), 1, 8);
+        let dead_next = alloc(&mut h, SpaceKind::Dynamic(2), 0, 8);
+        let live_next = alloc(&mut h, SpaceKind::Dynamic(2), 0, 2);
+        // The dead holder's store left a slot in the eden region's set.
+        h.set_ref(dead, 0, target);
+        for o in [target, live, live_next] {
+            h.handles.create(o);
+        }
+        let region = live.region();
+        let run_words = h.size_words(dead) + h.size_words(dead_next);
+
+        let first = mark_liveness(&mut h);
+        assert_eq!(first.dead_bytes, run_words as u64 * 8);
+        assert_eq!(first.refs_scrubbed, 1);
+        let walked: Vec<ObjectRef> = h.objects_in_region(region).collect();
+        assert_eq!(walked, [live, live_next], "the run is one filler the walk skips");
+        let words = dead.offset()..dead.offset() + run_words;
+        assert!(words.skip(1).all(|o| h.region(region).word(o) == 0), "the run reads zero");
+        let rset = &h.region(target.region()).rset;
+        assert_eq!((rset.len(), rset.dropped()), (0, 1), "the slot is dropped, still charged");
+        assert_eq!(verify_heap(&h, true), []);
+
+        let second = mark_liveness(&mut h);
+        assert_eq!(second.dead_bytes, first.dead_bytes, "filled bytes still count as dead");
+        assert_eq!(second.refs_scrubbed, 0);
+    }
+
+    #[test]
+    fn dead_runs_outside_dynamic_regions_are_left_as_objects() {
+        let mut h = heap();
+        let live = alloc(&mut h, SpaceKind::Old, 0, 2);
+        let dead = alloc(&mut h, SpaceKind::Old, 0, 8);
+        h.handles.create(live);
+        mark_liveness(&mut h);
+        let walked: Vec<ObjectRef> = h.objects_in_region(live.region()).collect();
+        assert_eq!(walked, [live, dead]);
+        assert_eq!(h.region(live.region()).filled_dead_bytes, 0);
     }
 
     #[test]

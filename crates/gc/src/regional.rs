@@ -13,7 +13,10 @@
 //!   target generation — from hand annotations (the NG2C baseline) or from
 //!   ROLP's advice (the paper's contribution) — and go straight to that
 //!   dynamic generation, skipping every young-generation copy. Dynamic
-//!   regions whose objects died together are reclaimed without copying.
+//!   regions whose objects died together are reclaimed without copying,
+//!   and a `Dynamic(g)` region joins the mixed candidates only once it
+//!   has been through more than `g` collections, so its cohort is not
+//!   copied while it is still dying.
 //!
 //! The mechanical claim of the paper emerges here, not from a formula:
 //! pretenured long-lived objects are never copied through the survivor
@@ -80,6 +83,11 @@ const MIXED_MAX_REGION_PERCENT: usize = 10;
 /// left is accepted as waste until the next marking.
 const HEAP_WASTE_PERCENT: u64 = 5;
 
+/// Collections whose start the collector remembers to age regions: one
+/// more than the oldest dynamic generation, so every `Dynamic(g)` region
+/// can be told to have outlived `g` collections.
+const AGE_HORIZON: usize = 15;
+
 /// Per-collector statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RegionalStats {
@@ -112,6 +120,15 @@ pub struct RegionalCollector {
     candidates: VecDeque<(RegionId, u64)>,
     /// Candidates one mixed collection takes.
     mixed_batch: usize,
+    /// The heap's assignment epoch at the start of each of the last
+    /// [`AGE_HORIZON`] collections, oldest first. A region has been
+    /// through every collection that started at or after its
+    /// `assigned_epoch`.
+    collection_epochs: VecDeque<u64>,
+    /// Dynamic regions the last marking read while their cohort was
+    /// still young (see [`Self::young_cohort`]); they hold no
+    /// fragmentation reading until the next marking.
+    young_cohorts: Vec<RegionId>,
     stats: RegionalStats,
     name: &'static str,
 }
@@ -142,6 +159,8 @@ impl RegionalCollector {
             cycles: 0,
             candidates: VecDeque::new(),
             mixed_batch: 0,
+            collection_epochs: VecDeque::with_capacity(AGE_HORIZON),
+            young_cohorts: Vec::new(),
             stats: RegionalStats::default(),
             name,
         }
@@ -274,15 +293,45 @@ impl RegionalCollector {
         self.stats.markings += 1;
     }
 
+    /// Records the start of a collection for [`Self::young_cohort`].
+    fn start_collection(&mut self, env: &VmEnv) {
+        if self.collection_epochs.len() == AGE_HORIZON {
+            self.collection_epochs.pop_front();
+        }
+        self.collection_epochs.push_back(env.heap.epoch());
+    }
+
+    /// True for a `Dynamic(g)` region that has been through at most `g`
+    /// collections. Its generation is the decided lifetime of its cohort
+    /// (the 85th-percentile death age, DESIGN §6 item 1), so most of its
+    /// objects are predicted to be still alive and dying: copying them now
+    /// would copy objects that are about to die, and the region is left to
+    /// Cleanup until a later marking finds it older.
+    fn young_cohort(&self, r: &rolp_heap::Region) -> bool {
+        let RegionKind::Dynamic(g) = r.kind else {
+            return false;
+        };
+        let age = self.collection_epochs.iter().rev().take_while(|&&e| e >= r.assigned_epoch);
+        age.count() <= g as usize
+    }
+
     /// Builds the mixed candidates once per marking, as G1 does after
     /// Cleanup: tenured regions at most `mixed_live_threshold` live,
     /// ranked by GC efficiency, the garbage a region frees over the pause
     /// time it costs (copying its live bytes plus the per-region
     /// overhead). Each mixed collection then takes
     /// `ceil(len / mixed_cycles)` of them, at most
-    /// [`MIXED_MAX_REGION_PERCENT`] of the heap's regions.
+    /// [`MIXED_MAX_REGION_PERCENT`] of the heap's regions. A dynamic
+    /// region whose cohort is still young ([`Self::young_cohort`]) is no
+    /// candidate; it is considered again at the next marking.
     fn choose_candidates(&mut self, env: &VmEnv) {
         self.candidates.clear();
+        self.young_cohorts = env
+            .heap
+            .regions()
+            .filter(|(_, r)| r.used_bytes() > 0 && self.young_cohort(r))
+            .map(|(id, _)| id)
+            .collect();
         if self.config.mixed_cycles == 0 {
             return;
         }
@@ -296,6 +345,7 @@ impl RegionalCollector {
                     && r.used_bytes() > 0
                     && r.live_bytes as f64
                         <= self.config.mixed_live_threshold * r.used_bytes() as f64
+                    && !self.young_cohort(r)
             })
             .map(|(id, r)| {
                 let garbage = r.garbage_bytes();
@@ -322,6 +372,7 @@ impl RegionalCollector {
     /// means evacuation failed and a full compaction was performed.
     fn collect(&mut self, env: &mut VmEnv) -> bool {
         env.heap.retire_all_tlabs();
+        self.start_collection(env);
         let mut cset: Vec<RegionId> = env.heap.regions_of_kind(RegionKind::Eden);
         cset.extend(env.heap.regions_of_kind(RegionKind::Survivor));
 
@@ -403,6 +454,7 @@ impl RegionalCollector {
 
     fn full_collect(&mut self, env: &mut VmEnv) {
         env.heap.retire_all_tlabs();
+        self.start_collection(env);
         let hooks = Rc::clone(&self.hooks);
         let mut hooks_ref = hooks.borrow_mut();
         let start_pauses = env.pauses.count();
@@ -411,6 +463,7 @@ impl RegionalCollector {
         self.cycles += 1;
         self.stats.full_gcs += 1;
         self.candidates.clear();
+        self.young_cohorts.clear();
         let pause =
             env.pauses.events().get(start_pauses).map(|e| e.duration).unwrap_or(SimTime::ZERO);
         self.finish_cycle(env, PauseKind::Full, &stats, pause);
@@ -424,7 +477,9 @@ impl RegionalCollector {
         pause: SimTime,
     ) {
         let mut scheduled = vec![false; env.heap.num_regions()];
-        for &(id, _) in &self.candidates {
+        for id in
+            self.candidates.iter().map(|&(id, _)| id).chain(self.young_cohorts.iter().copied())
+        {
             scheduled[id.0 as usize] = true;
         }
         let info = GcCycleInfo {
@@ -443,12 +498,13 @@ impl RegionalCollector {
     /// True fragmentation is garbage *co-located with live data* that no
     /// collection will reclaim: a fully dead region is not fragmented (it
     /// is freed at cleanup), a freshly assigned region's liveness is
-    /// unknown, and garbage in a region the mixed schedule still holds or
-    /// the waste stop dropped (`scheduled`) is reclaimed or accepted until
-    /// the next marking. Counting any of them would make the §6 demotion
-    /// fire on healthy epochal behaviour, or with the phase of the mixed
-    /// schedule, and drag correct estimates back towards the young
-    /// generation.
+    /// unknown, garbage in a region the mixed schedule still holds or
+    /// the waste stop dropped is reclaimed or accepted until the next
+    /// marking, and a young cohort's liveness was read while it was still
+    /// dying (`scheduled` holds both). Counting any of them would make
+    /// the §6 demotion fire on healthy epochal behaviour, or with the
+    /// phase of the mixed schedule, and drag correct estimates back
+    /// towards the young generation.
     fn is_fragmented(id: RegionId, r: &rolp_heap::Region, scheduled: &[bool]) -> bool {
         r.liveness_valid && r.live_bytes > 0 && r.used_bytes() > 0 && !scheduled[id.0 as usize]
     }
@@ -842,6 +898,107 @@ mod tests {
         assert_eq!(collector.stats().mixed_gcs, 2, "the waste stop came before mixed_cycles");
         assert!(!collector.candidates.is_empty(), "the waste stop leaves garbage behind");
         assert_eq!(collector.stats().markings, 1, "no marking while candidates were due");
+    }
+
+    /// Runs `n` young collections over an empty eden: each ages every
+    /// region by one collection.
+    fn age_by(collector: &mut RegionalCollector, env: &mut VmEnv, n: usize) {
+        for _ in 0..n {
+            assert!(collector.collect(env));
+        }
+    }
+
+    fn is_candidate(collector: &RegionalCollector, id: RegionId) -> bool {
+        collector.candidates.iter().any(|&(c, _)| c == id)
+    }
+
+    #[test]
+    fn a_dynamic_region_is_a_mixed_candidate_only_once_its_cohort_outlived_its_generation() {
+        let mut env = test_env();
+        // Half live: well under the 85% threshold at any age.
+        let cohort = fill(&mut env, SpaceKind::Dynamic(3), 1, |_| 4)[0];
+        let mut collector = RegionalCollector::ng2c(hooks());
+        age_by(&mut collector, &mut env, 3);
+        collector.run_marking(&mut env);
+        assert!(!is_candidate(&collector, cohort), "age 3 is within generation 3's lifetime");
+        assert_eq!(collector.young_cohorts, [cohort]);
+
+        age_by(&mut collector, &mut env, 1);
+        assert_eq!(collector.stats().mixed_gcs, 0, "nothing was scheduled");
+        collector.run_marking(&mut env);
+        assert!(is_candidate(&collector, cohort), "age 4 has outlived generation 3");
+        assert!(collector.young_cohorts.is_empty());
+        assert_eq!(env.heap.stats().objects_copied, 0);
+    }
+
+    #[test]
+    fn a_wholly_dead_young_cohort_is_freed_at_cleanup_while_its_live_sibling_waits() {
+        let mut env = test_env();
+        let dead = fill(&mut env, SpaceKind::Dynamic(3), 1, |_| 0)[0];
+        let sibling = fill(&mut env, SpaceKind::Dynamic(3), 1, |_| 2)[0];
+        let mut collector = RegionalCollector::ng2c(hooks());
+        age_by(&mut collector, &mut env, 1);
+        collector.run_marking(&mut env);
+
+        assert_eq!(env.heap.region(dead).kind, RegionKind::Free, "freed at cleanup");
+        assert_eq!(collector.stats().regions_died_together, 1);
+        assert!(collector.candidates.is_empty(), "the 25%-live sibling is a young cohort");
+        age_by(&mut collector, &mut env, 2);
+        assert_eq!(collector.stats().mixed_gcs, 0);
+        assert_eq!(env.heap.region(sibling).kind, RegionKind::Dynamic(3));
+        assert_eq!(env.heap.stats().objects_copied, 0, "nothing was copied");
+    }
+
+    #[test]
+    fn young_cohorts_leave_the_candidates_g1_chooses_over_old_regions_unchanged() {
+        let old_only = |env: &mut VmEnv| fill(env, SpaceKind::Old, 96, |i| (i * 5) % 8);
+        let mut g1_env = test_env();
+        old_only(&mut g1_env);
+        let mut g1 = RegionalCollector::g1(hooks());
+        g1.run_marking(&mut g1_env);
+
+        // The same old regions, then 20 half-live cohorts of generation 5
+        // that no collection has aged yet.
+        let mut env = test_env();
+        old_only(&mut env);
+        let cohorts = fill(&mut env, SpaceKind::Dynamic(5), 20, |_| 4);
+        let mut ng2c = RegionalCollector::ng2c(hooks());
+        ng2c.run_marking(&mut env);
+
+        assert!(!g1.candidates.is_empty());
+        assert_eq!(ng2c.candidates, g1.candidates, "same regions, same order, same garbage");
+        assert_eq!(ng2c.mixed_batch, g1.mixed_batch);
+        assert_eq!(ng2c.young_cohorts, cohorts);
+    }
+
+    /// Hooks that keep the last cycle's per-generation garbage reading.
+    #[derive(Default)]
+    struct GarbageReading(Option<[f64; 16]>);
+
+    impl GcHooks for GarbageReading {
+        fn on_gc_end(&mut self, _env: &mut VmEnv, info: &GcCycleInfo) {
+            self.0 = Some(info.dynamic_gen_garbage);
+        }
+    }
+
+    #[test]
+    fn a_young_cohorts_garbage_is_no_fragmentation_reading_until_a_later_marking() {
+        let mut env = test_env();
+        // 7 of 8 objects live: above the 85% threshold, never a candidate.
+        fill(&mut env, SpaceKind::Dynamic(2), 1, |_| 7);
+        let reading = Rc::new(RefCell::new(GarbageReading::default()));
+        let mut collector = RegionalCollector::ng2c(reading.clone());
+        let gen2 = |r: &Rc<RefCell<GarbageReading>>| r.borrow().0.expect("a cycle ended")[2];
+
+        collector.run_marking(&mut env);
+        age_by(&mut collector, &mut env, 1);
+        assert_eq!(gen2(&reading), 0.0, "read at age 0, while the cohort was dying");
+        age_by(&mut collector, &mut env, 2);
+        assert_eq!(gen2(&reading), 0.0, "no marking has read it since");
+
+        collector.run_marking(&mut env);
+        age_by(&mut collector, &mut env, 1);
+        assert_eq!(gen2(&reading), 0.125, "read again past its generation's lifetime");
     }
 
     #[test]

@@ -234,6 +234,13 @@ impl Heap {
         self.regions.len()
     }
 
+    /// The assignment epoch: bumped each time a free region is assigned,
+    /// so a region assigned before this reading has an
+    /// `assigned_epoch` of at most this value.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Number of regions currently on the free list.
     pub fn free_regions(&self) -> usize {
         self.free.len()

@@ -15,6 +15,7 @@
 //! as committed.
 
 use crate::remset::RememberedSet;
+use crate::ObjectHeader;
 
 /// Words per backing page.
 const PAGE_WORDS: usize = 4;
@@ -102,14 +103,22 @@ pub struct Region {
     ///
     /// [`remset`]: crate::remset
     pub rset: RememberedSet,
-    /// Monotone epoch of the last assignment, used to age regions for
-    /// mixed-collection candidate selection.
+    /// Monotone epoch of the last assignment. Remembered-set slots carry
+    /// it so a slot into a region since released and reassigned is
+    /// dropped as stale, and the regional collector compares it with the
+    /// heap epochs it recorded at the start of its last collections to
+    /// count the collections a region has been through (its age).
     pub assigned_epoch: u64,
     /// Whether `live_bytes` reflects a marking that happened *after* the
     /// last assignment. Freshly assigned regions have unknown liveness;
     /// treating their 0 as "all garbage" would make collectors evacuate
     /// fully live regions.
     pub liveness_valid: bool,
+    /// Bytes of dead objects that markings turned into fillers
+    /// ([`Region::fill_dead`]) since the last assignment. The object walk
+    /// skips fillers, so later markings count these bytes as dead from
+    /// here.
+    pub filled_dead_bytes: u64,
 }
 
 impl Region {
@@ -126,6 +135,7 @@ impl Region {
             rset: RememberedSet::new(),
             assigned_epoch: 0,
             liveness_valid: false,
+            filled_dead_bytes: 0,
         }
     }
 
@@ -140,6 +150,7 @@ impl Region {
         self.rset.clear();
         self.assigned_epoch = epoch;
         self.liveness_valid = false;
+        self.filled_dead_bytes = 0;
     }
 
     /// Returns the region to the free list. The capacity is kept, so the
@@ -156,6 +167,7 @@ impl Region {
         self.stored = 0;
         self.rset = RememberedSet::new();
         self.liveness_valid = false;
+        self.filled_dead_bytes = 0;
     }
 
     /// Bump-allocates `words` words; returns the offset of the first word
@@ -254,6 +266,51 @@ impl Region {
         if let Some(page) = self.page_mut(o / PAGE_WORDS, value != 0) {
             page[o % PAGE_WORDS] = value;
         }
+    }
+
+    /// Turns the dead words `from..from + words` into one filler: the first
+    /// word becomes a filler word spanning the range, and every other word
+    /// reads zero. Pages left all zero keep their storage until
+    /// [`Region::release_zero_pages`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn fill_dead(&mut self, from: u32, words: usize) {
+        let (start, end) = (from as usize, from as usize + words);
+        self.check_range(start, words);
+        self.set_word(from, ObjectHeader::filler_word(words));
+        for page in (start + 1) / PAGE_WORDS..end.div_ceil(PAGE_WORDS) {
+            let base = page * PAGE_WORDS;
+            let (lo, hi) = ((start + 1).max(base) - base, end.min(base + PAGE_WORDS) - base);
+            if let Some(p) = self.page_mut(page, false) {
+                p[lo..hi].fill(0);
+            }
+        }
+        self.filled_dead_bytes += words as u64 * 8;
+    }
+
+    /// Drops the storage of every page that reads all zero, repacking the
+    /// rest in page order.
+    pub fn release_zero_pages(&mut self) {
+        let mut chunks: Vec<Box<Chunk>> = Vec::new();
+        let mut stored = 0;
+        for slot in self.page_map.iter_mut().filter(|s| **s != ABSENT) {
+            let old = *slot as usize;
+            let page = self.chunks[old / CHUNK_PAGES][old % CHUNK_PAGES];
+            if page == ZERO_PAGE {
+                *slot = ABSENT;
+                continue;
+            }
+            if stored % CHUNK_PAGES == 0 {
+                chunks.push(Box::new([ZERO_PAGE; CHUNK_PAGES]));
+            }
+            chunks[stored / CHUNK_PAGES][stored % CHUNK_PAGES] = page;
+            *slot = stored as u16;
+            stored += 1;
+        }
+        self.chunks = chunks;
+        self.stored = stored;
     }
 
     /// Copies `words` words starting at `src_offset` in `src` into this
@@ -387,6 +444,32 @@ mod tests {
         assert_eq!(r.rset.memory_bytes(), 0, "the remembered set's table is freed");
         r.assign(RegionKind::Eden, 16, 2);
         assert_eq!(r.word(3), 0, "a reassigned region reads zero");
+    }
+
+    #[test]
+    fn a_filled_dead_range_reads_as_one_filler_and_frees_its_pages() {
+        let mut r = Region::new();
+        r.assign(RegionKind::Dynamic(3), 64, 1);
+        r.bump(64).unwrap();
+        for offset in 0..64 {
+            r.set_word(offset, offset as u64 + 1);
+        }
+        r.fill_dead(6, 40);
+        assert!(ObjectHeader::is_filler_word(r.word(6)));
+        assert_eq!(ObjectHeader::filler_size_words(r.word(6)), 40);
+        assert!((7..46).all(|o| r.word(o) == 0), "the rest of the range reads zero");
+        assert!((0..6).chain(46..64).all(|o| r.word(o) == o as u64 + 1), "neighbours kept");
+        assert_eq!(r.filled_dead_bytes, 320);
+
+        r.release_zero_pages();
+        // Pages 2..=10 (words 8..44) lay wholly inside the range.
+        assert_eq!(r.stored, 16 - 9);
+        assert!(ObjectHeader::is_filler_word(r.word(6)));
+        assert!((0..6).chain(46..64).all(|o| r.word(o) == o as u64 + 1), "repacked intact");
+        r.set_word(20, 5);
+        assert_eq!((r.word(20), r.stored), (5, 8), "a later write stores its page again");
+        r.release();
+        assert_eq!(r.filled_dead_bytes, 0);
     }
 
     #[test]

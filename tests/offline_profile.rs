@@ -83,18 +83,16 @@ fn exported_profile_warm_starts_a_fresh_run() {
     assert_eq!(rolp2.inferences, 0, "3k ops is before the first inference window");
 }
 
-/// Two-site program for the traffic-drift scenario: both sites sit in
-/// the same hot method, but their object lifetimes are driven
-/// independently by the caller.
-fn two_site_program(
-) -> (rolp_vm::Program, rolp_vm::CallSiteId, rolp_vm::AllocSiteId, rolp_vm::AllocSiteId) {
+/// Program for the traffic-drift scenario: two profiled sites in the same
+/// hot method, whose object lifetimes the caller drives independently,
+/// and a scratch site whose objects die at once.
+fn two_site_program() -> (rolp_vm::Program, rolp_vm::CallSiteId, [rolp_vm::AllocSiteId; 3]) {
     let mut b = ProgramBuilder::new();
     let main = b.method("app.Main::run", 60, false);
     let hot = b.method("app.store.Buffer::fill", 120, false);
     let cs = b.call_site(main, hot);
-    let site_a = b.alloc_site(hot, 5);
-    let site_b = b.alloc_site(hot, 9);
-    (b.build(), cs, site_a, site_b)
+    let sites = [b.alloc_site(hot, 5), b.alloc_site(hot, 9), b.alloc_site(hot, 13)];
+    (b.build(), cs, sites)
 }
 
 /// How long a two-site run lasts: a number of operations, or until the
@@ -105,12 +103,22 @@ enum Until {
     Inferences(u64),
 }
 
+/// Objects site A keeps alive while the profile is learned; site B keeps
+/// as many, so the learned profile places both sites in one generation.
+const LEARNED_RING: usize = 12_000;
+
+/// Objects site A keeps alive under drifted traffic: twice as many, so
+/// they outlive the generation learned for them.
+const DRIFTED_RING: usize = 24_000;
+
 /// Drives the two-site workload: every operation allocates one object at
-/// each site, of the same size. Site A keeps a ring of its last 12,000
-/// objects throughout. Site B keeps the same ring while learning, so the
-/// learned profile places both sites in one generation; with `drift`,
-/// B's objects instead die immediately — the traffic pattern the profile
-/// was learned on is gone. `frozen_replay` disables the confidence
+/// each site, of the same size, and a 32-word scratch object that dies
+/// at once. The scratch objects fill eden at the same pace in every run,
+/// so the young-collection cadence (the unit of age) does not depend on
+/// where A and B are placed. While learning, A and B each keep a ring of
+/// their last [`LEARNED_RING`] objects. With `drift`, the traffic the
+/// profile was learned on is gone: B's objects die immediately and A
+/// keeps [`DRIFTED_RING`]. `frozen_replay` disables the confidence
 /// blend: the imported profile is trusted verbatim forever (plain POLM2
 /// replay, the comparison baseline). Returns the operations run.
 fn run_two_site(
@@ -119,7 +127,7 @@ fn run_two_site(
     frozen_replay: bool,
     until: Until,
 ) -> (JvmRuntime, rolp::RolpStats, u64) {
-    let (program, cs, site_a, site_b) = two_site_program();
+    let (program, cs, [site_a, site_b, scratch]) = two_site_program();
     let mut config = RuntimeConfig {
         collector: CollectorKind::RolpNg2c,
         heap: HeapConfig { region_bytes: 64 * 1024, max_heap_bytes: 16 << 20 },
@@ -130,6 +138,7 @@ fn run_two_site(
     let mut rt = JvmRuntime::new(config, program);
     let class = rt.vm.env.heap.classes.register("app.store.Chunk");
 
+    let ring_a_len = if drift { DRIFTED_RING } else { LEARNED_RING };
     let mut ring_a = std::collections::VecDeque::new();
     let mut ring_b = std::collections::VecDeque::new();
     let mut ops = 0;
@@ -145,10 +154,12 @@ fn run_two_site(
         let mut ctx = rt.ctx(ThreadId(0));
         let (ha, hb) = ctx.call(cs, |ctx| {
             ctx.work(20);
+            let tmp = ctx.alloc(scratch, class, 0, 32);
+            ctx.release(tmp);
             (ctx.alloc(site_a, class, 0, 24), ctx.alloc(site_b, class, 0, 24))
         });
         ring_a.push_back(ha);
-        if ring_a.len() > 12_000 {
+        if ring_a.len() > ring_a_len {
             let old = ring_a.pop_front().expect("non-empty");
             rt.ctx(ThreadId(0)).release(old);
         }
@@ -157,7 +168,7 @@ fn run_two_site(
             rt.ctx(ThreadId(0)).release(hb);
         } else {
             ring_b.push_back(hb);
-            if ring_b.len() > 12_000 {
+            if ring_b.len() > LEARNED_RING {
                 let old = ring_b.pop_front().expect("non-empty");
                 rt.ctx(ThreadId(0)).release(old);
             }
@@ -171,14 +182,21 @@ fn run_two_site(
 }
 
 /// The drift case: a profile learned under one traffic pattern is
-/// imported into a run whose traffic has drifted. The confidence-weighted
-/// blend must (a) still beat a cold start — the still-valid entry
-/// pretenures from epoch 0 — and (b) beat a frozen replay of the
-/// profile, which keeps pretenuring the drifted site's now-short-lived
-/// objects next to the valid site's live ones. A region that holds any
-/// live object is not freed at cleanup, so the frozen run fills its
-/// shared generation twice as fast, marks more often and pays a mixed
-/// collection for every region the garbage shares with live data.
+/// imported into a run whose traffic has drifted. Site B's objects now
+/// die at once, and site A's live twice as long as when the profile was
+/// learned. The confidence-weighted blend must (a) still beat a cold
+/// start, because the still-valid entry for A pretenures from epoch 0,
+/// and (b) beat a frozen replay of the profile, which keeps pretenuring
+/// B's now-short-lived objects next to A's live ones.
+///
+/// A dynamic region becomes a mixed candidate only once it has outlived
+/// its generation (DESIGN §4). A frozen replay's co-located garbage
+/// therefore costs nothing while A dies within its learned generation:
+/// cleanup frees the region whole. Here A outlives it. The frozen
+/// replay's regions are then half garbage when they qualify, so mixed
+/// collections copy A's live objects out of them. The blend's regions,
+/// once B's entry is released, hold A alone: still almost wholly live when
+/// they qualify, they are left alone and die together.
 ///
 /// The drifted runs last as many operations as the blended run needs
 /// for 8 inference epochs: the prior's release takes three decays, and
@@ -192,7 +210,7 @@ fn blended_warm_start_beats_cold_and_frozen_replay_under_drift() {
         DecisionProfile::from_profiler(&p, &rt1.vm.env.program, &rt1.vm.env.jit)
     };
     assert!(learn_stats.decisions >= 2, "both sites must be learned, got: {profile}");
-    let (program, _, site_a, site_b) = two_site_program();
+    let (program, _, [site_a, site_b, _]) = two_site_program();
     let learned = profile.resolve(&program);
     assert!(learned[&site_a] > 0, "site A must be pretenured, got: {profile}");
     assert_eq!(learned[&site_a], learned[&site_b], "one generation for both, got: {profile}");
@@ -208,6 +226,13 @@ fn blended_warm_start_beats_cold_and_frozen_replay_under_drift() {
     assert!(blend.profile_rows_released >= 1, "drifted entry must be released: {blend:?}");
     assert!(blend.profile_rows_active >= 1, "valid entry must survive: {blend:?}");
     assert!(blend.profile_blend_decays >= 2, "release takes repeated decay epochs: {blend:?}");
+    let kept = {
+        let p = blend_rt.profiler.as_ref().expect("rolp").borrow();
+        DecisionProfile::from_profiler(&p, &blend_rt.vm.env.program, &blend_rt.vm.env.jit)
+            .resolve(&program)
+    };
+    assert_eq!(kept.get(&site_a), learned.get(&site_a), "A keeps its imported generation");
+    assert_eq!(kept.get(&site_b).copied().unwrap_or(0), 0, "B is young again");
 
     // Frozen replay never lets go of anything.
     assert_eq!(frozen.profile_rows_released, 0, "frozen replay must not release: {frozen:?}");
@@ -224,9 +249,16 @@ fn blended_warm_start_beats_cold_and_frozen_replay_under_drift() {
     );
 
     // Beats frozen replay: the frozen run keeps pretenuring site B's
-    // now-young garbage next to site A's live objects, paying marking
-    // and mixed-collection work the blended run sheds once the entry is
-    // released.
+    // now-young garbage next to site A's live objects, and mixed
+    // collections copy A out of those regions; the blended run stops
+    // once the entry is released.
+    let copied = |rt: &JvmRuntime| rt.vm.env.heap.stats().bytes_copied;
+    assert!(
+        copied(&blend_rt) < copied(&frozen_rt),
+        "co-located garbage must cost the frozen replay copying: {} vs {} bytes",
+        copied(&blend_rt),
+        copied(&frozen_rt),
+    );
     assert!(
         blend_p.total() < frozen_p.total(),
         "blended warm start must pause less than frozen replay: {:?} vs {:?}",
