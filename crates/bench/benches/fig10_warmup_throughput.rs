@@ -87,7 +87,7 @@ fn warmup_comparison(scale: rolp_metrics::SimScale) {
 
     // Cold: no prior profile; the run also exports what it learned.
     let mut w = rolp_bench::cassandra(CassandraMix::WriteIntensive, scale);
-    let (cold, wi_profile, _) =
+    let (cold, wi_profile) =
         rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4, seed);
 
     // Warm: a restarted service replaying the cold run's profile.
@@ -101,7 +101,7 @@ fn warmup_comparison(scale: rolp_metrics::SimScale) {
     // confidence-weighted blend must converge instead of replaying stale
     // decisions forever.
     let mut w = rolp_bench::cassandra(CassandraMix::ReadIntensive, scale);
-    let (_, ri_profile, _) =
+    let (_, ri_profile) =
         rolp_bench::run_one_learning(&mut w, heap.clone(), scale, &budget, 4, seed);
     let mut w = rolp_bench::cassandra(CassandraMix::WriteIntensive, scale);
     let drifted = rolp_bench::run_one_warm(&mut w, heap, scale, &budget, 4, seed, ri_profile);

@@ -140,9 +140,7 @@ fn main() {
         println!(
             "quick mode: first workload, G1 + ROLP (4 guest threads) + ROLP-seq \
              (1 guest thread) + ROLP (warm) (warm-started from the plain ROLP \
-             run's profile); a governed ROLP run (overhead governor on, no \
-             faults) must equal plain ROLP; every row pools seeds {}-{} \
-             (ROLP_BENCH_QUICK)",
+             run's profile); every row pools seeds {}-{} (ROLP_BENCH_QUICK)",
             rolp_bench::CASSANDRA_SEEDS.start(),
             rolp_bench::CASSANDRA_SEEDS.end()
         );
@@ -199,10 +197,8 @@ fn main() {
             std::iter::once("system".to_string()).chain(fig9_labels()).collect::<Vec<_>>(),
         );
         let mut tail_ms: Vec<(CollectorKind, f64)> = Vec::new();
-        // Per seed: the learned profile and the plain ROLP row's
-        // (digest, pauses, GC cycles, ops).
+        // Per seed: the profile the plain ROLP row learned.
         let mut learned: Vec<rolp::DecisionProfile> = Vec::new();
-        let mut plain_runs: Vec<(u64, usize, u64, u64)> = Vec::new();
         let mut warm_info: Vec<(&'static str, f64, u64)> = Vec::new();
 
         for &(kind, threads, label, mode) in &collectors {
@@ -220,7 +216,7 @@ fn main() {
                 let start = std::time::Instant::now();
                 let out = match mode {
                     Mode::Learn => {
-                        let (out, profile, digest) = rolp_bench::run_one_learning(
+                        let (out, profile) = rolp_bench::run_one_learning(
                             w,
                             heap.clone(),
                             scale,
@@ -229,12 +225,6 @@ fn main() {
                             seed,
                         );
                         learned.push(profile);
-                        plain_runs.push((
-                            digest,
-                            out.pauses.count(),
-                            out.report.gc_cycles,
-                            out.report.ops,
-                        ));
                         out
                     }
                     Mode::Warm => rolp_bench::run_one_warm(
@@ -339,26 +329,6 @@ fn main() {
             println!(
                 "shape check [{name}]: p99.9 G1 {g1:.1} ms, ROLP {rolp:.1} ms -> \
                  ROLP reduces G1 tail by {reduction:.0}%"
-            );
-            // An ungoverned-equivalent governor (default budgets, no
-            // faults) never leaves `Full`, so the governed run must
-            // publish the same decisions on the same schedule as plain
-            // ROLP, on every seed.
-            for (&seed, plain) in seeds.iter().zip(&plain_runs) {
-                let mut w = rolp_bench::cassandra_seeded(scale, seed);
-                let (gov, gov_digest) =
-                    rolp_bench::run_one_governed(&mut w, heap.clone(), scale, &budget, 4, seed);
-                let governed =
-                    (gov_digest, gov.pauses.count(), gov.report.gc_cycles, gov.report.ops);
-                assert_eq!(
-                    governed, *plain,
-                    "[{name} / seed {seed}] governed ROLP (digest, pauses, GC cycles, ops) must \
-                     equal plain ROLP"
-                );
-            }
-            println!(
-                "governor [{name}]: governed runs equal plain ROLP on all {} seeds",
-                seeds.len()
             );
             let find = |l: &str| warm_info.iter().find(|(n, _, _)| *n == l);
             if let (Some(&(_, cold_w, cold_e)), Some(&(_, warm_w, warm_e))) =

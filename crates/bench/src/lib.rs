@@ -135,46 +135,11 @@ pub fn run_one_threads(
     out
 }
 
-/// The digest of the decision table a run published last (0 when the
-/// run has no profiler).
-fn published_digest(rt: &rolp::JvmRuntime) -> u64 {
-    rt.profiler.as_ref().map_or(0, |p| p.borrow().decision_store().load().digest())
-}
-
-/// [`run_one_threads`] for ROLP with the overhead governor engaged
-/// (default budgets, no fault plan), also returning the final published
-/// [`rolp_vm::DecisionTable`] digest. With nothing injected the governor
-/// stays in `Full`, so the run must equal plain ROLP's bit for bit; the
-/// quick Fig. 8/9 bench asserts it.
-pub fn run_one_governed(
-    workload: &mut dyn Workload,
-    heap: HeapConfig,
-    scale: SimScale,
-    budget: &RunBudget,
-    threads: u32,
-    seed: u64,
-) -> (RunOutcome, u64) {
-    let mut config = runtime_config(CollectorKind::RolpNg2c, heap, scale);
-    config.threads = threads;
-    config.seed = seed;
-    config.rolp.governor = Some(rolp::GovernorConfig::default());
-    let mut digest = 0;
-    let out = rolp_workloads::execute_hooked(
-        workload,
-        config,
-        budget,
-        |_| {},
-        |rt| digest = published_digest(rt),
-    );
-    (out, digest)
-}
-
 /// [`run_one_threads`] for ROLP, additionally extracting the learned
-/// [`rolp::DecisionProfile`] and the final published decision-table
-/// digest at the end of the run — the bench-side analogue of the CLI's
-/// `--profile-out`. The outcome is identical to a plain ROLP run
-/// (extraction happens after the final tick, before the report), so this
-/// can substitute for `run_one_threads` in a gate row.
+/// [`rolp::DecisionProfile`] at the end of the run — the bench-side
+/// analogue of the CLI's `--profile-out`. The outcome is identical to a
+/// plain ROLP run (extraction happens after the final tick, before the
+/// report), so this can substitute for `run_one_threads` in a gate row.
 pub fn run_one_learning(
     workload: &mut dyn Workload,
     heap: HeapConfig,
@@ -182,12 +147,11 @@ pub fn run_one_learning(
     budget: &RunBudget,
     threads: u32,
     seed: u64,
-) -> (RunOutcome, rolp::DecisionProfile, u64) {
+) -> (RunOutcome, rolp::DecisionProfile) {
     let mut config = runtime_config(CollectorKind::RolpNg2c, heap, scale);
     config.threads = threads;
     config.seed = seed;
     let mut profile = rolp::DecisionProfile::default();
-    let mut digest = 0;
     let out = rolp_workloads::execute_hooked(
         workload,
         config,
@@ -201,10 +165,9 @@ pub fn run_one_learning(
                     &rt.vm.env.jit,
                 );
             }
-            digest = published_digest(rt);
         },
     );
-    (out, profile, digest)
+    (out, profile)
 }
 
 /// [`run_one_threads`] for ROLP warm-started from a previously learned

@@ -52,9 +52,6 @@ pub struct Args {
     /// Modeled GC workers: the width of the pause cost model (None keeps
     /// its default).
     pub gc_workers: Option<usize>,
-    /// Fault-injection plan: a canned name or a `;`-separated spec
-    /// (enables the overhead governor). `None` = no injection.
-    pub fault_plan: Option<String>,
     /// TLAB chunk size in bytes; 0 disables the per-thread allocation
     /// fast path.
     pub tlab_bytes: usize,
@@ -78,7 +75,6 @@ impl Default for Args {
             metrics_prom: None,
             mutator_threads: 4,
             gc_workers: None,
-            fault_plan: None,
             tlab_bytes: rolp_heap::DEFAULT_TLAB_BYTES,
         }
     }
@@ -132,11 +128,6 @@ OPTIONS:
                         OS thread                       [default: 4]
     --gc-workers <N>    modeled GC workers: the pause cost model divides
                         parallel GC work by this width  [default: 4]
-    --fault-plan <SPEC> inject deterministic profiler faults and engage
-                        the overhead governor. SPEC is a canned plan
-                        (pressure-spike | id-exhaustion) or a
-                        `;`-separated list of atoms, e.g.
-                        \"exhaust-ids@24;burst@16..48x3000000\"
     --tlab-size <BYTES> per-thread allocation buffer (TLAB) chunk size;
                         each mutator bump-allocates privately from a
                         chunk of this size per space and refills under
@@ -208,12 +199,6 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
                         .filter(|&n| n > 0)
                         .ok_or("--gc-workers must be positive")?,
                 );
-            }
-            "--fault-plan" => {
-                let v = take("--fault-plan")?;
-                // Validate eagerly so a typo fails before the run starts.
-                rolp_faults::FaultPlan::parse(&v)?;
-                args.fault_plan = Some(v);
             }
             "--tlab-size" => {
                 let v = take("--tlab-size")?;
@@ -341,21 +326,6 @@ mod tests {
         assert_eq!(d.metrics_interval, 1);
         assert_eq!(d.metrics_prom, None);
         assert!(parse(&argv("--metrics-interval 0")).unwrap_err().contains("positive"));
-    }
-
-    #[test]
-    fn fault_plan_flag_parses_and_validates() {
-        for name in ["pressure-spike", "id-exhaustion"] {
-            let a = parse(&argv(&format!("--fault-plan {name}"))).expect("canned name parses");
-            assert_eq!(a.fault_plan.as_deref(), Some(name));
-        }
-        let a = parse(&argv("--fault-plan exhaust-ids@8;burst@16..64x1000")).expect("spec parses");
-        assert!(a.fault_plan.is_some());
-        for bad in ["no-such-plan", "merge-chaos", "seed=7;burst@16..64x1000", "drop-merge%3"] {
-            let err = parse(&argv(&format!("--fault-plan {bad}"))).unwrap_err();
-            assert!(err.contains("pressure-spike"), "{bad}: error lists canned plans: {err}");
-        }
-        assert_eq!(parse(&[]).unwrap().fault_plan, None);
     }
 
     #[test]

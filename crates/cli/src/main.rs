@@ -74,16 +74,6 @@ fn run(args: Args) -> Result<(), String> {
     // The flight recorder stays off (and costs nothing) unless a trace
     // sink was requested.
     config.trace_enabled = args.trace_out.is_some();
-    if let Some(spec) = &args.fault_plan {
-        let plan = rolp_faults::FaultPlan::parse(spec).expect("validated at parse time");
-        println!(
-            "fault plan: {} ({} fault(s)) — overhead governor engaged",
-            plan.name,
-            plan.faults.len()
-        );
-        config.rolp.fault_plan = Some(plan);
-        config.rolp.governor = Some(rolp::GovernorConfig::default());
-    }
 
     let budget = RunBudget {
         sim_time: SimTime::from_secs(args.secs),
@@ -256,12 +246,6 @@ fn print_report(report: &rolp::runtime::RunReport, pauses: &rolp_metrics::PauseR
         rolp_metrics::table::fmt_bytes(report.max_committed_bytes)
     );
     if let Some(r) = &report.rolp {
-        if let Some(state) = r.governor_state {
-            println!(
-                "governor           ended in state `{state}` ({} transition(s), {} injected fault event(s))",
-                r.governor_transitions, r.injected_fault_events
-            );
-        }
         if let Some(v) = r.profile_import {
             println!(
                 "profile import     {}/{} entries applied, {}/{} call sites; stable since epoch {}",

@@ -9,7 +9,7 @@ use std::process::ExitCode;
 
 use output::{metrics_jsonl, write_atomic, CrashGuard};
 use rolp::runtime::CollectorKind;
-use rolp::{DecisionProfile, GovernorConfig};
+use rolp::DecisionProfile;
 use rolp_metrics::SimScale;
 use rolp_serve::{
     default_tenants, format_phases, parse_phases, render_report, serve_with, ArrivalProcess,
@@ -29,7 +29,6 @@ struct ServeArgs {
     gc_workers: Option<usize>,
     profile_in: Option<String>,
     profile_out: Option<String>,
-    governor: bool,
     inference_period: Option<u64>,
     seed: u64,
     max_requests: u64,
@@ -54,7 +53,6 @@ impl Default for ServeArgs {
             gc_workers: None,
             profile_in: None,
             profile_out: None,
-            governor: false,
             inference_period: None,
             seed: 42,
             max_requests: u64::MAX,
@@ -99,8 +97,6 @@ OPTIONS:
     --profile-in <FILE> warm-start from a rolp-profile-v1 (canary blend)
     --profile-out <FILE>  export the decisions this run learned, so the
                         next serving run can warm-start from them
-    --governor          turn profiling off while its measured overhead
-                        exceeds 5% of busy mutator time
     --inference-period <N>  run inference every N GC cycles (short smoke
                         runs shrink this so epochs fit the schedule)
     --seed <N>          arrival + runtime seed             [default: 42]
@@ -178,7 +174,6 @@ fn parse(argv: &[String]) -> Result<ServeArgs, String> {
             }
             "--profile-in" => args.profile_in = Some(take("--profile-in")?),
             "--profile-out" => args.profile_out = Some(take("--profile-out")?),
-            "--governor" => args.governor = true,
             "--inference-period" => {
                 args.inference_period =
                     Some(positive("--inference-period", take("--inference-period")?)?)
@@ -225,9 +220,6 @@ fn build_config(args: &ServeArgs) -> Result<ServeConfig, String> {
     cfg.max_requests = args.max_requests;
     cfg.trace_enabled = args.trace_out.is_some();
     cfg.tlab_bytes = args.tlab_bytes;
-    if args.governor {
-        cfg.governor = Some(GovernorConfig::default());
-    }
     if let Some(path) = &args.profile_in {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let profile: DecisionProfile =
@@ -414,7 +406,7 @@ mod tests {
         let a = parse(&argv(
             "--collector g1 --scale 512 --phases 5s@100;5s@200 --arrivals paced \
              --slo-ms 5,20 --mutator-threads 2 --seed 7 \
-             --inference-period 2 --serve-json out.json --governor",
+             --inference-period 2 --serve-json out.json",
         ))
         .unwrap();
         assert_eq!(a.collector, CollectorKind::G1);
@@ -423,7 +415,6 @@ mod tests {
         assert_eq!(a.slo_ms, vec![5.0, 20.0]);
         assert_eq!(a.mutator_threads, 2);
         assert_eq!(a.inference_period, Some(2));
-        assert!(a.governor);
         assert_eq!(a.serve_json.as_deref(), Some("out.json"));
 
         assert!(parse(&argv("--slo-ms 0")).unwrap_err().contains("bad SLO"));
@@ -434,12 +425,11 @@ mod tests {
 
     #[test]
     fn build_config_applies_flags_and_validates_phases() {
-        let mut args = parse(&argv("--phases 3s@500x2/1 --slo-ms 8 --governor")).unwrap();
+        let mut args = parse(&argv("--phases 3s@500x2/1 --slo-ms 8")).unwrap();
         let cfg = build_config(&args).unwrap();
         assert_eq!(cfg.phases.len(), 1);
         assert_eq!(cfg.phases[0].rate_rps, 500);
         assert_eq!(cfg.slo_ms, vec![8.0]);
-        assert!(cfg.governor.is_some());
         args.phases = Some("garbage".into());
         assert!(build_config(&args).is_err());
     }

@@ -186,10 +186,9 @@ impl ConflictResolver {
     }
 
     /// Re-applies the resolver's intended call-site-profiling state to the
-    /// JIT after the governor bulk-disabled it (its `Off` state sheds all
-    /// call-site profiling): frozen distinguishing sets (§5) and the
-    /// in-flight probe batch are re-enabled so resolution resumes exactly
-    /// where it paused.
+    /// JIT: frozen distinguishing sets (§5) and the in-flight probe batch
+    /// are enabled, so imported frozen sets take effect at once and
+    /// resolution resumes exactly where it stood.
     pub fn reapply_to_jit(&self, jit: &mut JitState) {
         for &cs in self.frozen.iter().chain(&self.active_batch) {
             jit.enable_call_profiling(cs);
@@ -469,12 +468,12 @@ mod tests {
         r.on_inference(&program, &mut jit, &[3], &[]);
         let enabled = jit.enabled_call_sites();
         assert!(enabled > 0);
-        // Governor sheds all call-site profiling (Off state)...
+        // Every call site loses its profiling...
         for cs in program.call_sites() {
             jit.disable_call_profiling(cs);
         }
         assert_eq!(jit.enabled_call_sites(), 0);
-        // ...then recovery re-applies the resolver's intent exactly.
+        // ...then re-applying restores the resolver's intent exactly.
         r.reapply_to_jit(&mut jit);
         assert_eq!(jit.enabled_call_sites(), enabled);
     }

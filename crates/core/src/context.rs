@@ -14,7 +14,7 @@
 //! u16::MAX` exactly once, refuses further requests, and counts the
 //! refusals so the overflow is reported instead of hidden. Refused sites
 //! simply stay unprofiled — NG2C semantics, allocation in generation 0 —
-//! which is the graceful-degradation contract the governor relies on.
+//! the graceful degradation §7.5 asks for.
 
 /// Largest assignable allocation-site id (id 0 is reserved for
 /// "unprofiled").
@@ -93,7 +93,7 @@ impl SiteIdSpace {
         self.overflow_requests
     }
 
-    /// Marks the space exhausted immediately (fault injection: "site-id
+    /// Marks the space exhausted immediately (a test seam: "site-id
     /// exhaustion past 2^16" without allocating 65 535 real sites).
     pub fn force_exhaust(&mut self) {
         self.exhausted = true;

@@ -22,8 +22,6 @@
 //! - [`conflicts`] — the call-site-enabling conflict resolver (§5).
 //! - [`filters`] — package filters (§7.3).
 //! - [`survivor`] — survivor-tracking shutdown (§7.4).
-//! - [`governor`] — the overhead governor: profiling turns off when its
-//!   measured overhead exceeds the budget (Full ↔ Off).
 //! - [`warm_start`] — the imported offline profile, blended with live
 //!   evidence.
 //! - [`profiler`] — the assembled profiler (§3, §6, §7), a shell over the
@@ -72,7 +70,6 @@ pub mod conflicts;
 pub mod context;
 pub mod filters;
 pub mod geometry;
-pub mod governor;
 pub mod inference;
 pub mod leak;
 pub mod offline;
@@ -86,7 +83,6 @@ pub mod warm_start;
 pub use conflicts::{worst_case_resolution_time_ms, ConflictResolver, ConflictStats};
 pub use filters::PackageFilters;
 pub use geometry::{TableGeometry, FULL_SCALE_ROWS};
-pub use governor::{Governor, GovernorConfig, GovernorState, GovernorTransition};
 pub use inference::{classify_row, find_peaks, infer, learn, InferenceOutcome, RowVerdict};
 pub use leak::{LeakReport, LeakSuspect};
 pub use offline::{

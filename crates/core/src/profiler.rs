@@ -31,9 +31,6 @@
 //!    shared [`DecisionStore`], where the mutator allocation path and the
 //!    GC's pretenuring placement read it.
 //!
-//! The overhead governor and fault injection (`governor::Policy`) meter
-//! each epoch before stage 3 and gate the hooks in between.
-//!
 //! The working set itself is a sorted map keyed by table row key; the
 //! flat-array snapshot is rebuilt from it at each publication, so readers
 //! never observe a half-updated epoch.
@@ -49,12 +46,9 @@ use rolp_vm::{
     VmEnv, VmProfiler,
 };
 
-use rolp_faults::FaultPlan;
-
 use crate::conflicts::{ConflictResolver, ConflictStats};
 use crate::context::{context_known, pack};
 use crate::filters::PackageFilters;
-use crate::governor::{GovernorConfig, GovernorState, Policy};
 use crate::inference::{quantile_age, InferenceOutcome, DECISION_QUANTILE};
 use crate::offline::ProfileValidation;
 use crate::old_table::{OldTable, WorkerTable};
@@ -105,12 +99,6 @@ pub struct RolpConfig {
     pub blend: bool,
     /// Seed for the conflict resolver's random batches.
     pub seed: u64,
-    /// Overhead governor (`None` = ungoverned: the pre-governor behavior,
-    /// bit for bit). See [`crate::governor`].
-    pub governor: Option<GovernorConfig>,
-    /// Deterministic fault-injection plan (`None` = no injection). See
-    /// [`rolp_faults`].
-    pub fault_plan: Option<FaultPlan>,
 }
 
 impl Default for RolpConfig {
@@ -123,8 +111,6 @@ impl Default for RolpConfig {
             offline_profile: None,
             blend: true,
             seed: 0x0517,
-            governor: None,
-            fault_plan: None,
         }
     }
 }
@@ -166,14 +152,8 @@ pub struct RolpStats {
     pub survivor_shutdowns: u64,
     /// Times survivor tracking was turned back on.
     pub survivor_reactivations: u64,
-    /// Governor state label (`None` when running ungoverned).
-    pub governor_state: Option<&'static str>,
-    /// Governor state transitions taken.
-    pub governor_transitions: u64,
     /// Profile-id requests refused after the 16-bit id space saturated.
     pub profile_id_overflows: u64,
-    /// Synthetic record-path events charged by the fault injector.
-    pub injected_fault_events: u64,
     /// Offline-profile import validation (`None` when no profile was
     /// imported this run).
     pub profile_import: Option<ProfileValidation>,
@@ -227,8 +207,6 @@ pub struct RolpProfiler<T = OldTable> {
     /// The imported offline profile and its blend state.
     pub(crate) warm: WarmStart,
     max_profile_id: u16,
-    /// Governor and fault-injection effects.
-    policy: Policy,
     // counters
     profiled_allocations: u64,
     unprofiled_allocations: u64,
@@ -260,7 +238,6 @@ impl RolpProfiler {
             liveness_history: VecDeque::new(),
             warm: WarmStart::default(),
             max_profile_id: 0,
-            policy: Policy::new(config.governor.clone(), config.fault_plan.clone()),
             profiled_allocations: 0,
             unprofiled_allocations: 0,
             survivor_records: 0,
@@ -304,7 +281,6 @@ impl RolpProfiler {
 
     /// Counter snapshot; `jit`/`program` provide the site denominators.
     pub fn stats(&self, program: &Program, jit: &JitState) -> RolpStats {
-        let governor = self.policy.governor();
         RolpStats {
             profiled_alloc_sites: jit.profiled_alloc_sites(),
             total_alloc_sites: program.num_alloc_sites(),
@@ -323,10 +299,7 @@ impl RolpProfiler {
             demotions: self.demotions,
             survivor_shutdowns: self.survivor.shutdowns,
             survivor_reactivations: self.survivor.reactivations,
-            governor_state: governor.map(|g| g.state().label()),
-            governor_transitions: governor.map_or(0, |g| g.transitions()),
             profile_id_overflows: jit.profile_id_overflows(),
-            injected_fault_events: self.policy.injected_records,
             profile_import: self.warm.validation,
             profile_blend_decays: self.warm.decays,
             profile_rows_released: self.warm.released,
@@ -334,11 +307,6 @@ impl RolpProfiler {
             profile_rows_graduated: self.warm.graduated,
             last_change_epoch: self.last_change_epoch,
         }
-    }
-
-    /// Current governor state (`None` when running ungoverned).
-    pub fn governor_state(&self) -> Option<GovernorState> {
-        self.policy.governor().map(|g| g.state())
     }
 
     /// Pipeline stage 4, before the resolver: a fresh conflict on a site
@@ -374,7 +342,7 @@ impl RolpProfiler {
         for &site in &outcome.new_conflicts {
             self.old.expand_site(site);
         }
-        if self.config.level == ProfilingLevel::Real && !self.policy.profiling_off() {
+        if self.config.level == ProfilingLevel::Real {
             let program = std::rc::Rc::clone(&env.program);
             self.resolver.on_inference(
                 &program,
@@ -383,9 +351,7 @@ impl RolpProfiler {
                 &outcome.unresolved_conflicts,
             );
         } else {
-            // Other levels — and a governor-`Off` profiler, whose
-            // call-site profiling is shed — only count conflicts; no
-            // resolution.
+            // Other levels only count conflicts; no resolution.
             self.resolver.note_detected_only(&outcome.new_conflicts);
         }
     }
@@ -395,17 +361,10 @@ impl RolpProfiler {
     /// changed_rows)`. Probationary imported rows are published
     /// canary-flagged (unless blending is off), so the allocation fast
     /// path keeps a small young-generation sample flowing for the blend
-    /// decay to judge them by. Governor `Off` publishes the all-gen-0
-    /// table — no rows, no expansion blocks — so every context falls back
-    /// to NG2C's unprofiled semantics; the working set is retained
-    /// untouched for recovery (contexts are demoted, never remapped).
+    /// decay to judge them by.
     fn publish(&self) -> (u64, u32) {
-        let empty = BTreeMap::new();
-        let (rows, expanded) = if self.policy.profiling_off() {
-            (&empty, Vec::new())
-        } else {
-            (&self.decisions, self.old.expanded_sites())
-        };
+        let rows = &self.decisions;
+        let expanded = self.old.expanded_sites();
         let blend = self.config.blend;
         let warm = &self.warm;
         let next = DecisionTable::next_from_blended(&self.store.load(), rows, expanded, |key| {
@@ -415,7 +374,7 @@ impl RolpProfiler {
         (self.store.publish(next), changed)
     }
 
-    /// Runs one inference epoch: meter → infer → learn → publish, plus
+    /// Runs one inference epoch: infer → learn → publish, plus
     /// the §7.4 survivor switch and the end-of-epoch table clear.
     fn run_inference(&mut self, env: &mut VmEnv, info: &GcCycleInfo) {
         let tracing = env.trace.is_enabled();
@@ -424,15 +383,11 @@ impl RolpProfiler {
         let mut new_conflicts = 0u64;
         let mut unresolved_conflicts = 0u64;
 
-        self.policy.end_epoch(env, &self.resolver);
-        let off = self.policy.profiling_off();
-
         // With survivor tracking off (§7.4), the window's table holds only
         // age-0 allocation counts — no lifetime information. Decisions are
         // left frozen (the workload was judged stable) and conflict
         // machinery idles; only the pause-growth reactivation check runs.
-        // A governor-`Off` profiler skips the learning stages outright.
-        let tracking_active = !off && (self.survivor.enabled() || !self.config.survivor_shutdown);
+        let tracking_active = self.survivor.enabled() || !self.config.survivor_shutdown;
 
         // Modeled stage costs (the inference pipeline runs at safepoints
         // and does not advance the simulated clock, so these buckets are
@@ -472,7 +427,6 @@ impl RolpProfiler {
         // imported priors remain: their canary samples are the only live
         // evidence the decay has, and it flows through the survivor path.
         let eligible = self.config.survivor_shutdown
-            && !off
             && !self.decisions.is_empty()
             && self.resolver.open_conflicts() == 0
             && (!self.config.blend || !self.warm.any_probationary(&self.decisions));
@@ -584,10 +538,6 @@ impl RolpProfiler {
 
 impl VmProfiler for RolpProfiler {
     fn on_jit_compile(&mut self, program: &Program, jit: &mut JitState, method: MethodId) {
-        // Keep the JIT's allocation-profiling gate in sync with the
-        // governor state (idempotent; covers an `Off` start state before
-        // the first transition ever fires).
-        jit.set_alloc_profiling(!self.policy.profiling_off());
         // Resolve the offline profile against the program once, with full
         // shape validation: entries whose location no longer resolves are
         // counted and skipped, never blindly applied (`--profile-in` lands
@@ -598,7 +548,7 @@ impl VmProfiler for RolpProfiler {
             // conflicted contexts separate from epoch 0 instead of
             // re-probing.
             self.resolver.import_frozen(call_sites);
-            if self.config.level == ProfilingLevel::Real && !self.policy.profiling_off() {
+            if self.config.level == ProfilingLevel::Real {
                 self.resolver.reapply_to_jit(jit);
             }
         }
@@ -622,7 +572,7 @@ impl VmProfiler for RolpProfiler {
             // the next inference epoch.
             self.publish();
         }
-        if self.config.level == ProfilingLevel::SlowCallProfiling && !self.policy.profiling_off() {
+        if self.config.level == ProfilingLevel::SlowCallProfiling {
             for &cs in program.call_sites_of(method) {
                 jit.enable_call_profiling(cs);
             }
@@ -631,13 +581,8 @@ impl VmProfiler for RolpProfiler {
 
     fn on_alloc(&mut self, site_profile_id: u16, tss: u16, _thread: ThreadId) -> u32 {
         let context = pack(site_profile_id, tss);
-        // `Off` normally never reaches here (the JIT gate patches the
-        // profiling instructions out); direct-driven calls still must not
-        // feed the table.
-        if !self.policy.profiling_off() {
-            self.old.record_allocation(context);
-            self.profiled_allocations += 1;
-        }
+        self.old.record_allocation(context);
+        self.profiled_allocations += 1;
         context
     }
 
@@ -661,11 +606,6 @@ impl GcHooks for RolpProfiler {
         // Only young-generation survivals carry age information (see
         // `GcHooks::on_survivor`); tenured/dynamic copies are skipped.
         if !from.is_young() {
-            return;
-        }
-        // Governor `Off`: the window's survivals carry no usable signal
-        // (nothing was recorded at allocation), so skip the table work.
-        if self.policy.profiling_off() {
             return;
         }
         // Biased-locked objects and corrupted contexts are discarded
@@ -706,10 +646,8 @@ impl GcHooks for RolpProfiler {
                 );
             }
         }
-        // Pipeline stage 2 (§7.6): this cycle's injected faults, then the
-        // merge of the pause's survival records at the safepoint, sorted
-        // by (context, age).
-        self.policy.inject(env, info.cycle);
+        // Pipeline stage 2 (§7.6): merge the pause's survival records at
+        // the safepoint, sorted by (context, age).
         let merged = self.old.merge_survivals(&mut self.survivors);
         // Modeled merge cost: the safepoint-side fold is priced per
         // record like the survivor path that produced them.
@@ -943,54 +881,6 @@ mod tests {
         let stats = stats(&p, &env);
         assert_eq!(stats.survivor_shutdowns, 1);
         assert!(stats.decisions > 0, "frozen decisions survive the shutdown");
-    }
-
-    #[test]
-    fn governor_turns_off_then_recovers_without_remapping() {
-        // The burst starts after the first epoch, so epoch 1 learns the
-        // decision before the measured overhead trips.
-        let (mut env, mut p) = compiled(RolpConfig {
-            governor: Some(GovernorConfig::default()),
-            fault_plan: Some(FaultPlan::parse("burst@17..48x1000").unwrap()),
-            survivor_shutdown: false,
-            ..Default::default()
-        });
-
-        drive_hot(&mut p, &mut env, 1..=16, 1);
-        assert_eq!(p.governor_state(), Some(GovernorState::Full));
-        assert_eq!(p.advise(pack(1, 0)), Some(2), "decision published while Full");
-
-        // Hot epochs: all busy time is injected profiling work.
-        drive_hot(&mut p, &mut env, 17..=48, 1);
-        assert_eq!(p.governor_state(), Some(GovernorState::Off));
-        assert!(!env.jit.alloc_profiling_enabled(), "fast path gated in Off");
-        assert_eq!(p.advise(pack(1, 0)), None, "Off publishes the all-gen-0 table");
-        assert!(!p.decisions().is_empty(), "working set retained for recovery");
-
-        // Two calm epochs bring profiling back and republish the same
-        // decision: the context was demoted, never remapped.
-        for cycle in 49..=80u64 {
-            p.on_gc_end(&mut env, &cycle_info(cycle));
-        }
-        assert_eq!(p.governor_state(), Some(GovernorState::Full));
-        assert!(env.jit.alloc_profiling_enabled());
-        assert_eq!(p.advise(pack(1, 0)), Some(2), "same decision back after recovery");
-        let stats = stats(&p, &env);
-        assert_eq!(stats.governor_transitions, 2);
-        assert_eq!(stats.governor_state, Some("full"));
-        assert_eq!(stats.injected_fault_events, 31 * 1000);
-    }
-
-    #[test]
-    fn fault_plan_forces_id_exhaustion() {
-        let (mut env, mut p) = compiled(RolpConfig {
-            fault_plan: Some(FaultPlan::parse("exhaust-ids@2").unwrap()),
-            ..Default::default()
-        });
-        p.on_gc_end(&mut env, &cycle_info(1));
-        assert!(!env.jit.profile_ids_exhausted());
-        p.on_gc_end(&mut env, &cycle_info(2));
-        assert!(env.jit.profile_ids_exhausted());
     }
 
     #[test]

@@ -103,22 +103,12 @@ pub fn render_summary(profiler: &RolpProfiler, program: &Program, jit: &JitState
         profiler.old.expansions()
     );
     let _ = writeln!(out, "  stack repairs:    {}", stats.reconciliations);
-    if let Some(state) = stats.governor_state {
-        let _ = writeln!(
-            out,
-            "  governor:         state {state} ({} transitions)",
-            stats.governor_transitions
-        );
-    }
     if stats.profile_id_overflows > 0 {
         let _ = writeln!(
             out,
             "  id overflows:     {} profile-id requests refused (16-bit space saturated)",
             stats.profile_id_overflows
         );
-    }
-    if stats.injected_fault_events > 0 {
-        let _ = writeln!(out, "  faults injected:  {} events", stats.injected_fault_events);
     }
     if let Some(v) = stats.profile_import {
         let fp = if !v.fingerprint_checked {
@@ -268,9 +258,7 @@ pub fn stats_json(report: &RunReport, pauses: &PauseRecorder) -> String {
             .u64("demotions", s.demotions)
             .u64("survivor_shutdowns", s.survivor_shutdowns)
             .u64("survivor_reactivations", s.survivor_reactivations)
-            .u64("governor_transitions", s.governor_transitions)
             .u64("profile_id_overflows", s.profile_id_overflows)
-            .u64("injected_fault_events", s.injected_fault_events)
             .u64("profile_blend_decays", s.profile_blend_decays)
             .u64("profile_rows_released", s.profile_rows_released)
             .u64("profile_rows_active", s.profile_rows_active)
@@ -282,9 +270,6 @@ pub fn stats_json(report: &RunReport, pauses: &PauseRecorder) -> String {
                 .u64("profile_call_sites_rejected", v.call_sites_rejected as u64)
                 .bool("profile_fingerprint_checked", v.fingerprint_checked)
                 .bool("profile_fingerprint_matched", v.fingerprint_matched);
-        }
-        if let Some(state) = s.governor_state {
-            rolp.str("governor_state", state);
         }
         obj.raw("rolp", &rolp.finish());
     }
@@ -381,36 +366,6 @@ mod tests {
             ),
             "got: {text}"
         );
-    }
-
-    #[test]
-    fn governed_runs_report_governor_state_in_json_and_summary() {
-        use crate::governor::GovernorConfig;
-        use crate::runtime::{CollectorKind, JvmRuntime, RuntimeConfig};
-        let mut b = ProgramBuilder::new();
-        let main = b.method("t.Main::run", 100, false);
-        let _ = b.alloc_site(main, 0);
-        let mut cfg = RuntimeConfig {
-            collector: CollectorKind::RolpNg2c,
-            heap: rolp_heap::HeapConfig { region_bytes: 4096, max_heap_bytes: 1 << 20 },
-            ..Default::default()
-        };
-        cfg.rolp.governor = Some(GovernorConfig::default());
-        cfg.rolp.fault_plan = Some(rolp_faults::FaultPlan::named("pressure-spike").unwrap());
-        let mut rt = JvmRuntime::new(cfg, b.build());
-        let report = rt.report();
-        let json = stats_json(&report, &rt.vm.env.pauses);
-        for needle in [
-            "\"governor_state\":\"full\"",
-            "\"governor_transitions\":",
-            "\"profile_id_overflows\":",
-            "\"injected_fault_events\":",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        let p = rt.profiler.as_ref().unwrap().borrow();
-        let s = render_summary(&p, &rt.vm.env.program, &rt.vm.env.jit);
-        assert!(s.contains("governor:         state full"), "got: {s}");
     }
 
     #[test]

@@ -188,17 +188,6 @@ impl JvmRuntime {
             env.jit.set_toggle_logging(true);
         }
 
-        // A governor forced to start in `Off` must gate the allocation
-        // fast path from the very first instruction, not the first JIT
-        // compile (the bit-for-bit disabled-equivalence tests rely on it).
-        if config.collector == CollectorKind::RolpNg2c {
-            if let Some(g) = &config.rolp.governor {
-                if g.start_state == crate::governor::GovernorState::Off {
-                    env.jit.set_alloc_profiling(false);
-                }
-            }
-        }
-
         let (profiler_rc, vm) = match config.collector {
             CollectorKind::RolpNg2c => {
                 let mut prof = RolpProfiler::new(config.rolp.clone());

@@ -558,7 +558,9 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
     let mark = mark_liveness(&mut env.heap);
     env.telemetry.bump(CounterId::RefsScrubbed, mark.refs_scrubbed);
 
-    // Phase 2: compact, most-garbage regions first (releases fastest).
+    // Phase 2: compact, least-live regions first. Wholly dead regions
+    // are released before the first copy needs a region, so a heap with
+    // every region assigned still compacts whenever its live data fits.
     env.heap.retire_all_current();
     let mut sources: Vec<RegionId> = env
         .heap
@@ -568,7 +570,7 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
         })
         .map(|(id, _)| id)
         .collect();
-    sources.sort_by_key(|&id| std::cmp::Reverse(env.heap.region(id).garbage_bytes()));
+    sources.sort_by_key(|&id| env.heap.region(id).live_bytes);
 
     let tracking = hooks.survivor_tracking_enabled();
     let mut stats = EvacStats { regions_in_cset: sources.len() as u64, ..Default::default() };
@@ -679,6 +681,7 @@ mod tests {
     use super::*;
     use rolp_heap::heap::OBJECT_HEADER_WORDS;
     use rolp_heap::{ClassId, HeapConfig, ObjectHeader};
+    use rolp_vm::{CostModel, JitConfig, ProgramBuilder};
 
     fn alloc(h: &mut Heap, space: SpaceKind, refs: u16, data: u32) -> ObjectRef {
         let hash = h.next_identity_hash();
@@ -746,5 +749,53 @@ mod tests {
             let want: Vec<_> = want.iter().map(|(s, v)| (key(s), *v)).collect();
             assert_eq!(got, want, "region {r:?}");
         }
+    }
+
+    #[test]
+    fn full_compact_frees_dead_regions_before_copying_into_a_full_heap() {
+        // Eight 128-word regions, every one assigned. Region 0 holds a
+        // live 10-word object and 110 words of garbage: the most garbage
+        // of any region. Regions 1-6 each hold one dead 60-word object;
+        // region 7 holds a second live object beside 50 dead words.
+        let heap = Heap::new(HeapConfig { region_bytes: 1024, max_heap_bytes: 8 * 1024 });
+        let mut env = VmEnv::new(
+            heap,
+            CostModel::default(),
+            ProgramBuilder::new().build(),
+            JitConfig::default(),
+            1,
+        );
+        let h = &mut env.heap;
+        h.classes.register("t.A");
+        let head = alloc(h, SpaceKind::Old, 1, 7);
+        h.set_data(head, 0, 0xA11CE);
+        for _ in 0..2 {
+            alloc(h, SpaceKind::Old, 0, 53);
+        }
+        for _ in 0..6 {
+            h.retire_current(SpaceKind::Old);
+            alloc(h, SpaceKind::Old, 0, 58);
+        }
+        h.retire_current(SpaceKind::Old);
+        let tail = alloc(h, SpaceKind::Old, 0, 8);
+        h.set_data(tail, 0, 0xB0B);
+        alloc(h, SpaceKind::Old, 0, 48);
+        h.set_ref(head, 0, tail);
+        let root = h.handles.create(head);
+        assert_eq!(h.free_regions(), 0, "every region is assigned");
+        assert_ne!(head.region(), tail.region());
+
+        let stats = full_compact(&mut env, &mut crate::NullHooks);
+
+        assert_eq!(stats.survivors, 2);
+        assert_eq!(stats.regions_fully_dead, 6);
+        let h = &env.heap;
+        let head = h.handles.get(root);
+        let tail = h.get_ref(head, 0);
+        assert_eq!(h.get_data(head, 0), 0xA11CE);
+        assert_eq!(h.get_data(tail, 0), 0xB0B);
+        assert_eq!(h.free_regions(), 7, "both live objects share one region");
+        let errors = rolp_heap::verify::verify_heap(h, true);
+        assert!(errors.is_empty(), "heap invalid after compaction: {:?}", errors.first());
     }
 }

@@ -18,7 +18,7 @@
 use std::rc::Rc;
 
 use rolp::runtime::{CollectorKind, JvmRuntime, RunReport, RuntimeConfig};
-use rolp::{DecisionProfile, GovernorConfig};
+use rolp::DecisionProfile;
 use rolp_heap::HeapConfig;
 use rolp_metrics::{PauseRecorder, SimScale, SimTime};
 use rolp_telemetry::{CounterId, HistId, MetricsSnapshot};
@@ -44,8 +44,6 @@ pub struct ServeConfig {
     pub gc_workers: Option<usize>,
     /// Warm-start profile (`--profile-in`).
     pub offline_profile: Option<DecisionProfile>,
-    /// Overhead governor.
-    pub governor: Option<GovernorConfig>,
     /// Inference-period override, in GC cycles (`None` keeps the
     /// profiler default). Short smoke runs shrink this so several
     /// epochs fit into seconds of simulated traffic.
@@ -78,7 +76,6 @@ impl ServeConfig {
             threads: 4,
             gc_workers: None,
             offline_profile: None,
-            governor: None,
             inference_period: None,
             process: ArrivalProcess::Poisson,
             phases: crate::schedule::parse_phases("10s@3000x3/1;10s@6000x1/3;10s@3000x3/1")
@@ -227,7 +224,6 @@ pub fn serve_with(
         tlab_bytes: cfg.tlab_bytes,
         ..Default::default()
     };
-    config.rolp.governor = cfg.governor.clone();
     if let Some(period) = cfg.inference_period {
         config.rolp.inference_period = period.max(1);
     }

@@ -220,8 +220,6 @@ pub enum GaugeId {
     HeapCommittedBytes,
     /// Version of the currently published decision table.
     DecisionVersion,
-    /// Overhead-governor state, encoded 0 = Full, 1 = Off.
-    GovernorState,
     /// Concurrent marking work queued and not yet paid, nanoseconds. A
     /// gauge, not a counter: mutator time pays it down.
     ConcurrentMarkOwedNs,
@@ -229,14 +227,13 @@ pub enum GaugeId {
 
 impl GaugeId {
     /// Number of gauges.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
 
     /// Every gauge, in index order.
     pub const ALL: [GaugeId; GaugeId::COUNT] = [
         GaugeId::HeapUsedBytes,
         GaugeId::HeapCommittedBytes,
         GaugeId::DecisionVersion,
-        GaugeId::GovernorState,
         GaugeId::ConcurrentMarkOwedNs,
     ];
 
@@ -252,7 +249,6 @@ impl GaugeId {
             GaugeId::HeapUsedBytes => "heap_used_bytes",
             GaugeId::HeapCommittedBytes => "heap_committed_bytes",
             GaugeId::DecisionVersion => "decision_version",
-            GaugeId::GovernorState => "governor_state",
             GaugeId::ConcurrentMarkOwedNs => "concurrent_mark_owed_ns",
         }
     }

@@ -6,8 +6,7 @@
 //! for that: every simulated nanosecond a run charges is attributed to
 //! exactly one [`Bucket`] (mutator work, profiling instructions, JIT
 //! compiles, GC pause phases, profiler epoch stages, idle pacing), so
-//! self-observed profiler overhead is a first-class live metric the
-//! overhead governor can act on.
+//! self-observed profiler overhead is a first-class live metric.
 //!
 //! The design:
 //!

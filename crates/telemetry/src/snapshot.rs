@@ -96,8 +96,7 @@ impl MetricsSnapshot {
 
     /// Self-measured profiler overhead: the fraction of busy mutator
     /// time spent executing profiling instructions. This is the metric
-    /// the paper's ~5% claim is about (§8.3) and the overhead signal the
-    /// governor meters. 0.0 when no mutator time has been attributed yet.
+    /// the paper's ~5% claim is about (§8.3). 0.0 when no mutator time has been attributed yet.
     pub fn profiling_overhead(&self) -> f64 {
         let busy = self.busy_mutator_ns();
         if busy == 0 {

@@ -86,13 +86,6 @@ fn write_payload(kind: &EventKind, obj: &mut JsonObject) {
                 .u64("changed_rows", *changed_rows)
                 .u64("decisions", *decisions);
         }
-        EventKind::GovernorTransition { from, to, reason, profiling_ns, mutator_ns } => {
-            obj.str("from", from)
-                .str("to", to)
-                .str("reason", reason)
-                .u64("profiling_ns", *profiling_ns)
-                .u64("mutator_ns", *mutator_ns);
-        }
         EventKind::ProfileImport {
             entries,
             applied,
@@ -201,7 +194,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     EventKind::SurvivorTracking { .. } => "survivor tracking off",
                     EventKind::OldTableMerge { .. } => "OLD table merge",
                     EventKind::DecisionPublish { .. } => "decision publish",
-                    EventKind::GovernorTransition { .. } => "governor transition",
                     EventKind::ProfileImport { .. } => "profile import",
                     EventKind::ProfileBlend { .. } => "profile blend",
                     EventKind::ServePhaseShift { .. } => "serve phase shift",
@@ -335,18 +327,6 @@ mod tests {
                 kind: EventKind::DecisionPublish { version: 3, changed_rows: 5, decisions: 17 },
             },
             TraceEvent {
-                ts: t(11_000),
-                thread: GLOBAL_THREAD,
-                seq: 9,
-                kind: EventKind::GovernorTransition {
-                    from: "full",
-                    to: "off",
-                    reason: "overhead-budget",
-                    profiling_ns: 9_000_000,
-                    mutator_ns: 120_000_000,
-                },
-            },
-            TraceEvent {
                 ts: t(12_000),
                 thread: GLOBAL_THREAD,
                 seq: 10,
@@ -389,7 +369,6 @@ mod tests {
 {"type":"survivor_tracking","ts_ns":8000,"thread":4294967295,"seq":6,"enabled":false}
 {"type":"old_table_merge","ts_ns":9000,"thread":4294967295,"seq":7,"cycle":12,"total_records":46}
 {"type":"decision_publish","ts_ns":10000,"thread":4294967295,"seq":8,"version":3,"changed_rows":5,"decisions":17}
-{"type":"governor_transition","ts_ns":11000,"thread":4294967295,"seq":9,"from":"full","to":"off","reason":"overhead-budget","profiling_ns":9000000,"mutator_ns":120000000}
 {"type":"profile_import","ts_ns":12000,"thread":4294967295,"seq":10,"entries":12,"applied":10,"rejected":2,"call_sites":3,"had_fingerprint":true,"fingerprint_matched":false}
 {"type":"profile_blend","ts_ns":13000,"thread":4294967295,"seq":11,"epoch":4,"decayed":3,"released":1,"remaining":9}
 {"type":"serve_phase_shift","ts_ns":14000,"thread":4294967295,"seq":12,"phase":1,"rate_rps":12000,"requests_before":240000}

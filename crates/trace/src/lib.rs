@@ -149,20 +149,6 @@ pub enum EventKind {
         /// Active decisions in the snapshot.
         decisions: u64,
     },
-    /// The overhead governor turned profiling off or back on.
-    GovernorTransition {
-        /// State before the transition (`full` / `off`).
-        from: &'static str,
-        /// State after the transition.
-        to: &'static str,
-        /// `overhead-budget` when the measured overhead tripped, or
-        /// `recovered` when pressure subsided.
-        reason: &'static str,
-        /// Measured profiling time of the closing epoch, in ns.
-        profiling_ns: u64,
-        /// Measured busy mutator time of the closing epoch, in ns.
-        mutator_ns: u64,
-    },
     /// An offline decision profile was imported and validated against the
     /// running program at startup (warm start).
     ProfileImport {
@@ -219,7 +205,6 @@ impl EventKind {
             EventKind::SurvivorTracking { .. } => "survivor_tracking",
             EventKind::OldTableMerge { .. } => "old_table_merge",
             EventKind::DecisionPublish { .. } => "decision_publish",
-            EventKind::GovernorTransition { .. } => "governor_transition",
             EventKind::ProfileImport { .. } => "profile_import",
             EventKind::ProfileBlend { .. } => "profile_blend",
             EventKind::ServePhaseShift { .. } => "serve_phase_shift",

@@ -122,11 +122,6 @@ pub struct JitState {
     /// Requests for a profile id refused after exhaustion (the §7.5
     /// saturate-and-report discipline: ids are never wrapped or reused).
     profile_id_overflows: u64,
-    /// Whether the per-allocation profiling instructions are live. The
-    /// overhead governor clears this in its `Off` state so the
-    /// allocation fast path degenerates to the single `profile_id`
-    /// branch — no OLD-table increment, no context install, no charge.
-    alloc_profiling_enabled: bool,
     compiles: u64,
     osr_compiles: u64,
     /// When set, call-profiling toggles are appended to `toggle_log` for
@@ -147,7 +142,6 @@ impl JitState {
             next_profile_id: 1, // id 0 is reserved for "unprofiled"
             profile_ids_exhausted: false,
             profile_id_overflows: 0,
-            alloc_profiling_enabled: true,
             compiles: 0,
             osr_compiles: 0,
             log_toggles: false,
@@ -310,23 +304,10 @@ impl JitState {
 
     /// Marks the 16-bit profile-id space exhausted immediately, as if
     /// 65 535 hot allocation sites had already been seen. Already-assigned
-    /// ids keep working; new sites are refused (and counted). Used by the
-    /// fault-injection layer to exercise the saturation path.
+    /// ids keep working; new sites are refused (and counted). A test seam:
+    /// it reaches the §7.5 saturation path without compiling 65 535 sites.
     pub fn force_profile_id_exhaustion(&mut self) {
         self.profile_ids_exhausted = true;
-    }
-
-    /// Whether per-allocation profiling instructions are live.
-    #[inline]
-    pub fn alloc_profiling_enabled(&self) -> bool {
-        self.alloc_profiling_enabled
-    }
-
-    /// Switches the per-allocation profiling instructions on or off (the
-    /// governor's `Off` state patches them out; recovery patches them back
-    /// in — assigned profile ids are retained either way).
-    pub fn set_alloc_profiling(&mut self, enabled: bool) {
-        self.alloc_profiling_enabled = enabled;
     }
 
     /// Enables call-site profiling: installs the reserved identifier into
@@ -509,17 +490,6 @@ mod tests {
         assert_eq!(jit.profile_id_overflows(), 2);
         // ...while already-assigned ids keep their meaning.
         assert_eq!(jit.assign_profile_id(s1), Some(a));
-    }
-
-    #[test]
-    fn alloc_profiling_gate_toggles() {
-        let (p, ..) = sample_program();
-        let mut jit = JitState::new(&p, JitConfig::default());
-        assert!(jit.alloc_profiling_enabled());
-        jit.set_alloc_profiling(false);
-        assert!(!jit.alloc_profiling_enabled());
-        jit.set_alloc_profiling(true);
-        assert!(jit.alloc_profiling_enabled());
     }
 
     #[test]

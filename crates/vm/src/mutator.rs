@@ -453,12 +453,7 @@ impl MutatorCtx<'_> {
         let mut context = None;
 
         let mut interpreted_profile = false;
-        let profile_id = if !env.jit.alloc_profiling_enabled() {
-            // Governor `Off` state: the profiling instructions are patched
-            // out, so the fast path is this one branch — no table
-            // increment, no context install, no profiling charge.
-            None
-        } else if compiled {
+        let profile_id = if compiled {
             env.jit.alloc_site(site).profile_id
         } else if env.jit.config().profile_interpreted {
             // Memento-style ablation: instrument interpreted allocations

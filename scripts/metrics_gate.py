@@ -44,7 +44,7 @@ COUNTERS = [
 ]
 GAUGES = [
     "heap_used_bytes", "heap_committed_bytes", "decision_version",
-    "governor_state", "concurrent_mark_owed_ns",
+    "concurrent_mark_owed_ns",
 ]
 HISTOGRAMS = [
     "gc_pause_ns", "jit_compile_ns", "profiler_epoch_ns",
