@@ -9,6 +9,8 @@
 //!   recycled regions are discarded, never written through; once a pause
 //!   releases its regions, the sets drop the slots those regions held),
 //! - transitive copying with forwarding pointers in object headers,
+//! - survivor regions kept in place, their live objects forwarded to
+//!   themselves instead of copied (see [`KeepInPlace`]),
 //! - age increments for survivors and per-survivor profiler callbacks,
 //! - pause-time accounting from the cost model (copying is
 //!   memory-bandwidth-bound, the paper's §2.1 premise).
@@ -22,7 +24,7 @@
 use std::collections::HashMap;
 
 use rolp_heap::remset::SlotAddr;
-use rolp_heap::{Heap, ObjectRef, RegionId, RegionKind, SpaceKind};
+use rolp_heap::{Heap, ObjectHeader, ObjectRef, RegionId, RegionKind, SpaceKind};
 use rolp_metrics::{PauseKind, SimTime};
 use rolp_telemetry::{Bucket, CounterId, HistId};
 use rolp_vm::{CostModel, VmEnv};
@@ -35,7 +37,7 @@ use crate::observer::GcHooks;
 pub struct EvacStats {
     /// Bytes copied.
     pub bytes_copied: u64,
-    /// Objects copied (survivors).
+    /// Objects copied or kept in place (survivors).
     pub survivors: u64,
     /// Root handles examined.
     pub roots_scanned: u64,
@@ -44,9 +46,15 @@ pub struct EvacStats {
     pub remset_slots: u64,
     /// Regions in the collection set.
     pub regions_in_cset: u64,
-    /// Collection-set regions released (all of them unless the evacuation
-    /// failed).
+    /// Collection-set regions released (all but the kept ones unless the
+    /// evacuation failed).
     pub regions_released: u64,
+    /// Collection-set regions kept in place and relabeled (see
+    /// [`KeepInPlace`]).
+    pub regions_kept: u64,
+    /// Object headers read to choose the regions to keep, priced at one
+    /// word each at copy bandwidth.
+    pub headers_read: u64,
     /// Collection-set regions that contained no survivor at all (the
     /// "die-together" regions NG2C aims for).
     pub regions_fully_dead: u64,
@@ -117,6 +125,7 @@ pub fn evac_pause_ns(cost: &CostModel, stats: &EvacStats, survivor_tracking: boo
         + per_worker(stats.remset_slots, cost.remset_scan_ns)
         + per_worker(stats.regions_in_cset, cost.region_overhead_ns)
         + cost.copy_ns(stats.bytes_copied)
+        + cost.copy_ns(stats.headers_read * 8)
         + per_worker(stats.survivors, survivor_each)
 }
 
@@ -124,8 +133,9 @@ pub fn evac_pause_ns(cost: &CostModel, stats: &EvacStats, survivor_tracking: boo
 /// buckets, term for term with [`evac_pause_ns`]: remembered-set
 /// scanning → `GcRemset`, the survivor-tracking increment → the
 /// collector half of `GcProfiling`, the safepoint → `GcOther`, and
-/// everything else (roots, region bookkeeping, copying, survivor aging)
-/// → `GcEvac`. The four parts sum exactly to `evac_pause_ns`.
+/// everything else (roots, region bookkeeping, copying, survivor aging
+/// and the header pass that chose the regions to keep) → `GcEvac`. The
+/// four parts sum exactly to `evac_pause_ns`.
 fn attribute_evac_work(env: &VmEnv, stats: &EvacStats, survivor_tracking: bool) {
     let cost = &env.cost;
     let workers = cost.gc_workers.max(1);
@@ -139,6 +149,7 @@ fn attribute_evac_work(env: &VmEnv, stats: &EvacStats, survivor_tracking: bool) 
     let evac = per_worker(stats.roots_scanned, cost.root_scan_ns)
         + per_worker(stats.regions_in_cset, cost.region_overhead_ns)
         + cost.copy_ns(stats.bytes_copied)
+        + cost.copy_ns(stats.headers_read * 8)
         + survivor_total
         - profiling;
     let t = &env.telemetry;
@@ -194,7 +205,8 @@ struct RemsetPrescan {
 /// overwritten with a reference outside the collection set. Slots a set
 /// dropped after their holder was released count as examined stale
 /// slots, so the charge equals that of a set that kept them.
-fn prescan_remsets(heap: &Heap, cset: &[RegionId], in_cset: &[bool]) -> RemsetPrescan {
+fn prescan_remsets(heap: &Heap, cset: &[RegionId], regions: &[RegionState]) -> RemsetPrescan {
+    let in_cset = |r: RegionId| regions[r.0 as usize].in_cset;
     let mut prescan = RemsetPrescan::default();
     for &r in cset {
         let rset = &heap.region(r).rset;
@@ -202,7 +214,7 @@ fn prescan_remsets(heap: &Heap, cset: &[RegionId], in_cset: &[bool]) -> RemsetPr
         let mut valid: Vec<ValidSlot> = Vec::new();
         for slot in rset.iter() {
             prescan.slots_examined += 1;
-            if in_cset[slot.region.0 as usize] {
+            if in_cset(slot.region) {
                 continue;
             }
             let holder = heap.region(slot.region);
@@ -210,7 +222,7 @@ fn prescan_remsets(heap: &Heap, cset: &[RegionId], in_cset: &[bool]) -> RemsetPr
                 continue;
             }
             let value = ObjectRef::from_raw(holder.word(slot.offset));
-            if value.is_null() || !in_cset[value.region().0 as usize] {
+            if value.is_null() || !in_cset(value.region()) {
                 continue;
             }
             valid.push(ValidSlot { slot: *slot, value });
@@ -223,12 +235,44 @@ fn prescan_remsets(heap: &Heap, cset: &[RegionId], in_cset: &[bool]) -> RemsetPr
     prescan
 }
 
+/// Survivor regions an evacuation keeps in place instead of copying.
+///
+/// A kept region stays in the collection set and is traced as usual, but
+/// [`evacuate_keeping`] forwards each of its live objects to itself: the
+/// object is aged and reported as a survivor, and no byte is copied. Once
+/// the evacuation succeeds, the region's dead runs become fillers, its
+/// live objects get their headers back, and the region is relabeled to
+/// the kind given here. A kept region without a survivor is released like
+/// any other. HotSpot G1 does the same for a young region whose evacuation
+/// failed: it forwards the live objects to themselves and makes the
+/// region old.
+#[derive(Debug, Clone, Default)]
+pub struct KeepInPlace {
+    /// Collection-set regions to keep, each with the kind it becomes.
+    pub regions: Vec<(RegionId, RegionKind)>,
+    /// Object headers read to choose them ([`EvacStats::headers_read`]).
+    pub headers_read: u64,
+}
+
+/// What one evacuation knows about a region, indexed by region id.
+#[derive(Debug, Clone, Copy, Default)]
+struct RegionState {
+    in_cset: bool,
+    /// Kept in place, and the kind it becomes (see [`KeepInPlace`]).
+    keep: Option<RegionKind>,
+    /// An object was forwarded out of the region, or kept in it.
+    had_survivor: bool,
+}
+
 struct Evacuator<'a> {
     heap: &'a mut Heap,
     dest: &'a mut dyn FnMut(RegionKind, u8, u32, Option<u32>) -> SpaceKind,
     hooks: &'a mut dyn GcHooks,
     tracking: bool,
-    in_cset: Vec<bool>,
+    regions: Vec<RegionState>,
+    /// Objects kept in place, each with the header it gets back: the
+    /// forwarding pointer to itself took the header's place.
+    preserved: Vec<(ObjectRef, ObjectHeader)>,
     stats: EvacStats,
     scan: Vec<ObjectRef>,
     failed: bool,
@@ -236,11 +280,12 @@ struct Evacuator<'a> {
 
 impl Evacuator<'_> {
     fn in_cset(&self, r: RegionId) -> bool {
-        self.in_cset[r.0 as usize]
+        self.regions[r.0 as usize].in_cset
     }
 
-    /// Copies `obj` out of the collection set (idempotent via forwarding).
-    /// Returns `None` on region exhaustion.
+    /// Copies `obj` out of the collection set, or forwards it to itself
+    /// in a kept region (idempotent via forwarding). Returns `None` on
+    /// region exhaustion.
     fn forward(&mut self, obj: ObjectRef) -> Option<ObjectRef> {
         let header = self.heap.header(obj);
         if header.is_forwarded() {
@@ -253,27 +298,33 @@ impl Evacuator<'_> {
         } else {
             header.age()
         };
-        let size_words = self.heap.size_words(obj);
-        let space = (self.dest)(from_kind, new_age, size_words, header.allocation_context());
-        let size_bytes = size_words as u64 * 8;
-        match self.heap.copy_object(obj, space) {
-            Ok(new) => {
-                let fixed = self.heap.header(new).with_age(new_age);
-                self.heap.set_header(new, fixed);
-                self.stats.survivors += 1;
-                self.stats.bytes_copied += size_bytes;
-                self.stats.gen_bytes[gen_index(space)] += size_bytes;
-                if self.tracking {
-                    self.hooks.on_survivor(header, from_kind, 0);
-                }
-                self.scan.push(new);
-                Some(new)
-            }
-            Err(_) => {
+        let state = &mut self.regions[obj.region().0 as usize];
+        let new = if state.keep.is_some() {
+            state.had_survivor = true;
+            self.heap.set_header(obj, ObjectHeader::forward_to(obj));
+            self.preserved.push((obj, header.with_age(new_age)));
+            obj
+        } else {
+            let size_words = self.heap.size_words(obj);
+            let space = (self.dest)(from_kind, new_age, size_words, header.allocation_context());
+            let Ok(new) = self.heap.copy_object(obj, space) else {
                 self.failed = true;
-                None
-            }
+                return None;
+            };
+            self.regions[obj.region().0 as usize].had_survivor = true;
+            let fixed = self.heap.header(new).with_age(new_age);
+            self.heap.set_header(new, fixed);
+            let size_bytes = size_words as u64 * 8;
+            self.stats.bytes_copied += size_bytes;
+            self.stats.gen_bytes[gen_index(space)] += size_bytes;
+            new
+        };
+        self.stats.survivors += 1;
+        if self.tracking {
+            self.hooks.on_survivor(header, from_kind, 0);
         }
+        self.scan.push(new);
+        Some(new)
     }
 
     fn process_roots(&mut self) {
@@ -357,7 +408,20 @@ pub fn evacuate(
     hooks: &mut dyn GcHooks,
     kind: PauseKind,
 ) -> EvacOutcome {
-    evacuate_mode(env, cset, dest, hooks, kind, false)
+    evacuate_mode(env, cset, &KeepInPlace::default(), dest, hooks, kind, false)
+}
+
+/// Like [`evacuate`], but keeps the regions of `keep` in place (see
+/// [`KeepInPlace`]); each must be in `cset`.
+pub fn evacuate_keeping(
+    env: &mut VmEnv,
+    cset: &[RegionId],
+    keep: &KeepInPlace,
+    dest: &mut dyn FnMut(RegionKind, u8, u32, Option<u32>) -> SpaceKind,
+    hooks: &mut dyn GcHooks,
+    kind: PauseKind,
+) -> EvacOutcome {
+    evacuate_mode(env, cset, keep, dest, hooks, kind, false)
 }
 
 /// Like [`evacuate`], but the copying work is charged to *mutator* time
@@ -370,12 +434,40 @@ pub fn evacuate_concurrent(
     dest: &mut dyn FnMut(RegionKind, u8, u32, Option<u32>) -> SpaceKind,
     hooks: &mut dyn GcHooks,
 ) -> EvacOutcome {
-    evacuate_mode(env, cset, dest, hooks, PauseKind::ConcurrentHandshake, true)
+    let keep = KeepInPlace::default();
+    evacuate_mode(env, cset, &keep, dest, hooks, PauseKind::ConcurrentHandshake, true)
+}
+
+/// Turns each run of adjacent dead objects in a kept region into one
+/// filler and releases the pages left all zero, as marking's scrub does
+/// for a dynamic region. An object is live if the evacuation forwarded it
+/// to itself. Returns the live bytes.
+fn fill_dead_runs(heap: &mut Heap, r: RegionId) -> u64 {
+    let mut live = 0;
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for obj in heap.objects_in_region(r) {
+        let words = heap.size_words(obj);
+        if heap.header(obj).is_forwarded() {
+            live += words as u64 * 8;
+            continue;
+        }
+        match runs.last_mut() {
+            Some((_, end)) if *end == obj.offset() => *end += words,
+            _ => runs.push((obj.offset(), obj.offset() + words)),
+        }
+    }
+    let region = heap.region_mut(r);
+    for (start, end) in runs {
+        region.fill_dead(start, (end - start) as usize);
+    }
+    region.release_zero_pages();
+    live
 }
 
 fn evacuate_mode(
     env: &mut VmEnv,
     cset: &[RegionId],
+    keep: &KeepInPlace,
     dest: &mut dyn FnMut(RegionKind, u8, u32, Option<u32>) -> SpaceKind,
     hooks: &mut dyn GcHooks,
     kind: PauseKind,
@@ -384,22 +476,31 @@ fn evacuate_mode(
     let start = env.clock.now();
     env.heap.retire_all_current();
 
-    let mut in_cset = vec![false; env.heap.num_regions()];
+    let mut regions = vec![RegionState::default(); env.heap.num_regions()];
     for id in cset {
-        in_cset[id.0 as usize] = true;
+        regions[id.0 as usize].in_cset = true;
+    }
+    for &(id, to) in &keep.regions {
+        debug_assert!(regions[id.0 as usize].in_cset, "kept region {id:?} outside the cset");
+        regions[id.0 as usize].keep = Some(to);
     }
     // Validate every remembered-set slot before anything is forwarded:
     // a slot aliased into several collection-set remembered sets must
     // get the same verdict whichever region's rewrite comes first.
-    let prescan = prescan_remsets(&env.heap, cset, &in_cset);
+    let prescan = prescan_remsets(&env.heap, cset, &regions);
     let tracking = hooks.survivor_tracking_enabled();
     let mut ev = Evacuator {
         heap: &mut env.heap,
         dest,
         hooks,
         tracking,
-        in_cset,
-        stats: EvacStats { regions_in_cset: cset.len() as u64, ..Default::default() },
+        regions,
+        preserved: Vec::new(),
+        stats: EvacStats {
+            regions_in_cset: cset.len() as u64,
+            headers_read: keep.headers_read,
+            ..Default::default()
+        },
         scan: Vec::new(),
         failed: false,
     };
@@ -411,26 +512,39 @@ fn evacuate_mode(
     if !ev.failed {
         ev.drain_scan();
     }
-
-    let mut stats = ev.stats;
-    let failed = ev.failed;
+    let Evacuator { mut stats, failed, regions, preserved, .. } = ev;
 
     // The double-copy watermark: sources and copies coexist here.
     env.sample_memory();
 
+    let mut kept: Vec<(RegionId, RegionKind, u64)> = Vec::new();
     if !failed {
         for &r in cset {
-            let region = env.heap.region(r);
+            let state = regions[r.0 as usize];
+            if let Some(to) = state.keep.filter(|_| state.had_survivor) {
+                kept.push((r, to, fill_dead_runs(&mut env.heap, r)));
+                continue;
+            }
             // A region nobody copied out of died wholesale ("epochal"
             // reclamation): it is released for free.
-            let had_survivor =
-                env.heap.objects_in_region(r).any(|o| env.heap.header(o).is_forwarded());
-            if !had_survivor && region.used_bytes() > 0 {
+            if !state.had_survivor && env.heap.region(r).used_bytes() > 0 {
                 stats.regions_fully_dead += 1;
             }
             env.heap.release_region(r);
             stats.regions_released += 1;
         }
+    }
+    // Kept objects get their headers back, after a failed evacuation
+    // too: `full_compact` must find no object forwarded to itself.
+    for (obj, header) in preserved {
+        env.heap.set_header(obj, header);
+    }
+    for &(r, to, live) in &kept {
+        env.heap.relabel_region(r, to, live);
+    }
+    if !failed {
+        stats.regions_kept = kept.len() as u64;
+        env.telemetry.bump(CounterId::RegionsKeptInPlace, stats.regions_kept);
         env.heap.purge_remsets();
     }
 
@@ -705,9 +819,9 @@ mod tests {
         let eden: Vec<ObjectRef> = (0..6).map(|_| alloc(&mut h, SpaceKind::Eden, 1, 40)).collect();
         let cset = h.regions_of_kind(RegionKind::Eden);
         assert!(cset.len() >= 2 && eden[0].region() != eden[5].region());
-        let mut in_cset = vec![false; h.num_regions()];
+        let mut regions = vec![RegionState::default(); h.num_regions()];
         for r in &cset {
-            in_cset[r.0 as usize] = true;
+            regions[r.0 as usize].in_cset = true;
         }
 
         // Valid: old holders (over several old regions) pointing into eden.
@@ -738,7 +852,7 @@ mod tests {
 
         let recorded: u64 = cset.iter().map(|&r| h.region(r).rset.len() as u64).sum();
         assert_eq!(recorded, 60 + 2 + 1 + 2);
-        let prescan = prescan_remsets(&h, &cset, &in_cset);
+        let prescan = prescan_remsets(&h, &cset, &regions);
         assert_eq!(prescan.slots_examined, recorded, "every slot is counted");
         assert_eq!(prescan.valid.len(), cset.len());
         let key = |s: &SlotAddr| (s.region.0, s.offset, s.epoch);

@@ -31,7 +31,9 @@ pub mod regional;
 
 pub use cms::{CmsCollector, CmsConfig, CmsStats};
 pub use concurrent::{ConcurrentCollector, ConcurrentConfig, ConcurrentStats};
-pub use evac::{evacuate, full_compact, rebuild_remsets, EvacOutcome, EvacStats};
+pub use evac::{
+    evacuate, evacuate_keeping, full_compact, rebuild_remsets, EvacOutcome, EvacStats, KeepInPlace,
+};
 pub use mark::{mark_liveness, MarkResult};
 pub use observer::{GcCycleInfo, GcHooks, NullHooks};
 pub use regional::{RegionalCollector, RegionalConfig, RegionalStats};

@@ -38,7 +38,7 @@ pub struct MarkResult {
     /// Unreachable objects the scrub walked.
     pub dead_objects: u64,
     /// Their bytes. Collectors price the walk over them per mark-bitmap
-    /// byte, one per 64 heap bytes (see [`queue_marking`]).
+    /// byte, one per 64 heap bytes (see `queue_marking`).
     pub dead_bytes: u64,
     /// Non-`NULL` reference fields the scrub cleared in dead objects.
     pub refs_scrubbed: u64,

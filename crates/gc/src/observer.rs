@@ -57,7 +57,10 @@ pub trait GcHooks {
 
     /// One object survived a collection; `header` is its pre-copy header
     /// (context + age before the increment), `from` the kind of region it
-    /// was copied out of. `worker` is always 0: the collector runs on the
+    /// was copied out of. An object in a survivor region the collection
+    /// keeps in place (DESIGN §6 item 10) is reported exactly as copying
+    /// it would be: same header, same `from`, in the same order. `worker`
+    /// is always 0: the collector runs on the
     /// runtime's one OS thread. The parameter is kept only because
     /// `rolpbench/src/trace.rs` forwards it; it goes with the rolpbench
     /// update planned under ROADMAP's "Two clocks" item. Note that, as in

@@ -16,7 +16,9 @@
 //!   regions whose objects died together are reclaimed without copying,
 //!   and a `Dynamic(g)` region joins the mixed candidates only once it
 //!   has been through more than `g` collections, so its cohort is not
-//!   copied while it is still dying.
+//!   copied while it is still dying. Survivor regions whose objects a
+//!   newly published table decided are kept in place and relabeled at
+//!   the next collection, not copied into their generation.
 //!
 //! The mechanical claim of the paper emerges here, not from a formula:
 //! pretenured long-lived objects are never copied through the survivor
@@ -28,9 +30,9 @@ use std::rc::Rc;
 
 use rolp_heap::{AllocFailure, ObjectRef, RegionId, RegionKind, SpaceKind, TlabAlloc};
 use rolp_metrics::{PauseKind, SimTime};
-use rolp_vm::{AllocRequest, CollectorApi, DecisionStore, VmEnv};
+use rolp_vm::{AllocRequest, CollectorApi, DecisionStore, DecisionTable, VmEnv};
 
-use crate::evac::{charge_refill, evacuate, full_compact, EvacStats};
+use crate::evac::{charge_refill, evacuate_keeping, full_compact, EvacStats, KeepInPlace};
 use crate::mark::{mark_liveness, queue_marking};
 use crate::observer::{GcCycleInfo, GcHooks};
 
@@ -129,6 +131,9 @@ pub struct RegionalCollector {
     /// still young (see [`Self::young_cohort`]); they hold no
     /// fragmentation reading until the next marking.
     young_cohorts: Vec<RegionId>,
+    /// Version of the decision table the survivor headers were last read
+    /// against (see [`Self::survivors_to_keep`]).
+    kept_version: u64,
     stats: RegionalStats,
     name: &'static str,
 }
@@ -161,6 +166,7 @@ impl RegionalCollector {
             mixed_batch: 0,
             collection_epochs: VecDeque::with_capacity(AGE_HORIZON),
             young_cohorts: Vec::new(),
+            kept_version: 0,
             stats: RegionalStats::default(),
             name,
         }
@@ -400,6 +406,13 @@ impl RegionalCollector {
         // dynamic generation if it has one, otherwise to old. The snapshot
         // is loaded once per collection.
         let table = self.decisions.as_ref().filter(|_| self.config.pretenuring).map(|s| s.load());
+        let keep = match table.as_deref() {
+            Some(t) if t.version() != self.kept_version => {
+                self.kept_version = t.version();
+                Self::survivors_to_keep(env, t)
+            }
+            _ => KeepInPlace::default(),
+        };
         let mut dest =
             |from: RegionKind, age: u8, size_words: u32, ctx: Option<u32>| -> SpaceKind {
                 match from {
@@ -425,7 +438,7 @@ impl RegionalCollector {
 
         let hooks = Rc::clone(&self.hooks);
         let mut hooks_ref = hooks.borrow_mut();
-        let outcome = evacuate(env, &cset, &mut dest, &mut *hooks_ref, kind);
+        let outcome = evacuate_keeping(env, &cset, &keep, &mut dest, &mut *hooks_ref, kind);
         drop(hooks_ref);
 
         self.cycles += 1;
@@ -450,6 +463,34 @@ impl RegionalCollector {
             self.run_marking(env);
         }
         true
+    }
+
+    /// The survivor regions the first collection after a new decision
+    /// table keeps in place (DESIGN §6 item 10): those whose objects all
+    /// carry a published decision of generation 1–15 that is not
+    /// canary-flagged. The `dest` rule would copy every live object of such
+    /// a region into a tenured generation; keeping the region instead
+    /// relabels it to the oldest generation among its objects (old for
+    /// 15). Later collections find no such region: decided survivors are
+    /// promoted as they are copied, so only a new table can decide a
+    /// survivor that was not. The pass reads one header per object up to
+    /// the first one that disqualifies its region.
+    fn survivors_to_keep(env: &VmEnv, table: &DecisionTable) -> KeepInPlace {
+        let mut keep = KeepInPlace::default();
+        for id in env.heap.regions_of_kind(RegionKind::Survivor) {
+            let oldest = env.heap.objects_in_region(id).try_fold(0, |oldest, obj| {
+                keep.headers_read += 1;
+                let c = env.heap.header(obj).allocation_context()?;
+                let g = table.advise(c).filter(|g| (1..=15).contains(g) && !table.is_canary(c))?;
+                Some(oldest.max(g))
+            });
+            match oldest {
+                None | Some(0) => {}
+                Some(15) => keep.regions.push((id, RegionKind::Old)),
+                Some(g) => keep.regions.push((id, RegionKind::Dynamic(g.min(14)))),
+            }
+        }
+        keep
     }
 
     fn full_collect(&mut self, env: &mut VmEnv) {
@@ -636,7 +677,8 @@ mod tests {
 
     use rolp_heap::verify::verify_heap;
     use rolp_heap::{ClassId, Heap, HeapConfig, ObjectHeader};
-    use rolp_vm::{CostModel, DecisionTable, JitConfig, ProgramBuilder};
+    use rolp_telemetry::CounterId;
+    use rolp_vm::{CostModel, JitConfig, ProgramBuilder};
 
     use super::*;
     use crate::observer::NullHooks;
@@ -691,10 +733,8 @@ mod tests {
     /// decided at 5; decided at generation 0; undecided.
     const CONTEXTS: [u32; 6] = [1 << 16, 2 << 16, 3 << 16, 4 << 16, 5 << 16, 6 << 16];
 
-    /// Allocates one live eden object per context, runs one young
-    /// collection and returns where each survivor landed.
-    fn placements(mut collector: RegionalCollector) -> Vec<RegionKind> {
-        let mut env = test_env();
+    /// A store holding one published table (version 1) over [`CONTEXTS`].
+    fn decided_store() -> Rc<DecisionStore> {
         let rows: BTreeMap<u32, u8> = [
             (CONTEXTS[0], 3),
             (CONTEXTS[1], 14),
@@ -706,13 +746,27 @@ mod tests {
         .collect();
         let empty = DecisionTable::empty_with_geometry(64, 16);
         let table = DecisionTable::next_from_blended(&empty, &rows, [], |k| k == CONTEXTS[3]);
-        collector.set_decision_store(Rc::new(DecisionStore::with_initial(table)));
+        Rc::new(DecisionStore::with_initial(table))
+    }
 
+    /// Allocates an object of context `ctx` in `space` with `refs`
+    /// reference fields and four data words, the first holding `tag`.
+    fn alloc_ctx(env: &mut VmEnv, space: SpaceKind, ctx: u32, refs: u16, tag: u64) -> ObjectRef {
+        let header = ObjectHeader::new(1).with_allocation_context(ctx);
+        let obj = env.heap.alloc_in(space, ClassId(0), refs, 4, header).unwrap();
+        env.heap.set_data(obj, 0, tag);
+        obj
+    }
+
+    /// Allocates one live eden object per context, runs one young
+    /// collection and returns where each survivor landed.
+    fn placements(mut collector: RegionalCollector) -> Vec<RegionKind> {
+        let mut env = test_env();
+        collector.set_decision_store(decided_store());
         let handles: Vec<_> = CONTEXTS
             .iter()
             .map(|&ctx| {
-                let header = ObjectHeader::new(1).with_allocation_context(ctx);
-                let obj = env.heap.alloc_in(SpaceKind::Eden, ClassId(0), 0, 4, header).unwrap();
+                let obj = alloc_ctx(&mut env, SpaceKind::Eden, ctx, 0, 0);
                 env.heap.handles.create(obj)
             })
             .collect();
@@ -725,6 +779,27 @@ mod tests {
                 env.heap.region(obj.region()).kind
             })
             .collect()
+    }
+
+    /// One survivor region holding a live object decided at 3 and a live
+    /// object of context `other`, collected once by `collector` under the
+    /// published table. Returns where both objects landed, whether they
+    /// moved, and the environment.
+    fn survivor_pair(
+        mut collector: RegionalCollector,
+        other: u32,
+    ) -> ([RegionKind; 2], bool, VmEnv) {
+        let mut env = test_env();
+        collector.set_decision_store(decided_store());
+        let objs =
+            [CONTEXTS[0], other].map(|ctx| alloc_ctx(&mut env, SpaceKind::Survivor, ctx, 0, 7));
+        assert_eq!(objs[0].region(), objs[1].region());
+        let handles = objs.map(|o| env.heap.handles.create(o));
+        assert!(collector.collect(&mut env), "the young collection succeeds");
+        let now = handles.map(|h| env.heap.handles.get(h));
+        assert_eq!(now.map(|o| env.heap.get_data(o, 0)), [7, 7]);
+        let moved = now != objs;
+        (now.map(|o| env.heap.region(o.region()).kind), moved, env)
     }
 
     #[test]
@@ -802,6 +877,129 @@ mod tests {
             [RegionKind::Survivor; 6],
             "G1 ignores decisions"
         );
+
+        // A survivor region is kept in place only if every object in it
+        // is decided at 1-15 and not canary-flagged.
+        let (kinds, moved, _) = survivor_pair(RegionalCollector::ng2c(hooks()), CONTEXTS[1]);
+        assert_eq!(kinds, [RegionKind::Dynamic(14); 2], "kept, as its oldest generation");
+        assert!(!moved);
+        for other in [CONTEXTS[3], CONTEXTS[4], CONTEXTS[5]] {
+            let (kinds, moved, env) = survivor_pair(RegionalCollector::ng2c(hooks()), other);
+            assert_eq!(kinds, [RegionKind::Dynamic(3), RegionKind::Survivor], "copied");
+            assert!(moved);
+            assert_eq!(env.telemetry.publish(0).counter(CounterId::RegionsKeptInPlace), 0);
+        }
+    }
+
+    #[test]
+    fn g1_never_keeps_a_region() {
+        let (kinds, moved, env) = survivor_pair(RegionalCollector::g1(hooks()), CONTEXTS[1]);
+        assert_eq!(kinds, [RegionKind::Survivor; 2]);
+        assert!(moved, "G1 copies every survivor");
+        assert_eq!(env.telemetry.publish(0).counter(CounterId::RegionsKeptInPlace), 0);
+    }
+
+    #[test]
+    fn a_fully_decided_survivor_region_is_kept_and_relabeled_to_its_oldest_generation() {
+        let mut env = test_env();
+        let mut collector = RegionalCollector::ng2c(hooks());
+        collector.set_decision_store(decided_store());
+        // One survivor region: live objects decided at 3 and 14, and a
+        // run of two dead ones between them.
+        let live_a = alloc_ctx(&mut env, SpaceKind::Survivor, CONTEXTS[0], 1, 0xA);
+        let dead: Vec<ObjectRef> =
+            (0..2).map(|_| alloc_ctx(&mut env, SpaceKind::Survivor, CONTEXTS[1], 1, 0)).collect();
+        let live_b = alloc_ctx(&mut env, SpaceKind::Survivor, CONTEXTS[1], 1, 0xB);
+        let region = live_a.region();
+        assert!(dead.iter().chain([&live_b]).all(|o| o.region() == region));
+        // A dead object still points at a live one: the filler drops it.
+        env.heap.set_ref(dead[0], 0, live_b);
+        env.heap.set_ref(live_a, 0, live_b);
+        let root = env.heap.handles.create(live_a);
+        let dead_words = dead.iter().map(|&o| env.heap.size_words(o) as u64).sum::<u64>();
+
+        assert!(collector.collect(&mut env), "the young collection succeeds");
+        assert_eq!(env.heap.stats().objects_copied, 0, "nothing was copied");
+        assert_eq!(env.heap.stats().bytes_copied, 0);
+        let r = env.heap.region(region);
+        assert_eq!(r.kind, RegionKind::Dynamic(14), "relabeled to its oldest generation");
+        assert_eq!(r.filled_dead_bytes, dead_words * 8, "the dead run is one filler");
+        let objects: Vec<ObjectRef> = env.heap.objects_in_region(region).collect();
+        assert_eq!(objects, [live_a, live_b]);
+        assert_eq!(r.live_bytes, objects.iter().map(|&o| env.heap.size_words(o) as u64 * 8).sum());
+        assert_eq!(env.heap.handles.get(root), live_a);
+        for (obj, ctx, tag) in [(live_a, CONTEXTS[0], 0xA), (live_b, CONTEXTS[1], 0xB)] {
+            let header = env.heap.header(obj);
+            assert_eq!((header.age(), header.allocation_context()), (1, Some(ctx)));
+            assert_eq!(env.heap.get_data(obj, 0), tag);
+        }
+        assert_eq!(env.telemetry.publish(0).counter(CounterId::RegionsKeptInPlace), 1);
+        assert_eq!(verify_heap(&env.heap, true), []);
+
+        // An eden object reachable only from a kept object survives the
+        // next young collection through the remembered set.
+        let young = alloc_ctx(&mut env, SpaceKind::Eden, CONTEXTS[5], 0, 0xC);
+        env.heap.set_ref(live_b, 0, young);
+        assert!(collector.collect(&mut env));
+        let young = env.heap.get_ref(live_b, 0);
+        assert_eq!(env.heap.region(young.region()).kind, RegionKind::Survivor);
+        assert_eq!(env.heap.get_data(young, 0), 0xC);
+        assert_eq!(env.heap.region(region).kind, RegionKind::Dynamic(14), "kept once");
+        assert_eq!(verify_heap(&env.heap, true), []);
+    }
+
+    /// Hooks that record every survivor report.
+    #[derive(Default)]
+    struct SurvivorLog(Vec<(ObjectHeader, RegionKind)>);
+
+    impl GcHooks for SurvivorLog {
+        fn survivor_tracking_enabled(&self) -> bool {
+            true
+        }
+
+        fn on_survivor(&mut self, header: ObjectHeader, from: RegionKind, _worker: u32) {
+            self.0.push((header, from));
+        }
+    }
+
+    #[test]
+    fn a_kept_region_reports_the_same_survivors_as_copying_it() {
+        let run = |keep: bool| {
+            let mut env = test_env();
+            let log = Rc::new(RefCell::new(SurvivorLog::default()));
+            let mut collector = RegionalCollector::ng2c(log.clone());
+            collector.set_decision_store(decided_store());
+            if !keep {
+                // The table was read already: no header pass, so the
+                // region takes the copy path.
+                collector.kept_version = 1;
+            }
+            // A cycle through a survivor region and eden, rooted twice;
+            // the second survivor object is dead.
+            let ctxs = [CONTEXTS[0], CONTEXTS[2], CONTEXTS[1], CONTEXTS[0]];
+            let objs: Vec<ObjectRef> = ctxs
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| alloc_ctx(&mut env, SpaceKind::Survivor, c, 2, i as u64))
+                .collect();
+            let young = alloc_ctx(&mut env, SpaceKind::Eden, CONTEXTS[5], 1, 9);
+            env.heap.set_ref(objs[3], 0, objs[0]);
+            env.heap.set_ref(objs[0], 0, young);
+            env.heap.set_ref(objs[0], 1, objs[2]);
+            env.heap.set_ref(young, 0, objs[3]);
+            env.heap.handles.create(objs[2]);
+            env.heap.handles.create(young);
+            assert!(collector.collect(&mut env));
+            let kept = env.telemetry.publish(0).counter(CounterId::RegionsKeptInPlace);
+            assert_eq!(kept, keep as u64);
+            assert_eq!(env.heap.stats().objects_copied, if keep { 1 } else { 4 });
+            assert_eq!(verify_heap(&env.heap, true), []);
+            let reports = std::mem::take(&mut log.borrow_mut().0);
+            reports
+        };
+        let kept = run(true);
+        assert_eq!(kept.len(), 4, "three survivor objects and the eden one");
+        assert_eq!(kept, run(false));
     }
 
     #[test]

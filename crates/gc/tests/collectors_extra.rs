@@ -1,7 +1,8 @@
 //! Additional collector behaviour tests: humongous objects, ZGC headroom
 //! and barrier surface, CMS fragmentation full GCs, marking censuses,
-//! mixed-collection liveness gating, and heap integrity after the regions
-//! marking found dead are released.
+//! mixed-collection liveness gating, heap integrity after the regions
+//! marking found dead are released, and an evacuation failure while a
+//! survivor region is kept in place.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -14,7 +15,10 @@ use rolp_heap::verify::{assert_heap_valid, verify_heap};
 use rolp_heap::{
     ClassId, Handle, Heap, HeapConfig, ObjectHeader, ObjectRef, RegionKind, SpaceKind,
 };
-use rolp_vm::{AllocRequest, CollectorApi, CostModel, JitConfig, ProgramBuilder, VmEnv};
+use rolp_vm::{
+    AllocRequest, CollectorApi, CostModel, DecisionStore, DecisionTable, JitConfig, ProgramBuilder,
+    VmEnv,
+};
 
 fn env(heap_bytes: u64) -> VmEnv {
     let mut heap = Heap::new(HeapConfig { region_bytes: 4096, max_heap_bytes: heap_bytes });
@@ -273,4 +277,43 @@ fn g1_marking_scrubs_a_dead_holder_of_a_reclaimed_humongous_object() {
     assert_eq!(env.heap.num_of_kind(RegionKind::Humongous), 0, "the dead humongous was reclaimed");
     assert_eq!(verify_heap(&env.heap, false), []);
     assert!(env.heap.get_ref(holder, 0).is_null(), "marking scrubbed the dead holder");
+}
+
+#[test]
+fn an_evacuation_failure_while_a_region_is_kept_leaves_no_object_forwarded_to_itself() {
+    // 16 regions: one survivor region whose objects are all decided at
+    // generation 3, and eight eden regions of live objects that the seven
+    // free regions cannot hold.
+    let mut env = env(16 * 4096);
+    let ctx = 1 << 16;
+    let rows = [(ctx, 3)].into_iter().collect();
+    let table = DecisionTable::next_from(&DecisionTable::empty_with_geometry(64, 16), &rows, []);
+    let mut ng2c = RegionalCollector::ng2c(hooks());
+    ng2c.set_decision_store(Rc::new(DecisionStore::with_initial(table)));
+    let header = ObjectHeader::new(1).with_allocation_context(ctx);
+    let mut live: Vec<(Handle, u64)> = Vec::new();
+    let mut chain = ObjectRef::NULL;
+    for i in 0..8 {
+        let obj = env.heap.alloc_in(SpaceKind::Survivor, ClassId(0), 1, 57, header).unwrap();
+        env.heap.set_data(obj, 0, i);
+        env.heap.set_ref(obj, 0, chain);
+        chain = obj;
+        live.push((env.heap.handles.create(obj), i));
+    }
+    assert_eq!(env.heap.num_of_kind(RegionKind::Survivor), 1);
+    let mut tag = 100;
+    while env.heap.num_of_kind(RegionKind::Eden) < 8 || env.heap.free_regions() > 7 {
+        let obj = env.heap.alloc_in(SpaceKind::Eden, ClassId(0), 0, 58, ObjectHeader::new(1));
+        let obj = obj.unwrap();
+        env.heap.set_data(obj, 0, tag);
+        live.push((env.heap.handles.create(obj), tag));
+        tag += 1;
+    }
+
+    let _ = ng2c.allocate(&mut env, req(0, 10));
+    assert_eq!(ng2c.stats().full_gcs, 1, "the evacuation failed and a full GC followed");
+    assert_eq!(verify_heap(&env.heap, true), []);
+    for &(h, tag) in &live {
+        assert_eq!(env.heap.get_data(env.heap.handles.get(h), 0), tag);
+    }
 }

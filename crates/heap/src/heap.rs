@@ -338,6 +338,28 @@ impl Heap {
         self.released_since_purge = true;
     }
 
+    /// Moves an assigned region to space `kind` in place. Its objects, its
+    /// assignment epoch and its remembered set stay, so no slot goes
+    /// stale. A collector promotes a survivor region this way when its
+    /// evacuation kept every live object where it was; `live_bytes` is
+    /// what it kept. As for a copy destination, the region's liveness is
+    /// unknown until the next marking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region is free or `kind` is not an allocatable
+    /// space.
+    pub fn relabel_region(&mut self, id: RegionId, kind: RegionKind, live_bytes: u64) {
+        let r = &mut self.regions[id.0 as usize];
+        assert!(!matches!(r.kind, RegionKind::Free), "relabeling free region {id:?}");
+        assert!(kind.is_allocatable() && kind != RegionKind::Humongous, "relabel to {kind:?}");
+        let old_kind = std::mem::replace(&mut r.kind, kind);
+        r.live_bytes = live_bytes;
+        r.liveness_valid = false;
+        self.kind_counts[kind_slot(old_kind)] -= 1;
+        self.kind_counts[kind_slot(kind)] += 1;
+    }
+
     /// Drops from every remembered set the slots whose holder region was
     /// released since they were recorded: the holder is free, or holds a
     /// newer assignment. Such a slot can never become valid again. Each
@@ -898,6 +920,26 @@ mod tests {
         assert_eq!(young2.region(), young.region(), "test assumes shared eden region");
         h.set_ref(young, 0, young2);
         assert_eq!(h.stats().barrier_records, 1);
+    }
+
+    #[test]
+    fn relabeling_a_region_keeps_its_objects_epoch_and_remembered_set() {
+        let mut h = heap_with_class();
+        let young = alloc(&mut h, SpaceKind::Survivor, 0, 1);
+        let old = alloc(&mut h, SpaceKind::Old, 1, 0);
+        h.set_ref(old, 0, young);
+        let id = young.region();
+        let epoch = h.region(id).assigned_epoch;
+        h.region_mut(id).liveness_valid = true;
+
+        h.relabel_region(id, RegionKind::Dynamic(3), 24);
+        assert_eq!(h.num_of_kind(RegionKind::Survivor), 0);
+        assert_eq!(h.regions_of_kind(RegionKind::Dynamic(3)), [id]);
+        assert_eq!(h.num_of_kind(RegionKind::Dynamic(3)), 1);
+        let r = h.region(id);
+        assert_eq!((r.assigned_epoch, r.live_bytes, r.liveness_valid), (epoch, 24, false));
+        assert_eq!(r.rset.len(), 1, "the slot into it is still valid");
+        assert_eq!(h.objects_in_region(id).collect::<Vec<_>>(), [young]);
     }
 
     #[test]

@@ -158,11 +158,14 @@ pub enum CounterId {
     /// Reference fields marking cleared in unreachable objects, so that
     /// no dead object roots garbage through a remembered set.
     RefsScrubbed,
+    /// Survivor regions an evacuation kept in place and relabeled to a
+    /// tenured space instead of copying their objects.
+    RegionsKeptInPlace,
 }
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 15;
 
     /// Every counter, in index order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -180,6 +183,7 @@ impl CounterId {
         CounterId::MicrocacheMisses,
         CounterId::ConcurrentMarkIdleNs,
         CounterId::RefsScrubbed,
+        CounterId::RegionsKeptInPlace,
     ];
 
     /// Dense array index.
@@ -205,6 +209,7 @@ impl CounterId {
             CounterId::MicrocacheMisses => "microcache_misses",
             CounterId::ConcurrentMarkIdleNs => "concurrent_mark_idle_ns",
             CounterId::RefsScrubbed => "refs_scrubbed",
+            CounterId::RegionsKeptInPlace => "regions_kept_in_place",
         }
     }
 }

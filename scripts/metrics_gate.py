@@ -41,6 +41,7 @@ COUNTERS = [
     "epochs_inferred", "profile_entries_imported", "profile_blend_decays",
     "serve_requests", "serve_slo_misses", "tlab_refills", "microcache_hits",
     "microcache_misses", "concurrent_mark_idle_ns", "refs_scrubbed",
+    "regions_kept_in_place",
 ]
 GAUGES = [
     "heap_used_bytes", "heap_committed_bytes", "decision_version",
